@@ -11,6 +11,7 @@ from repro.runtime import (
     explore_schedules,
     spec_property,
 )
+from repro.runtime.fingerprint import stable_digest
 from repro.runtime.independence import Footprint, classify
 from repro.specs import (
     SendToAllSpec,
@@ -207,3 +208,84 @@ def test_independence_oracle_interned_memo(benchmark):
     # sanity: the memoized verdicts agree with the relation
     for a, b in pairs[:8]:
         assert oracle(a, b) == classify(a, b)[0]
+
+
+def from_scratch_fingerprint(run):
+    """``SimulationRun.fingerprint`` re-encoding the whole live state."""
+    registry = run.registry
+    return stable_digest(
+        "run",
+        run.steps,
+        sorted(run.alive),
+        [
+            stable_digest(
+                "process", p, list(run.runtimes[p].journal_entries())
+            )
+            for p in range(run.simulator.n)
+        ],
+        stable_digest(
+            "network",
+            [(item.p2p, item.payload) for item in run.network.deliverable()],
+        ),
+        stable_digest(
+            "registry",
+            registry.k,
+            [obj.fingerprint() for _, obj in sorted(registry.objects.items())],
+        ),
+        run.factory.counters(),
+        {
+            p: None if m is None else m.uid
+            for p, m in run.last_sync_message.items()
+        },
+        run.remaining,
+    )
+
+
+def deep_urb_state():
+    """A URB n=3 run 60 decisions deep, with its digest already taken.
+
+    Taking the first enabled event favours local steps over receptions,
+    so journals grow long and 19 messages stay in flight.
+    """
+    simulator = Simulator(3, UniformReliableBroadcast)
+    run = simulator.begin({0: ["a", "b"], 1: ["c"], 2: ["d"]})
+    for _ in range(60):
+        run.choices()
+        run.advance(0)
+    run.choices()
+    run.fingerprint()
+    return run
+
+
+@pytest.mark.parametrize("digest", ["cached", "from-scratch"])
+def test_fingerprint_after_one_event(benchmark, digest):
+    """The dedup key after an event that touches one pid.
+
+    Each round forks the deep state (fork passes every cache), commits
+    one reception and runs its prelude — untimed — then times one state
+    digest: the cached ``fingerprint`` re-encodes only the receiver's
+    new journal entries and the changed pool, the from-scratch oracle
+    re-encodes everything.
+    """
+    base = deep_urb_state()
+    fingerprint = (
+        type(base).fingerprint
+        if digest == "cached"
+        else from_scratch_fingerprint
+    )
+
+    def one_event():
+        run = base.fork()
+        receptions = [
+            i for i, (kind, _) in enumerate(run.choices()) if kind == "recv"
+        ]
+        run.advance(receptions[0])
+        run.choices()
+        return (run,), {}
+
+    result = benchmark.pedantic(
+        fingerprint, setup=one_event, rounds=300, warmup_rounds=10
+    )
+    run, _ = one_event()
+    assert result == type(base).fingerprint(run[0])
+    assert result == from_scratch_fingerprint(run[0])

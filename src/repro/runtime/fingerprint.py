@@ -41,6 +41,37 @@ finalization per digest, no per-value sub-hasher objects) and memoizes
 dataclass field lists per type.  Unordered containers are canonicalized
 by sorting the raw element *encodings* — self-delimiting byte strings,
 so concatenating them cannot alias.
+
+Incremental digests
+-------------------
+
+An event touches one or two processes, so re-encoding the whole live
+state at every explored node would pay for everything that did *not*
+change.  Each component therefore caches its own encoding and digest,
+and the bytes it hashes are exactly those :func:`stable_digest` would
+build from scratch — the cached digests are byte-identical, so memo
+keys and checkpointed cache keys do not depend on which path built
+them.  Component encodings are immutable ``bytes`` shared by reference
+with forks; each component drops its cached digest at the points that
+change its encoded state:
+
+* :class:`~repro.runtime.process.ProcessRuntime` keeps the encoded
+  prefix of its journal and encodes only the entries appended since
+  (lazily, when a digest is asked for); every journal append goes
+  through ``_log``, which drops the digest;
+* :class:`~repro.runtime.network.Network` keeps one encoding per
+  in-flight message, in pool order; ``send`` and ``receive`` drop the
+  digest;
+* :class:`~repro.runtime.ksa_objects.KsaRegistry` drops its digest when
+  ``get`` creates an object and on ``propose``;
+* :class:`~repro.runtime.simulator.SimulationRun` keeps the encoding of
+  the state only broadcast starts change (message-factory counters,
+  sync gates, remaining scripts), dropped by ``advance`` on a
+  broadcast start; the depth and the alive set are encoded every call.
+
+:func:`list_digest` and :func:`encoded_digest` combine such pre-encoded
+bytes with freshly encoded header parts under the layout of
+:func:`_encode_into`.
 """
 
 from __future__ import annotations
@@ -56,6 +87,9 @@ from ..core.message import Message, MessageId
 __all__ = [
     "PidCanonicalizer",
     "canonical_update",
+    "encoded_digest",
+    "encoding",
+    "list_digest",
     "orbit_digest",
     "payload_digest",
     "stable_digest",
@@ -101,6 +135,16 @@ def _put(buf: bytearray, tag: bytes, payload: bytes) -> None:
     buf += payload
 
 
+def _list_open(count: int) -> bytes:
+    """The opening of a ``count``-element list encoding (see ``_CLOSE``)."""
+    size = str(count).encode()
+    return b"l" + len(size).to_bytes(8, "big") + size
+
+
+#: The terminator of every tuple and list encoding (an empty ``")"``).
+_CLOSE = b")" + (0).to_bytes(8, "big")
+
+
 def _encode_into(buf: bytearray, value: Any) -> None:
     """Append ``value``'s canonical encoding to ``buf``.
 
@@ -125,15 +169,15 @@ def _encode_into(buf: bytearray, value: Any) -> None:
         _put(buf, b"(", str(len(value)).encode())
         for item in value:
             _encode_into(buf, item)
-        _put(buf, b")", b"")
+        buf += _CLOSE
     elif isinstance(value, list):
         # Lists carry their own tag: ``["a"]`` and ``("a",)`` are
         # structurally distinct and must not collide (they used to share
         # the tuple tag — see the regression tests).
-        _put(buf, b"l", str(len(value)).encode())
+        buf += _list_open(len(value))
         for item in value:
             _encode_into(buf, item)
-        _put(buf, b")", b"")
+        buf += _CLOSE
     elif isinstance(value, (set, frozenset)):
         _put(buf, b"{", _sorted_encodings(buf, value))
     elif isinstance(value, dict):
@@ -170,11 +214,18 @@ def _sorted_encodings(buf: bytearray, items: Any) -> bytes:
     return b"".join(parts)
 
 
-def _encoded(value: Any) -> bytes:
-    """The standalone canonical encoding of one value, as bytes."""
+def encoding(*values: Any) -> bytes:
+    """The concatenated canonical encodings of ``values``, as bytes.
+
+    Encodings are self-delimiting, so the encodings of a list's items,
+    concatenated, form the body :func:`list_digest` takes, and the
+    encodings of trailing digest parts form the suffix
+    :func:`encoded_digest` takes.
+    """
     buf = _acquire_buffer()
     try:
-        _encode_into(buf, value)
+        for value in values:
+            _encode_into(buf, value)
         return bytes(buf)
     finally:
         _release_buffer(buf)
@@ -204,20 +255,48 @@ def canonical_update(hasher: "hashlib._Hash", value: Any) -> None:
 def stable_digest(*parts: Any) -> str:
     """A stable hex digest of ``parts`` under the canonical encoding.
 
-    This is the primitive behind every ``fingerprint()`` method in the
+    This is the definition behind every ``fingerprint()`` method in the
     runtime: components digest their own state and the
     :meth:`~repro.runtime.simulator.SimulationRun.fingerprint` combines
-    the component digests, so a state digest costs one linear pass over
-    the live state and nothing over the trace.  The pass builds the
-    whole canonical byte stream in a reused buffer and hashes it once.
+    the component digests, and nothing is read from the trace.  The
+    components do not call it on their whole state, though: each caches
+    the encoding of what it already digested and hashes the same bytes
+    through :func:`list_digest` or :func:`encoded_digest`, so a state
+    digest costs only the encoding of what changed since the last one
+    (see the module docstring for the invalidation points).  One call
+    builds the whole canonical byte stream in a reused buffer and
+    hashes it once.
+    """
+    return encoded_digest(parts)
+
+
+def encoded_digest(parts: Sequence[Any], *encoded: bytes) -> str:
+    """``stable_digest(*parts, *rest)``, given ``rest`` pre-encoded.
+
+    ``encoded`` are byte chunks whose concatenation is
+    :func:`encoding` ``(*rest)``; they are hashed as they are, after the
+    fresh encoding of ``parts``.
     """
     buf = _acquire_buffer()
     try:
         for part in parts:
             _encode_into(buf, part)
-        return hashlib.blake2b(buf, digest_size=_DIGEST_SIZE).hexdigest()
+        hasher = hashlib.blake2b(buf, digest_size=_DIGEST_SIZE)
+        for chunk in encoded:
+            hasher.update(chunk)
+        return hasher.hexdigest()
     finally:
         _release_buffer(buf)
+
+
+def list_digest(header: Sequence[Any], body: bytes, count: int) -> str:
+    """``stable_digest(*header, items)`` for a list ``items`` given encoded.
+
+    ``body`` is :func:`encoding` ``(*items)`` and ``count`` is
+    ``len(items)``: a component that keeps its list's element encodings
+    digests it without re-encoding a single element.
+    """
+    return encoded_digest(header, _list_open(count), body, _CLOSE)
 
 
 def payload_digest(text: str) -> str:
@@ -323,14 +402,14 @@ class PidCanonicalizer:
         if isinstance(value, (set, frozenset)):
             return (
                 "S",
-                tuple(sorted(_encoded(self.value(item)) for item in value)),
+                tuple(sorted(encoding(self.value(item)) for item in value)),
             )
         if isinstance(value, dict):
             return (
                 "D",
                 tuple(
                     sorted(
-                        _encoded((self.value(k), self.value(v)))
+                        encoding((self.value(k), self.value(v)))
                         for k, v in value.items()
                     )
                 ),

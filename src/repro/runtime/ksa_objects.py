@@ -184,15 +184,22 @@ class KsaRegistry:
         self.k = k
         self.policy = policy or FirstProposalsPolicy()
         self.objects: dict[str, KsaObject] = {}
+        self._digest: str | None = None
 
     def get(self, name: str) -> KsaObject:
         """The instance named ``name`` (created with the registry policy)."""
         if name not in self.objects:
             self.objects[name] = KsaObject(name, self.k, self.policy)
+            self._digest = None
         return self.objects[name]
 
     def propose(self, name: str, proposer: int, value: Hashable) -> Hashable:
-        """Shorthand: propose on the named instance."""
+        """Propose on the named instance.
+
+        Proposals go through here rather than through the instance, so
+        the registry's cached :meth:`fingerprint` sees them.
+        """
+        self._digest = None
         return self.get(name).propose(proposer, value)
 
     def fork(self) -> "KsaRegistry":
@@ -201,15 +208,22 @@ class KsaRegistry:
         clone.objects = {
             name: obj.fork() for name, obj in self.objects.items()
         }
+        clone._digest = self._digest
         return clone
 
     def fingerprint(self) -> str:
-        """A stable structural digest over every instance, name-sorted."""
-        return stable_digest(
-            "registry",
-            self.k,
-            [
-                self.objects[name].fingerprint()
-                for name in sorted(self.objects)
-            ],
-        )
+        """A stable structural digest over every instance, name-sorted.
+
+        Cached until :meth:`get` creates an instance or :meth:`propose`
+        runs — the only changes to the registry's state.
+        """
+        if self._digest is None:
+            self._digest = stable_digest(
+                "registry",
+                self.k,
+                [
+                    self.objects[name].fingerprint()
+                    for name in sorted(self.objects)
+                ],
+            )
+        return self._digest

@@ -9,13 +9,17 @@ policy (who receives next) lives in the simulator or the adversary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Hashable, Iterator, Mapping
 
 from ..core.actions import PointToPointId
-from .fingerprint import stable_digest
+from .fingerprint import encoding, list_digest
 
 __all__ = ["InFlight", "Network"]
+
+#: The per-message encodings of a network never fingerprinted.
+_NO_ENCODINGS: Mapping[PointToPointId, bytes] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,12 @@ class Network:
 
     def __init__(self) -> None:
         self._in_flight: dict[PointToPointId, InFlight] = {}
+        #: Encodings of ``(p2p, payload)`` per message of the pool as
+        #: of the last :meth:`fingerprint`, in pool order.  Replaced,
+        #: never mutated, so forks share it; the digest is cached until
+        #: ``send`` or ``receive``.
+        self._encoded: Mapping[PointToPointId, bytes] = _NO_ENCODINGS
+        self._digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._in_flight)
@@ -58,6 +68,8 @@ class Network:
         """
         clone = Network()
         clone._in_flight = dict(self._in_flight)
+        clone._encoded = self._encoded
+        clone._digest = self._digest
         return clone
 
     def fingerprint(self) -> str:
@@ -68,11 +80,23 @@ class Network:
         meaning of schedule-guide indices, so only states whose pools
         agree as sequences may be treated as interchangeable by the
         explorer's dedup cache.
+
+        The digest is ``stable_digest("network", [(p2p, payload), ...])``
+        over the pool, built from the cached per-message encodings; only
+        messages sent since the last call are encoded.
         """
-        return stable_digest(
-            "network",
-            [(item.p2p, item.payload) for item in self._in_flight.values()],
-        )
+        if self._digest is None:
+            known = self._encoded
+            self._encoded = {
+                p2p: known.get(p2p) or encoding((p2p, item.payload))
+                for p2p, item in self._in_flight.items()
+            }
+            self._digest = list_digest(
+                ("network",),
+                b"".join(self._encoded.values()),
+                len(self._encoded),
+            )
+        return self._digest
 
     def send(self, p2p: PointToPointId, payload: Hashable) -> InFlight:
         """Put one message in flight; sends are unique by identity."""
@@ -80,6 +104,7 @@ class Network:
             raise ValueError(f"duplicate emission of {p2p}")
         item = InFlight(p2p, payload)
         self._in_flight[p2p] = item
+        self._digest = None
         return item
 
     def deliverable(
@@ -98,9 +123,11 @@ class Network:
     def receive(self, p2p: PointToPointId) -> InFlight:
         """Remove one in-flight message, committing its reception."""
         try:
-            return self._in_flight.pop(p2p)
+            item = self._in_flight.pop(p2p)
         except KeyError:
             raise ValueError(f"{p2p} is not in flight") from None
+        self._digest = None
+        return item
 
     def pending_to(self, receiver: int) -> list[InFlight]:
         """In-flight messages addressed to ``receiver``, oldest first."""

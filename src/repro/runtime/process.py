@@ -33,7 +33,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..core.actions import PointToPointId
 from ..core.message import Message, MessageFactory, MessageId
-from .fingerprint import stable_digest
+from .fingerprint import encoding, list_digest
 from .effects import (
     Deliver,
     DeliverSet,
@@ -231,6 +231,15 @@ class ProcessRuntime:
         #: can be replayed into a fresh instance (see :meth:`fork`).
         self._journal: list[tuple[Any, ...]] = []
         self._recording = True
+        #: Entry tags of a journal prefix, extended on read by
+        #: :attr:`journal_shape` (immutable, so forks share it).
+        self._shape: tuple[str, ...] = ()
+        #: Encodings of the first ``_encoded_count`` journal entries,
+        #: extended lazily by :meth:`fingerprint` (immutable, so forks
+        #: share it), and the digest, cached until the next append.
+        self._encoded_journal = b""
+        self._encoded_count = 0
+        self._digest: str | None = None
 
     # -- driver API ------------------------------------------------------
 
@@ -247,8 +256,7 @@ class ProcessRuntime:
             message = _replay_message
         else:
             message = self._factory.new(self.pid, content)
-        if self._recording:
-            self._journal.append(("b", message))
+        self._log(("b", message))
         self._operation = self.algorithm.on_broadcast(message)
         self._operation_message = message
         self._waiting = None
@@ -261,8 +269,7 @@ class ProcessRuntime:
                 f"p{self.pid}: received a message addressed to "
                 f"p{p2p.receiver}"
             )
-        if self._recording:
-            self._journal.append(("r", p2p, payload))
+        self._log(("r", p2p, payload))
         self._handlers.append(
             self.algorithm.on_receive(payload, p2p.sender)
         )
@@ -273,8 +280,7 @@ class ProcessRuntime:
             raise ProtocolError(
                 f"p{self.pid}: decide without a pending proposal"
             )
-        if self._recording:
-            self._journal.append(("d", value))
+        self._log(("d", value))
         self._resume_values[id(self._awaiting_decide)] = value
         self._awaiting_decide = None
 
@@ -313,6 +319,27 @@ class ProcessRuntime:
         """
         return tuple(self._journal)
 
+    @property
+    def journal_shape(self) -> tuple[str, ...]:
+        """The journal's entry tags, in order (``"b"``, ``"r"``, ...).
+
+        The shape of the input history without its contents — the
+        per-pid invariant the symmetry reduction's orbit profile reads.
+        Kept incrementally: only entries appended since the last read
+        are added.
+        """
+        if len(self._shape) < len(self._journal):
+            self._shape += tuple(
+                entry[0] for entry in self._journal[len(self._shape) :]
+            )
+        return self._shape
+
+    def _log(self, entry: tuple[Any, ...]) -> None:
+        """Append one driver call to the journal (unless replaying)."""
+        if self._recording:
+            self._journal.append(entry)
+            self._digest = None
+
     def fingerprint(self) -> str:
         """A stable structural digest of this runtime's local state.
 
@@ -324,8 +351,32 @@ class ProcessRuntime:
         Equal fingerprints mean the two runtimes behave identically on
         every future driver call (the same argument that makes
         journal-replay :meth:`fork` sound).
+
+        The digest is ``stable_digest("process", pid, journal)``, built
+        from the cached encoding of the journal prefix plus the entries
+        appended since the last call, and cached until the next append.
         """
-        return stable_digest("process", self.pid, self._journal)
+        if self._digest is None:
+            journal = self._journal
+            if self._encoded_count < len(journal):
+                self._encoded_journal += encoding(
+                    *journal[self._encoded_count :]
+                )
+                self._encoded_count = len(journal)
+            self._digest = list_digest(
+                ("process", self.pid),
+                self._encoded_journal,
+                self._encoded_count,
+            )
+        return self._digest
+
+    def _share_journal(self, clone: "ProcessRuntime") -> None:
+        """Give ``clone`` this runtime's journal and its fingerprint caches."""
+        clone._journal = list(self._journal)
+        clone._shape = self._shape
+        clone._encoded_journal = self._encoded_journal
+        clone._encoded_count = self._encoded_count
+        clone._digest = self._digest
 
     # -- snapshot / fork -------------------------------------------------
 
@@ -380,7 +431,7 @@ class ProcessRuntime:
                 clone.delivered = list(self.delivered)
                 clone._delivered_uids = set(self._delivered_uids)
                 clone.returned_uids = set(self.returned_uids)
-                clone._journal = list(self._journal)
+                self._share_journal(clone)
                 return clone, 0
         if algorithm_factory is None:
             raise ProtocolError(
@@ -408,7 +459,7 @@ class ProcessRuntime:
             else:  # "d"
                 clone.resume_decide(entry[1])
         clone._recording = True
-        clone._journal = list(self._journal)
+        self._share_journal(clone)
         return clone, replayed
 
     def has_enabled_step(self) -> bool:
@@ -439,8 +490,7 @@ class ProcessRuntime:
         transparently; an exhausted operation body produces
         :class:`ReturnStep`.
         """
-        if self._recording:
-            self._journal.append(("s",))
+        self._log(("s",))
         while True:
             peeked = self._peek()
             if peeked is not None:

@@ -40,7 +40,13 @@ from typing import Callable, Hashable, Mapping, Sequence
 from ..core.execution import Execution
 from ..core.message import Message, MessageFactory
 from .crash import CrashSchedule
-from .fingerprint import PidCanonicalizer, orbit_digest, stable_digest
+from .fingerprint import (
+    PidCanonicalizer,
+    encoded_digest,
+    encoding,
+    orbit_digest,
+    stable_digest,
+)
 from .independence import Footprint, FootprintDraft
 from .ksa_objects import DecisionPolicy, FirstProposalsPolicy, KsaRegistry
 from .network import Network
@@ -184,6 +190,9 @@ class SimulationRun:
         self.last_footprint: Footprint | None = None
         self._pending_footprint: FootprintDraft | None = None
         self._choices: list[Choice] | None = None
+        #: Encoding of the fingerprint's tail — factory counters, sync
+        #: gates, remaining scripts — which only broadcast starts change.
+        self._tail: bytes | None = None
         for p in sorted(self.crashes.initially):
             self.trace.crash(p)
             self.alive.discard(p)
@@ -322,6 +331,7 @@ class SimulationRun:
             content = entry.content if isinstance(entry, Gated) else entry
             message = self.runtimes[p].start_broadcast(content)
             self.last_sync_message[p] = message
+            self._tail = None
             self.trace.broadcast_invoke(p, message)
 
     def fork(self) -> "SimulationRun":
@@ -361,6 +371,7 @@ class SimulationRun:
         clone._choices = (
             None if self._choices is None else list(self._choices)
         )
+        clone._tail = self._tail
         clone.runtimes = {}
         for p, runtime in self.runtimes.items():
             forked, replayed = runtime.fork(
@@ -428,23 +439,40 @@ class SimulationRun:
         decision's prelude; callers comparing states at a decision point
         should invoke :meth:`choices` first so due crashes and the
         ``atomic_local`` drain are already applied.
+
+        The cost is that of what changed since the parent's digest, not
+        of the whole state: every component caches its encoding and
+        digest (see :mod:`repro.runtime.fingerprint`), and so does the
+        run for its tail (factory counters, sync gates, remaining
+        scripts), which :meth:`advance` drops on a broadcast start.  The
+        depth and the alive set are encoded on every call.  Forks share
+        every cache.  The digest is byte-identical to
+        ``stable_digest("run", steps, sorted(alive), [process digests],
+        network digest, registry digest, counters, sync gates,
+        remaining)``.
         """
-        return stable_digest(
-            "run",
-            self.steps,
-            sorted(self.alive),
-            [
-                self.runtimes[p].fingerprint()
-                for p in range(self.simulator.n)
-            ],
-            self.network.fingerprint(),
-            self.registry.fingerprint(),
-            self.factory.counters(),
-            {
-                p: None if m is None else m.uid
-                for p, m in self.last_sync_message.items()
-            },
-            self.remaining,
+        if self._tail is None:
+            self._tail = encoding(
+                self.factory.counters(),
+                {
+                    p: None if m is None else m.uid
+                    for p, m in self.last_sync_message.items()
+                },
+                self.remaining,
+            )
+        return encoded_digest(
+            (
+                "run",
+                self.steps,
+                sorted(self.alive),
+                [
+                    self.runtimes[p].fingerprint()
+                    for p in range(self.simulator.n)
+                ],
+                self.network.fingerprint(),
+                self.registry.fingerprint(),
+            ),
+            self._tail,
         )
 
     def canonical_state_digest(self, permutation: Sequence[int]) -> str:
@@ -566,9 +594,7 @@ class SimulationRun:
         def profile(p: int) -> tuple:
             return (
                 p in self.alive,
-                tuple(
-                    entry[0] for entry in self.runtimes[p].journal_entries()
-                ),
+                self.runtimes[p].journal_shape,
                 tuple(
                     "gated" if isinstance(entry, Gated) else "plain"
                     for entry in self.remaining[p]

@@ -4,22 +4,50 @@ The dedup engine treats two runs as interchangeable exactly when their
 fingerprints agree, so the digest must be (a) stable across interpreter
 runs, (b) invariant under the orderings it canonicalizes away (set and
 dict iteration order), and (c) sensitive to everything it keeps (pool
-insertion order, journals, registry state, depth).
+insertion order, journals, registry state, depth).  The components
+cache their encodings, so (d) every cached digest must equal the
+from-scratch encoding of the same state, and pinned golden digests
+catch any drift of the encoding itself.
 """
 
+import os
+import shutil
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import settings
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
-from repro.broadcasts import SendToAllBroadcast
+from repro.broadcasts import (
+    KSteppedKsaBroadcast,
+    SendToAllBroadcast,
+    UniformReliableBroadcast,
+)
 from repro.core.message import Message, MessageId
 from repro.runtime import (
+    CrashSchedule,
+    KsaRegistry,
     PidCanonicalizer,
     Simulator,
+    SimulationRun,
     orbit_digest,
     stable_digest,
 )
+from repro.runtime.explorer import (
+    channels_property,
+    explore_schedules,
+    spec_property,
+)
+from repro.specs import KSteppedBroadcastSpec, TotalOrderBroadcastSpec
+
+from .test_explorer_checkpoint import Countdown, assert_identical
 
 
 def s2a_simulator(n=2, **kwargs):
@@ -339,3 +367,363 @@ class TestOrbitDigest:
         one.choices(), other.choices()
         groups = ((0, 1),)
         assert one.orbit_key(groups)[0] != other.orbit_key(groups)[0]
+
+
+# ---------------------------------------------------------------------------
+# Cached component digests vs the from-scratch encoding
+# ---------------------------------------------------------------------------
+#
+# Every component caches its encoding and digest and re-encodes only what
+# changed.  The oracle below is the from-scratch definition of each
+# digest: one ``stable_digest`` over the component's whole live state.
+# The cached digests must equal it byte for byte, at every node.
+
+
+def scratch_process_digest(runtime):
+    return stable_digest(
+        "process", runtime.pid, list(runtime.journal_entries())
+    )
+
+
+def scratch_network_digest(network):
+    return stable_digest(
+        "network",
+        [(item.p2p, item.payload) for item in network.deliverable(None)],
+    )
+
+
+def scratch_registry_digest(registry):
+    return stable_digest(
+        "registry",
+        registry.k,
+        [
+            stable_digest(
+                "ksa", name, obj.k, obj.proposals, obj.decisions
+            )
+            for name, obj in sorted(registry.objects.items())
+        ],
+    )
+
+
+def scratch_run_digest(run):
+    n = run.simulator.n
+    return stable_digest(
+        "run",
+        run.steps,
+        sorted(run.alive),
+        [scratch_process_digest(run.runtimes[p]) for p in range(n)],
+        scratch_network_digest(run.network),
+        scratch_registry_digest(run.registry),
+        run.factory.counters(),
+        {
+            p: None if m is None else m.uid
+            for p, m in run.last_sync_message.items()
+        },
+        run.remaining,
+    )
+
+
+#: The cached implementation, kept before any test wraps it.
+cached_run_digest = SimulationRun.fingerprint
+
+
+def assert_cached_digests_match(run):
+    """Compare every cached digest of ``run`` with the oracle.
+
+    The cached run digest is taken first, so the comparison sees the
+    caches exactly as the explorer left them.
+    """
+    assert cached_run_digest(run) == scratch_run_digest(run)
+    for runtime in run.runtimes.values():
+        assert runtime.fingerprint() == scratch_process_digest(runtime)
+        assert runtime.journal_shape == tuple(
+            entry[0] for entry in runtime.journal_entries()
+        )
+    assert run.network.fingerprint() == scratch_network_digest(run.network)
+    assert run.registry.fingerprint() == scratch_registry_digest(
+        run.registry
+    )
+
+
+@pytest.fixture
+def checked_fingerprints(monkeypatch):
+    """Check every ``SimulationRun.fingerprint`` call against the oracle."""
+    tally = {"runs": 0}
+
+    def checked(self):
+        digest = cached_run_digest(self)
+        assert_cached_digests_match(self)
+        tally["runs"] += 1
+        return digest
+
+    monkeypatch.setattr(SimulationRun, "fingerprint", checked)
+    return tally
+
+
+#: The three families: send-to-all, uniform reliable broadcast and the
+#: k-stepped broadcast (the latter proposes to k-SA objects, so the
+#: registry changes along the search).
+FAMILIES = {
+    "s2a": (
+        3,
+        SendToAllBroadcast,
+        {},
+        {0: ["a"], 1: ["b"]},
+        lambda: spec_property(
+            TotalOrderBroadcastSpec(), assume_complete=False
+        ),
+    ),
+    "urb": (
+        2,
+        UniformReliableBroadcast,
+        {},
+        {0: ["a"], 1: ["b"]},
+        lambda: channels_property(assume_complete=False),
+    ),
+    "kst": (
+        2,
+        KSteppedKsaBroadcast,
+        {"k": 1},
+        {0: ["a"], 1: ["b"]},
+        lambda: spec_property(
+            KSteppedBroadcastSpec(1), assume_complete=False
+        ),
+    ),
+}
+
+#: One crash per family, inside the explored trees.
+CRASHES = {"s2a": {2: 4}, "urb": {0: 3}, "kst": {1: 3}}
+
+
+def family_config(family):
+    n, algorithm, options, scripts, prop = FAMILIES[family]
+    return Simulator(n, algorithm, **options), scripts, prop()
+
+
+class TestCachedDigestsMatchScratch:
+    """Dedup+sleep explorations: cached == from-scratch at every node."""
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["none", "crash"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_explored_node(self, family, crash, checked_fingerprints):
+        simulator, scripts, prop = family_config(family)
+        result = explore_schedules(
+            simulator,
+            scripts,
+            prop,
+            dedup=True,
+            sleep_sets=True,
+            crash_schedule=(
+                CrashSchedule(at_step=CRASHES[family]) if crash else None
+            ),
+        )
+        assert result.states_seen > 0
+        assert checked_fingerprints["runs"] >= result.states_seen
+
+    def test_symmetric_search(self, checked_fingerprints):
+        simulator, scripts, prop = family_config("s2a")
+        result = explore_schedules(
+            simulator,
+            scripts,
+            prop,
+            dedup=True,
+            sleep_sets=True,
+            symmetry="rename",
+        )
+        assert result.exhausted
+        assert checked_fingerprints["runs"] > 0
+
+    def test_resume_from_checkpoint(self, checked_fingerprints, tmp_path):
+        simulator, scripts, prop = family_config("s2a")
+        options = dict(
+            dedup=True,
+            sleep_sets=True,
+            crash_schedule=CrashSchedule(at_step=CRASHES["s2a"]),
+        )
+        reference = explore_schedules(simulator, scripts, prop, **options)
+        path = os.path.join(tmp_path, "search.ckpt")
+        first = explore_schedules(
+            *family_config("s2a"),
+            cancel=Countdown(reference.schedules_explored // 2),
+            checkpoint_to=path,
+            checkpoint_every=1,
+            **options,
+        )
+        assert first.interrupted
+        before = checked_fingerprints["runs"]
+        resumed = explore_schedules(
+            *family_config("s2a"), resume_from=path, **options
+        )
+        assert checked_fingerprints["runs"] > before
+        assert_identical(resumed, reference)
+
+
+class TestPinnedDigests:
+    """Golden digests computed by the from-scratch encoder.
+
+    The explorer's memo keys and the ``raw`` keys of checkpointed dedup
+    caches are these digests; any drift in the encoding would silently
+    orphan them, so it must fail here instead.
+    """
+
+    GOLDEN = {
+        "s2a": (
+            "edbfae9b522fbc00ddd03a77c3da73a5",
+            [1, 0, 1, 1, 1, 1, 3],
+            "e4a115725860177e7d82c25deded861c",
+        ),
+        "urb": (
+            "7d564ed27e2598f69dcac7315b2bf8ec",
+            [1, 0, 1, 1, 1, 0, 4, 2, 1, 0],
+            "3f2acb8fabeda54e78714209c04956b7",
+        ),
+        "kst": (
+            "6ab897925c9afee6b9257f982f3f062b",
+            [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0],
+            "c0ac545df29ddb6e5d3a2876cf2db3a5",
+        ),
+    }
+
+    #: k-stepped broadcasts twice from p0, so the prefix leaves a
+    #: script entry unstarted next to a decided k-SA object.
+    SCRIPTS = {"kst": {0: ["a", "c"], 1: ["b"]}}
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN))
+    def test_initial_and_guided_prefix(self, family):
+        initial, guide, prefix = self.GOLDEN[family]
+        simulator, scripts, _ = family_config(family)
+        run = simulator.begin(self.SCRIPTS.get(family, scripts))
+        run.choices()
+        assert run.fingerprint() == initial
+        for index in guide:
+            run.choices()
+            run.advance(index)
+        run.choices()
+        assert run.fingerprint() == prefix
+        assert scratch_run_digest(run) == prefix
+
+    def test_checkpoint_from_the_scratch_encoder_resumes(self, tmp_path):
+        """A checkpoint written before the digests were cached resumes.
+
+        ``tests/data/s2a_n3_crash_dedup_sleep.ckpt`` was cut a third of
+        the way through a dedup+sleep search and written by the
+        from-scratch encoder; its cache keys are raw fingerprints.  The
+        resumed search must hit them and end construction-identical to
+        an uninterrupted one.
+        """
+        source = os.path.join(
+            os.path.dirname(__file__),
+            os.pardir,
+            "data",
+            "s2a_n3_crash_dedup_sleep.ckpt",
+        )
+        path = os.path.join(tmp_path, "search.ckpt")
+        shutil.copy(source, path)
+        options = dict(
+            dedup=True,
+            sleep_sets=True,
+            crash_schedule=CrashSchedule(at_step=CRASHES["s2a"]),
+        )
+        reference = explore_schedules(*family_config("s2a"), **options)
+        resumed = explore_schedules(
+            *family_config("s2a"), resume_from=path, **options
+        )
+        assert_identical(resumed, reference)
+
+
+class FingerprintMachine(RuleBasedStateMachine):
+    """Advance, fork, probe and digest runs in arbitrary order.
+
+    Runs are built without ``atomic_local``, so forks taken while an
+    operation is in progress go through journal replay.  Digests are
+    checked only on the ``check`` rule, so several changes accumulate
+    between two cached digests.
+    """
+
+    @initialize(
+        family=st.sampled_from(sorted(FAMILIES)), crash=st.booleans()
+    )
+    def setup(self, family, crash):
+        simulator, scripts, _ = family_config(family)
+        self.runs = [
+            simulator.begin(
+                scripts,
+                crash_schedule=(
+                    CrashSchedule(at_step=CRASHES[family]) if crash else None
+                ),
+            )
+        ]
+        self.current = 0
+        self.replayed = 0
+
+    @property
+    def run(self):
+        return self.runs[self.current]
+
+    @precondition(lambda self: bool(self.run.choices()))
+    @rule(index=st.integers(0, 7))
+    def advance(self, index):
+        choices = self.run.choices()
+        self.run.advance(index % len(choices))
+
+    @precondition(lambda self: len(self.runs) < 4)
+    @rule()
+    def fork(self):
+        clone = self.run.fork()
+        self.replayed += clone.replayed_steps
+        self.runs.append(clone)
+
+    @rule(which=st.integers(0, 3))
+    def switch(self, which):
+        self.current = which % len(self.runs)
+
+    @rule()
+    def result(self):
+        self.run.result()
+
+    @rule()
+    def check(self):
+        assert_cached_digests_match(self.run)
+
+    def teardown(self):
+        for run in getattr(self, "runs", ()):
+            assert_cached_digests_match(run)
+
+
+TestFingerprintMachine = FingerprintMachine.TestCase
+TestFingerprintMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+def test_registry_digest_follows_creation_and_proposals():
+    registry = KsaRegistry(2)
+    digests = [registry.fingerprint()]
+    registry.get("x")  # creating an instance changes the state
+    digests.append(registry.fingerprint())
+    registry.propose("x", 0, "a")
+    digests.append(registry.fingerprint())
+    clone = registry.fork()
+    assert clone.fingerprint() == digests[-1]
+    clone.propose("x", 1, "b")
+    assert clone.fingerprint() == scratch_registry_digest(clone)
+    assert registry.fingerprint() == digests[-1]
+    assert len(set(digests)) == len(digests)
+    assert digests[-1] == scratch_registry_digest(registry)
+
+
+def test_journal_replay_fork_shares_the_caches():
+    """A mid-operation fork rebuilds by replay and keeps the digests."""
+    simulator, scripts, _ = family_config("urb")
+    run = simulator.begin(scripts)
+    run.advance(0)  # a broadcast start: p0's operation is live
+    run.advance(0)
+    assert run.runtimes[0].busy
+    digest = run.fingerprint()
+    clone = run.fork()
+    assert clone.replayed_steps > 0
+    assert clone.runtimes[0]._digest == run.runtimes[0]._digest
+    assert clone.fingerprint() == digest
+    clone.advance(0)
+    assert_cached_digests_match(clone)
+    assert run.fingerprint() == digest
