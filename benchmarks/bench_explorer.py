@@ -72,9 +72,9 @@ def test_violation_search(benchmark):
     benchmark(search)
 
 
-@pytest.mark.parametrize("engine", ["incremental", "dedup", "replay"])
+@pytest.mark.parametrize("engine", ["incremental", "dedup"])
 def test_engine_comparison_two_senders(benchmark, engine):
-    """Incremental (fork-at-branch) vs dedup vs replay, same tree."""
+    """Plain fork-at-branch search vs the dedup cache, same tree."""
     simulator = Simulator(2, lambda pid, n: SendToAllBroadcast(pid, n))
 
     def explore():
@@ -82,7 +82,7 @@ def test_engine_comparison_two_senders(benchmark, engine):
             simulator,
             {0: ["a"], 1: ["b"]},
             channels_property(assume_complete=False),
-            engine=engine,
+            dedup=engine == "dedup",
         )
         assert result.exhausted
         return result
@@ -92,7 +92,7 @@ def test_engine_comparison_two_senders(benchmark, engine):
 
 
 def test_incremental_depth8_three_processes(benchmark):
-    """The depth-8 config of BENCH_explorer.json, incremental engine."""
+    """The depth-8 config of BENCH_explorer.json, dedup cache off."""
     simulator = Simulator(3, lambda pid, n: SendToAllBroadcast(pid, n))
 
     def explore():
@@ -102,7 +102,7 @@ def test_incremental_depth8_three_processes(benchmark):
             channels_property(assume_complete=False),
         )
         assert result.exhausted
-        # the whole point of the incremental engine: no event is ever
+        # the whole point of forking run handles: no event is ever
         # re-executed on this tree (fork snapshots cover every branch)
         assert result.events_replayed == 0
         return result
@@ -126,7 +126,7 @@ def test_dedup_depth8_three_processes(benchmark):
             simulator,
             {0: ["a"], 1: ["b"]},
             channels_property(assume_complete=False),
-            engine="dedup",
+            dedup=True,
         )
         assert result.exhausted
         return result
@@ -150,7 +150,7 @@ def test_crash_aware_sleep_depth8(benchmark):
             simulator,
             {0: ["a"], 1: ["b"]},
             channels_property(assume_complete=False),
-            engine="dedup",
+            dedup=True,
             sleep_sets=True,
             crash_schedule=CrashSchedule(at_step={2: 4}),
             max_depth=8,

@@ -22,7 +22,7 @@ TINY = {
     "algorithm": "send-to-all",
     "n": 2,
     "scripts": {"0": ["x"]},
-    "engine": "dedup",
+    "dedup": True,
 }
 
 

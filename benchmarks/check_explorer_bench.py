@@ -19,19 +19,20 @@ Usage::
     python benchmarks/check_explorer_bench.py \
         BENCH_explorer.json BENCH_explorer.fresh.json
 
-Beyond the baseline diff, the checker enforces two *internal*
-invariants of the fresh report: every engine variant of a
-configuration must agree on the violation-set digest — the reductions
-(sleep sets, renaming symmetry, crash-aware commutation) are only
-admissible because they preserve violations, so a cross-engine
-mismatch is a reduction bug and always fails — and the
-``dedup-sleep-crashaware`` row must explore at most as many terminals
-and events as its blanket ``dedup-sleep`` counterpart, since the
-crash-aware relation is a strict refinement.
+Beyond the baseline diff, the checker enforces one *internal*
+invariant of the fresh report: every engine variant of a configuration
+must agree on the violation-set digest — the reductions (sleep sets,
+renaming symmetry, crash-aware commutation) are only admissible because
+they preserve violations, so a cross-engine mismatch is a reduction bug
+and always fails.
+
+A config, run or derived per-config field present in the baseline but
+absent from the fresh report is an error; ``--allow-subset`` tolerates
+the absences (for partial local runs), never a mismatch.
 
 Exit status: 0 when the reports agree on everything deterministic
-(timing warnings allowed), 1 on any schema, determinism, or
-cross-engine violation mismatch.
+(timing warnings allowed), 1 on any schema, determinism, missing-field
+or cross-engine violation mismatch.
 """
 
 from __future__ import annotations
@@ -58,22 +59,18 @@ DETERMINISTIC_RUN_FIELDS = (
 
 #: Per-config derived metrics that are pure functions of the counts.
 DETERMINISTIC_CONFIG_FIELDS = (
-    "replayed_events_ratio",
     "state_revisit_reduction",
     "expanded_vs_terminals_reduction",
     "sleep_terminal_reduction",
     "rename_state_reduction",
     "orbit_encodings_per_lookup",
     "composed_state_reduction",
-    "static_sleep_event_reduction",
-    "static_sleep_terminal_reduction",
-    "crash_sleep_reduction",
     "interned_key_hit_rate",
 )
 
 
 def _run_key(run: dict) -> tuple:
-    return (run.get("label", run["engine"]), run["workers"])
+    return (run["label"], run["workers"])
 
 
 def _cross_engine_violations(report: dict) -> list[str]:
@@ -107,34 +104,6 @@ def _cross_engine_violations(report: dict) -> list[str]:
     return errors
 
 
-def _crash_aware_regressions(report: dict) -> list[str]:
-    """Soundness/strength errors for the crash-aware commutation rows.
-
-    Within one configuration the ``dedup-sleep-crashaware`` row must
-    explore *at most* as many terminal schedules and executed events as
-    the blanket ``dedup-sleep`` row — the crash-aware relation is a
-    strict refinement, so drifting above the blanket means the proof
-    stopped firing.  (That the violation digest still matches is the
-    cross-engine check above.)
-    """
-    errors: list[str] = []
-    for config in report.get("configs", []):
-        rows = {_run_key(r): r for r in config["runs"]}
-        blanket = rows.get(("dedup-sleep", 1))
-        aware = rows.get(("dedup-sleep-crashaware", 1))
-        if blanket is None or aware is None:
-            continue
-        for field in ("terminal_schedules", "events_executed"):
-            if aware[field] > blanket[field]:
-                errors.append(
-                    f"{config['name']}: dedup-sleep-crashaware {field} = "
-                    f"{aware[field]} exceeds blanket dedup-sleep "
-                    f"{blanket[field]} — the crash-aware proof stopped "
-                    f"out-pruning the blanket relation"
-                )
-    return errors
-
-
 def compare(
     baseline: dict,
     candidate: dict,
@@ -147,7 +116,6 @@ def compare(
     warnings: list[str] = []
 
     errors.extend(_cross_engine_violations(candidate))
-    errors.extend(_crash_aware_regressions(candidate))
     for field in ("benchmark", "schema"):
         if baseline.get(field) != candidate.get(field):
             errors.append(
@@ -213,7 +181,12 @@ def compare(
                     f"(>{tolerance}x slower; machines differ — not fatal)"
                 )
         for field in DETERMINISTIC_CONFIG_FIELDS:
-            if field in base and field in cand and base[field] != cand[field]:
+            if field not in base:
+                continue
+            if field not in cand:
+                if not allow_subset:
+                    errors.append(f"{name}: {field} missing from fresh run")
+            elif base[field] != cand[field]:
                 errors.append(
                     f"{name}: {field} = {cand[field]}, baseline has "
                     f"{base[field]}"
@@ -231,8 +204,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--allow-subset", action="store_true",
-        help="tolerate configs/runs absent from the fresh report "
-             "(for --quick local runs)",
+        help="tolerate configs, runs and derived fields absent from "
+             "the fresh report (for partial local runs)",
     )
     args = parser.parse_args()
     with open(args.baseline) as handle:

@@ -1,9 +1,9 @@
 """Explorer benchmark runner — emits ``BENCH_explorer.json``.
 
-Measures the incremental exploration engine against the historical
-replay engine, the state-deduplicating engine, and the pre-step
-reductions (sleep sets, renaming symmetry) on fixed configurations, and
-single-worker against multi-worker exploration on the largest one.
+Measures plain depth-first exploration against the dedup cache and the
+pre-step reductions (sleep sets, renaming symmetry) on fixed
+configurations, and single-worker against multi-worker exploration on
+the largest one.
 Results (wall-clock plus the engines' own event and state counters) are
 written as JSON for CI artifact upload and cross-run comparison;
 ``benchmarks/check_explorer_bench.py`` diffs a fresh report against the
@@ -12,7 +12,7 @@ committed ``BENCH_explorer.json`` baseline.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_explorer_bench.py \
-        [--output BENCH_explorer.json] [--workers 4] [--quick] \
+        [--output BENCH_explorer.json] [--workers 4] \
         [--profile PROFILE.txt]
 
 The schedule trees explored are deterministic; only the timings vary
@@ -43,9 +43,17 @@ memo hit counts), and two derived metrics land per config where the
 rows exist: ``crash_sleep_reduction`` (terminal evaluations the
 crash-aware proof cuts below blanket sleep sets) and
 ``interned_key_hit_rate`` (fraction of oracle queries answered from
-the interned-footprint-pair memo).  ``--profile`` additionally runs
-the hottest configuration under :mod:`cProfile` and writes the top-20
-cumulative-time entries for CI artifact upload.
+the interned-footprint-pair memo).
+
+Schema 7 drops the superseded rows: the replay engine, the blanket
+sleep-set relation and the static commutation table left the library,
+so the ``replay``, ``dedup-sleep-static`` and blanket rows go with them
+(their last numbers are in EXPERIMENTS.md §P6) and the crash-aware
+``dedup-sleep-crashaware`` row is now plain ``dedup-sleep``.  Rows carry
+their variant ``label`` only; ``interned_key_hit_rate`` is reported for
+every config with a ``dedup-sleep`` row.  ``--profile`` additionally
+runs the hottest configuration under :mod:`cProfile` and writes the
+top-20 cumulative-time entries for CI artifact upload.
 """
 
 from __future__ import annotations
@@ -93,40 +101,17 @@ def _property(config: dict):
 
 
 #: Engine variants: label -> explore_schedules keyword arguments.
-#:
-#: The historical sleep-set labels are pinned to ``crash_aware=False``
-#: (the blanket relation that refuses any pair near a crash) so their
-#: rows keep meaning the same trees across schema bumps — they are the
-#: *before* baseline the ``dedup-sleep-crashaware`` rows are measured
-#: against.  On crash-free configurations the flag is inert.
 ENGINE_KWARGS = {
-    "incremental": {"engine": "incremental"},
-    "replay": {"engine": "replay"},
-    "dedup": {"engine": "dedup"},
-    "incremental-sleep": {
-        "engine": "incremental",
-        "sleep_sets": True,
-        "crash_aware": False,
-    },
-    "dedup-sleep": {
-        "engine": "dedup",
-        "sleep_sets": True,
-        "crash_aware": False,
-    },
-    "dedup-rename": {"engine": "dedup", "symmetry": "rename"},
+    "incremental": {},
+    "dedup": {"dedup": True},
+    "incremental-sleep": {"sleep_sets": True},
+    "dedup-sleep": {"dedup": True, "sleep_sets": True},
+    "dedup-rename": {"dedup": True, "symmetry": "rename"},
     "dedup-sleep-rename": {
-        "engine": "dedup",
+        "dedup": True,
         "sleep_sets": True,
         "symmetry": "rename",
-        "crash_aware": False,
     },
-    "dedup-sleep-static": {
-        "engine": "dedup",
-        "sleep_sets": True,
-        "static_independence": True,
-        "crash_aware": False,
-    },
-    "dedup-sleep-crashaware": {"engine": "dedup", "sleep_sets": True},
 }
 
 CONFIGS = [
@@ -135,7 +120,7 @@ CONFIGS = [
         "algorithm": "send-to-all",
         "n": 2,
         "scripts": {0: ["a"], 1: ["b"]},
-        "engines": ["incremental", "dedup", "replay"],
+        "engines": ["incremental", "dedup"],
         "workers": [],
     },
     {
@@ -149,7 +134,6 @@ CONFIGS = [
         "engines": [
             "incremental",
             "dedup",
-            "replay",
             "incremental-sleep",
             "dedup-sleep",
             "dedup-rename",
@@ -170,24 +154,16 @@ CONFIGS = [
         "workers": [],
     },
     {
-        # crash-heavy tree: under the blanket relation a pending
-        # injection keeps sleep sets conservative until the crash
-        # fires.  The dedup-sleep / dedup-sleep-static rows keep that
-        # before baseline (crash_aware=False); dedup-sleep-crashaware
-        # runs the default crash-aware proof, which discharges victims
-        # outside the swap window and must out-prune both
+        # crash-heavy tree: sleep sets prune here only through the
+        # crash-aware proof, which discharges pending victims outside
+        # the adjacent-swap window
         "name": "s2a-crash-n3-depth8",
         "algorithm": "send-to-all",
         "n": 3,
         "scripts": {0: ["a"], 1: ["b"]},
         "crash_at_step": {2: 4},
         "max_depth": 8,
-        "engines": [
-            "dedup",
-            "dedup-sleep",
-            "dedup-sleep-static",
-            "dedup-sleep-crashaware",
-        ],
+        "engines": ["dedup", "dedup-sleep"],
         "workers": [],
     },
     {
@@ -235,7 +211,6 @@ def run_one(config: dict, *, label: str, workers: int = 1) -> dict:
     else:
         assert result.ok, f"{config['name']}: unexpected violations"
     return {
-        "engine": kwargs["engine"],
         "label": label,
         "workers": workers,
         "seconds": round(elapsed, 4),
@@ -373,11 +348,11 @@ def run_encoder_microbench(rounds: int = 40) -> dict:
     }
 
 
-#: The config/variant pair --profile runs: the crash-aware sleep-set
-#: row of the crash configuration — the DFS inner loop with the
+#: The config/variant pair --profile runs: the sleep-set row of the
+#: crash configuration — the DFS inner loop with the crash-aware
 #: independence oracle, interned keys, and bitmask sleep sets all hot.
 PROFILE_CONFIG = "s2a-crash-n3-depth8"
-PROFILE_LABEL = "dedup-sleep-crashaware"
+PROFILE_LABEL = "dedup-sleep"
 
 
 def _write_profile(path: str, top: int = 20) -> None:
@@ -415,10 +390,6 @@ def main() -> None:
         help="worker count for the parallel measurements",
     )
     parser.add_argument(
-        "--quick", action="store_true",
-        help="skip the replay engine on the depth-8 config",
-    )
-    parser.add_argument(
         "--profile", metavar="PATH", default=None,
         help="run the hottest config under cProfile and write the "
              "top-20 cumulative entries to PATH",
@@ -427,16 +398,14 @@ def main() -> None:
 
     report = {
         "benchmark": "explorer",
-        "schema": 6,
+        "schema": 7,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "notes": (
-            "schema 6: crash-aware commutation rows — historical sleep "
-            "variants pinned to the blanket relation "
-            "(crash_aware=False) as the before baseline, "
-            "dedup-sleep-crashaware measures the crash-aware proof, "
-            "run rows carry independence_stats; digests and state "
-            "counts remain on the schema-5 canonical encoding"
+            "schema 7: replay, blanket-relation and static-table rows "
+            "dropped with their code paths; dedup-sleep is the "
+            "crash-aware relation; rows keyed by label; digests and "
+            "state counts remain on the schema-5 canonical encoding"
         ),
         "encoder_microbench": run_encoder_microbench(),
         "configs": [],
@@ -451,12 +420,6 @@ def main() -> None:
     for config in CONFIGS:
         entry = {"name": config["name"], "runs": []}
         for label in config["engines"]:
-            if (
-                args.quick
-                and label == "replay"
-                and config["name"].endswith("depth8")
-            ):
-                continue
             entry["runs"].append(run_one(config, label=label))
         for workers in config["workers"]:
             count = args.workers if workers == "N" else workers
@@ -467,17 +430,6 @@ def main() -> None:
         for run in entry["runs"]:
             # pin the first (single-worker) row per variant for ratios
             by_label.setdefault(run["label"], run)
-        if "incremental" in by_label and "replay" in by_label:
-            incremental = by_label["incremental"]
-            replay = by_label["replay"]
-            entry["replayed_events_ratio"] = round(
-                replay["events_replayed"]
-                / max(1, incremental["events_replayed"]),
-                2,
-            )
-            entry["speedup"] = round(
-                replay["seconds"] / max(1e-9, incremental["seconds"]), 2
-            )
         if "incremental" in by_label and "dedup" in by_label:
             incremental = by_label["incremental"]
             dedup = by_label["dedup"]
@@ -513,26 +465,6 @@ def main() -> None:
                 / max(1, dedup["terminal_schedules"]),
                 4,
             )
-        if "dedup-sleep" in by_label and "dedup-sleep-static" in by_label:
-            slept = by_label["dedup-sleep"]
-            static = by_label["dedup-sleep-static"]
-            # what the proven-commutation table recovers beyond the
-            # recorded-footprint relation: on crash schedules the
-            # dynamic relation is conservative while an injection is
-            # pending, the static table keeps pruning — strictly fewer
-            # executed events and terminal property evaluations
-            entry["static_sleep_event_reduction"] = round(
-                1
-                - static["events_executed"]
-                / max(1, slept["events_executed"]),
-                4,
-            )
-            entry["static_sleep_terminal_reduction"] = round(
-                1
-                - static["terminal_schedules"]
-                / max(1, slept["terminal_schedules"]),
-                4,
-            )
         if "dedup" in by_label and "dedup-rename" in by_label:
             dedup = by_label["dedup"]
             renamed = by_label["dedup-rename"]
@@ -559,20 +491,8 @@ def main() -> None:
                 1 - composed["states_seen"] / max(1, dedup["states_seen"]),
                 4,
             )
-        if "dedup-sleep" in by_label and "dedup-sleep-crashaware" in by_label:
-            blanket = by_label["dedup-sleep"]
-            aware = by_label["dedup-sleep-crashaware"]
-            # what the crash-aware proof recovers beyond blanket sleep
-            # sets: victims outside the adjacent-swap window no longer
-            # block commutation, so strictly fewer terminal property
-            # evaluations and executed events on crash schedules
-            entry["crash_sleep_reduction"] = round(
-                1
-                - aware["terminal_schedules"]
-                / max(1, blanket["terminal_schedules"]),
-                4,
-            )
-            stats = aware.get("independence_stats", {})
+        if "dedup-sleep" in by_label:
+            stats = by_label["dedup-sleep"].get("independence_stats", {})
             entry["interned_key_hit_rate"] = round(
                 stats.get("memo_hits", 0)
                 / max(1, stats.get("memo_queries", 0)),
@@ -601,12 +521,6 @@ def main() -> None:
                 f"{run['events_executed']} events executed, "
                 f"{run['events_replayed']} replayed{extras}"
             )
-        if "replayed_events_ratio" in entry:
-            print(
-                f"  replayed-events ratio (replay/incremental): "
-                f"{entry['replayed_events_ratio']}x, "
-                f"wall-clock speedup {entry['speedup']}x"
-            )
         if "state_revisit_reduction" in entry:
             print(
                 f"  state-revisit reduction: "
@@ -621,14 +535,6 @@ def main() -> None:
                 f"  sleep sets: {entry['sleep_terminal_reduction']:.1%} "
                 f"fewer terminal evaluations"
             )
-        if "static_sleep_event_reduction" in entry:
-            print(
-                f"  static commutation table: "
-                f"{entry['static_sleep_event_reduction']:.1%} fewer "
-                f"executed events, "
-                f"{entry['static_sleep_terminal_reduction']:.1%} fewer "
-                f"terminal evaluations than dynamic-only sleep sets"
-            )
         if "rename_state_reduction" in entry:
             print(
                 f"  rename symmetry: {entry['rename_state_reduction']:.1%} "
@@ -641,12 +547,10 @@ def main() -> None:
                 f"  sleep+rename: {entry['composed_state_reduction']:.1%} "
                 f"fewer expanded states"
             )
-        if "crash_sleep_reduction" in entry:
+        if "interned_key_hit_rate" in entry:
             print(
-                f"  crash-aware commutation: "
-                f"{entry['crash_sleep_reduction']:.1%} fewer terminal "
-                f"evaluations than blanket sleep sets, oracle memo hit "
-                f"rate {entry['interned_key_hit_rate']:.1%}"
+                f"  independence oracle memo hit rate "
+                f"{entry['interned_key_hit_rate']:.1%}"
             )
 
     with open(args.output, "w") as handle:

@@ -8,36 +8,30 @@ a property at each terminal (quiescent) schedule, reporting every
 violating schedule together with the decision sequence that reproduces
 it (replayable via ``Simulator.run(..., guide=...)``).
 
-Engines
--------
+The engine
+----------
 
-Three engines explore the *same* tree in the same depth-first order and
-produce identical violations and terminal verdicts:
+One incremental depth-first loop explores the tree.  It runs on
+resumable :class:`~repro.runtime.simulator.SimulationRun` handles:
+extending a prefix by one event costs one event, and branch points are
+covered by forking the handle (a state snapshot) instead of re-running
+the prefix.  Each edge of the schedule tree is executed exactly once,
+so the cost is O(edges) events rather than the O(nodes × depth) of
+re-running every prefix from scratch.
 
-* ``engine="incremental"`` (default) — the search runs on resumable
-  :class:`~repro.runtime.simulator.SimulationRun` handles: extending a
-  prefix by one event costs one event, and branch points are covered by
-  forking the handle (a state snapshot) instead of re-running the
-  prefix.  Each edge of the schedule tree is executed exactly once,
-  turning the replay cost from O(nodes × depth) events into O(edges).
-* ``engine="dedup"`` (equivalently ``dedup=True`` on the incremental
-  engine) — the incremental engine plus a transposition cache keyed by
-  canonical state fingerprints
-  (:meth:`~repro.runtime.simulator.SimulationRun.fingerprint`): when
-  distinct decision sequences converge on the same global state, the
-  subtree below it is explored once and every later arrival *replays*
-  the recorded subtree summary — terminal counts and violations, with
-  reproduction guides rebased onto the new prefix — instead of
-  re-expanding it.  The cost drops from O(tree edges) to O(unique-state
-  graph edges), the dominant saving on symmetric script configurations
-  where interchangeable broadcasts make most interleavings converge.
-  :attr:`ExplorationResult.states_seen` / ``states_deduped`` report the
-  cache's effect.  See *Soundness of deduplication* below.
-* ``engine="replay"`` — the historical engine: every DFS prefix is
-  re-run from scratch through a guided :meth:`Simulator.run`.  Kept as
-  the differential-testing oracle and as the benchmark baseline; the
-  per-node depth factor it pays is reported in
-  :attr:`ExplorationResult.events_replayed`.
+``dedup=True`` turns on the loop's transposition cache, keyed by
+canonical state fingerprints
+(:meth:`~repro.runtime.simulator.SimulationRun.fingerprint`): when
+distinct decision sequences converge on the same global state, the
+subtree below it is explored once and every later arrival *replays* the
+recorded subtree summary — terminal counts and violations, with
+reproduction guides rebased onto the new prefix — instead of
+re-expanding it.  The cost drops from O(tree edges) to O(unique-state
+graph edges), the dominant saving on symmetric script configurations
+where interchangeable broadcasts make most interleavings converge.
+:attr:`ExplorationResult.states_seen` / ``states_deduped`` report the
+cache's effect.  See *Soundness of deduplication* below.  With the cache
+off the loop never fingerprints a state.
 
 Pre-step reductions
 -------------------
@@ -47,10 +41,11 @@ composing with (and multiplying) the dedup cache's savings:
 
 * ``sleep_sets=True`` — the sleep-set partial-order reduction: when two
   enabled events are *independent* (recorded footprints touching
-  disjoint processes, no emissions, no oracle, no crash — see
-  :mod:`repro.runtime.independence`), exploring ``a`` then ``b``'s
-  subtree makes re-exploring ``b`` then ``a`` redundant, so ``a`` is
-  put to sleep below ``b`` and the slept branch is skipped outright
+  disjoint processes, no emissions, no oracle, no crash victim inside
+  the swap window — see :mod:`repro.runtime.independence`), exploring
+  ``a`` then ``b``'s subtree makes re-exploring ``b`` then ``a``
+  redundant, so ``a`` is put to sleep below ``b`` and the slept branch
+  is skipped outright
   (:attr:`ExplorationResult.states_pruned_sleep`).  Terminal states and
   therefore violations are preserved; slept interleavings are simply
   not re-counted.  Under dedup the sleep set is *not* part of the cache
@@ -98,13 +93,13 @@ fingerprint pins — the deduped arrival's prefix was already checked
 step by step on its own branch, and the suffix verdicts recorded in the
 cache coincide with what re-expansion would have computed.  A custom
 property that inspects the *global interleaving* of the terminal trace
-(cross-process real-time order, say) is outside this envelope — use the
-plain incremental engine for those.
+(cross-process real-time order, say) is outside this envelope — leave
+the cache off for those.
 
 ``workers > 1`` shards the top of the schedule tree across a
 ``multiprocessing`` pool (fork start method): the tree is expanded
 breadth-first until enough independent subtrees exist, each worker runs
-the incremental engine on its subtree, and the per-shard outcomes are
+the depth-first loop on its subtree, and the per-shard outcomes are
 merged back *in depth-first order*, so an exhaustive parallel run
 returns exactly the sequential result (same terminal count, same
 violations in the same order).  On budget-capped runs the merged
@@ -129,7 +124,7 @@ Properties are callables receiving the terminal
 of violation strings; :func:`spec_property` and :func:`channels_property`
 adapt the library's checkers.  Property objects may additionally expose
 ``tracker(n)`` returning a :class:`PropertyTracker`, in which case the
-incremental engine feeds them *step deltas* along each branch instead of
+explorer feeds them *step deltas* along each branch instead of
 whole executions per terminal: :func:`channels_property` checks the SR
 channel axioms this way (via :class:`repro.core.model.ChannelTracker`),
 scanning every step once per tree edge rather than once per
@@ -151,7 +146,7 @@ truncated mid-flight.
 Checkpoint and resume
 ---------------------
 
-``checkpoint_to=path`` makes the incremental engines durable: every
+``checkpoint_to=path`` makes the search durable: every
 ``checkpoint_every`` node expansions (and whenever a cooperative
 ``cancel`` token fires) the search serializes its complete restartable
 state — the DFS frontier as a stack of per-level frames (taken branch,
@@ -206,12 +201,7 @@ from .checkpoint import key_from_json as _key_from_json
 from .checkpoint import key_to_json as _key_to_json
 from .crash import CrashSchedule
 from .fingerprint import stable_digest
-from .independence import (
-    Footprint,
-    choice_key,
-    classify,
-    conservative_independent,
-)
+from .independence import Footprint, choice_key, classify
 from .simulator import Gated, SimulationResult, SimulationRun, Simulator
 
 
@@ -237,22 +227,13 @@ class _IndependenceOracle:
       turning the subset-reuse test into ``stored & ~arrival == 0``.
 
     Verdicts come from the crash-aware dynamic relation
-    (:func:`~repro.runtime.independence.classify`) — or its
-    pre-crash-aware form when ``crash_aware=False`` — with an optional
-    :class:`~repro.statics.independence.StaticIndependence` table as
-    the fallback refiner, and every verdict is counted by the argument
-    that carried it (``stats``).
+    (:func:`~repro.runtime.independence.classify`), and every verdict
+    is counted by the argument that carried it (``stats``).
     """
 
-    __slots__ = (
-        "_static", "_crash_aware", "_fp_ids", "_verdicts",
-        "_key_ids", "_key_tuples", "stats",
-    )
+    __slots__ = ("_fp_ids", "_verdicts", "_key_ids", "_key_tuples", "stats")
 
-    def __init__(self, static_independence=None, *,
-                 crash_aware: bool = True) -> None:
-        self._static = static_independence
-        self._crash_aware = crash_aware
+    def __init__(self) -> None:
         self._fp_ids: dict[Footprint, int] = {}
         #: packed (hi << 30 | lo) interned-footprint pair → (verdict, source)
         self._verdicts: dict[int, tuple[bool, str]] = {}
@@ -261,7 +242,6 @@ class _IndependenceOracle:
         self.stats: dict[str, int] = {
             "dynamic": 0,
             "crash_proof": 0,
-            "static_table": 0,
             "conservative": 0,
             "memo_queries": 0,
             "memo_hits": 0,
@@ -286,18 +266,7 @@ class _IndependenceOracle:
             stats["memo_hits"] += 1
             verdict, source = cached
         else:
-            if self._crash_aware:
-                verdict, source = classify(a, b)
-            elif conservative_independent(a, b):
-                verdict, source = True, "dynamic"
-            else:
-                verdict, source = False, "conservative"
-            if (
-                not verdict
-                and self._static is not None
-                and self._static.proves(a, b)
-            ):
-                verdict, source = True, "static_table"
+            verdict, source = classify(a, b)
             self._verdicts[packed] = (verdict, source)
         stats[source] += 1
         return verdict
@@ -459,18 +428,18 @@ class ExplorationResult:
     #: the remainder construction-identically.
     interrupted: bool = False
     #: Scheduled events committed over the whole search, including any
-    #: re-execution (the replay engine re-runs each prefix; the parallel
-    #: engine re-runs shard prefixes once per worker).
+    #: re-execution (the parallel engine re-runs shard prefixes once per
+    #: worker; a resume re-runs the checkpointed path).
     events_executed: int = 0
     #: The subset of ``events_executed`` that re-executed work already
-    #: performed earlier in the search — the quantity the incremental
-    #: engine exists to eliminate.  For the incremental engine this also
-    #: counts local steps re-executed by journal-replay forks.
+    #: performed earlier in the search — the quantity forking run
+    #: handles exist to eliminate — plus the local steps re-executed by
+    #: journal-replay forks.
     events_replayed: int = 0
     #: Worker processes that actually ran the search.
     workers: int = 1
-    #: Distinct states (orbits, under symmetry) expanded by the dedup
-    #: engine; 0 for the non-dedup engines.  ``schedules_explored``
+    #: Distinct states (orbits, under symmetry) expanded with the dedup
+    #: cache on; 0 with the cache off.  ``schedules_explored``
     #: counts every expansion, which can exceed this when a sleep-set
     #: arrival incompatible with the cached entry re-expands a state
     #: (the subset-reuse rule; the re-expansion takes over the cache
@@ -498,15 +467,14 @@ class ExplorationResult:
     #: enumeration this replaced paid |perms| per node).  0 without
     #: symmetry.
     orbit_encodings: int = 0
-    #: Node expansions per decision depth (incremental engines only).
+    #: Node expansions per decision depth.
     expansions_by_depth: dict[int, int] = field(default_factory=dict)
     #: Dedup-cache hits (identity or symmetry) per decision depth.
     dedup_hits_by_depth: dict[int, int] = field(default_factory=dict)
     #: Independence-relation telemetry (``sleep_sets=True`` only):
     #: verdicts by the argument that carried them — ``dynamic``
     #: (independent, no pending crash), ``crash_proof`` (independent by
-    #: the crash-aware victim-disjointness argument), ``static_table``
-    #: (the static fallback proved a declined pair), ``conservative``
+    #: the crash-aware victim-disjointness argument), ``conservative``
     #: (dependent, branch kept) — plus the memoization counters
     #: ``memo_queries``/``memo_hits`` of the interned-footprint verdict
     #: cache.  Like :attr:`events_executed`, these are telemetry, not
@@ -776,7 +744,7 @@ ProgressCallback = Callable[[ProgressSnapshot], None]
 class PropertyTracker:
     """Terminal-state property evaluation fed step deltas along a branch.
 
-    The incremental engine holds one tracker per search-tree node:
+    The explorer holds one tracker per search-tree node:
     :meth:`observe` receives the trace steps appended since the parent
     node, :meth:`fork` snapshots the tracker at a branch point, and
     :meth:`at_terminal` produces the violation list at a quiescent
@@ -930,7 +898,7 @@ def combine_properties(*properties: Property) -> Property:
 
 
 # ---------------------------------------------------------------------------
-# The incremental engine
+# The depth-first engine
 # ---------------------------------------------------------------------------
 
 
@@ -1348,10 +1316,11 @@ def _outcome_from_json(data: Mapping) -> _SubtreeOutcome:
 class _LiveFrame:
     """One in-progress DFS level, captured for checkpoint serialization.
 
-    Holds *references* to the level's live sleep/explored dicts (and,
-    under dedup, its partial summary): frames are only serialized at a
-    descendant's node entry, where those objects' current contents are
-    exactly the level's state as of the recorded branch.
+    Holds *references* to the level's live sleep/explored dicts and its
+    partial summary: frames are only serialized at a descendant's node
+    entry, where those objects' current contents are exactly the
+    level's state as of the recorded branch.  The summary is written
+    only under dedup (``key`` set), where the cache reads it.
     """
 
     __slots__ = (
@@ -1386,7 +1355,7 @@ class _LiveFrame:
                 {oracle.key_tuple(k): fp for k, fp in self.explored.items()}
             ),
         }
-        if self.summary is not None:
+        if self.key is not None:
             level["dedup"] = {
                 "key": self.key,
                 "raw": self.raw,
@@ -1439,8 +1408,6 @@ def _explore_subtree(
     initial_sleep: _PortableSleepSet | None = None,
     progress: ProgressCallback | None = None,
     progress_every: int = 1000,
-    static_independence=None,
-    crash_aware: bool = True,
     cancel=None,
     checkpoint_to: str | None = None,
     checkpoint_every: int = 1000,
@@ -1461,13 +1428,8 @@ def _explore_subtree(
     shards inherit theirs from the frontier expansion).  Cached
     summaries are reused under the subset-reuse rule: the sleep set is
     not part of the cache key, and an entry stands in for any arrival
-    sleeping at least what the entry slept.
-    ``static_independence`` refines the independence relation with a
-    proven-commutation table and ``crash_aware`` selects between the
-    crash-aware dynamic relation (default) and its pre-crash-aware
-    blanket form (see :class:`_IndependenceOracle`).  A non-empty
-    ``groups`` tuple
-    switches the dedup cache to orbit-canonical keys (see
+    sleeping at least what the entry slept.  A non-empty ``groups``
+    tuple switches the dedup cache to orbit-canonical keys (see
     :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`).
 
     ``cancel``/``checkpoint_to``/``checkpoint_every``/``resume`` are the
@@ -1482,7 +1444,7 @@ def _explore_subtree(
         # The interrupted search had already finished (the final
         # checkpoint landed); its outcome is the whole answer.
         return _outcome_from_json(resume["outcome"])
-    indep = _IndependenceOracle(static_independence, crash_aware=crash_aware)
+    indep = _IndependenceOracle()
     if resume is not None:
         out = _outcome_from_json(resume["outcome"])
         cache = _cache_from_json(resume["cache"], indep)
@@ -1686,82 +1648,6 @@ def _explore_subtree(
         }
         return sleep, keys, active, pending, explored
 
-    def dfs(
-        cursor: _Cursor,
-        depth: int,
-        sleep: _SleepSet,
-        resume_level: _ResumeLevel | None = None,
-        resume_rest: "Sequence[_ResumeLevel] | None" = None,
-    ) -> bool:
-        """Returns False to abort the whole search.
-
-        A non-``None`` ``resume_level`` re-enters a checkpointed node:
-        its structure is restored instead of counted (the restored
-        counters already include it), the recorded branch is taken
-        first, and ``resume_rest`` descends the rest of the recorded
-        frontier the same way.
-        """
-        if resume_level is None:
-            if cancel is not None and cancel.is_set():
-                interrupt()
-                return False
-            if checkpoint_due():
-                snapshot(complete=False)
-            if out.terminal_schedules >= max_schedules:
-                out.exhausted = False
-                return False
-            out.schedules_explored += 1
-            note_expansion(depth)
-            out.max_depth_seen = max(out.max_depth_seen, depth)
-            choices = cursor.handle.choices()
-            cursor.sync()
-            if not choices:
-                _, keep_going = visit_terminal(cursor)
-                return keep_going
-            if depth >= max_depth:
-                out.exhausted = False
-                return True
-            if sleep_sets:
-                active, keys = active_branches(choices, sleep)
-            else:
-                active, keys = list(range(len(choices))), []
-            explored: _SleepSet = {}
-            pending = active
-        else:
-            sleep, keys, active, pending, explored = restored_structure(
-                cursor, resume_level
-            )
-        last = active[-1] if active else None
-        descend = resume_rest
-        for branch in pending:
-            if branch != last:
-                child = cursor.fork()
-                out.events_replayed += child.handle.replayed_steps
-            else:
-                child = cursor  # the last branch extends this node in place
-            child.handle.advance(branch)
-            out.events_executed += 1
-            if sleep_sets:
-                child_sleep, taken = child_sleep_set(child, sleep, explored)
-            else:
-                child_sleep, taken = sleep, None
-            path.append(branch)
-            frames.append(_LiveFrame(branch, sleep, explored))
-            if descend:
-                keep_going = dfs(
-                    child, depth + 1, child_sleep, descend[0], descend[1:]
-                )
-            else:
-                keep_going = dfs(child, depth + 1, child_sleep)
-            descend = None  # only the recorded branch resumes a frame
-            frames.pop()
-            path.pop()
-            if not keep_going:
-                return False
-            if sleep_sets and taken is not None:
-                explored[keys[branch]] = taken
-        return True
-
     def replay(summary: _Summary, base: tuple[int, ...] | None) -> bool:
         """Emit a cached subtree's terminals and violations.
 
@@ -1794,49 +1680,60 @@ def _explore_subtree(
             return False
         return True
 
-    def dedup_dfs(
+    def remember(
+        key: str,
+        raw: str,
+        perm: tuple[int, ...] | None,
+        depth: int,
+        sleep: _SleepSet,
+        summary: _Summary,
+    ) -> None:
+        """Cache a node's summary — unless the cached one covers more.
+
+        A slot is taken over only when the new summary is at least as
+        reusable as the stored one: recorded under a subset of its
+        sleep keys (every arrival the stored entry served, plus the
+        less-slept ones that had to re-expand) and not newly truncated.
+        Anything else would shrink the compatible class.
+        """
+        existing = cache.get(key)
+        if existing is not None:
+            if summary.truncated and not existing.summary.truncated:
+                return
+            if sleep_sets:
+                own = indep.canonical_mask(indep.mask_of(sleep), perm)
+                stored = indep.canonical_mask(
+                    existing.sleep_keys, existing.perm
+                )
+                if own & ~stored:
+                    return
+        cache[key] = _CacheEntry(
+            depth, summary, tuple(path), raw, indep.mask_of(sleep), perm
+        )
+
+    def dfs(
         cursor: _Cursor,
         depth: int,
         sleep: _SleepSet,
         resume_level: _ResumeLevel | None = None,
         resume_rest: "Sequence[_ResumeLevel] | None" = None,
     ) -> _Summary | None:
-        """DFS with transposition pruning (plus sleep/symmetry, if on).
+        """Expand one node; the subtree's summary, or None to abort.
 
-        Returns the subtree's summary — cached for later arrivals at the
-        same state, re-framed through the witnessing permutation on
-        symmetry merges — or ``None`` when the search was cut (budget,
-        abort, cancellation): partial summaries are never cached.
-        Resume parameters as on ``dfs``; a re-entered node restores its
-        cache key, canonicalizing permutation, and partial summary from
-        the checkpoint frame instead of recomputing (and recounting)
-        them.
+        With the cache on, the summary is cached for later arrivals at
+        the same state and re-framed through the witnessing permutation
+        on symmetry merges; with it off, nothing is fingerprinted,
+        looked up or remembered, and the summary only feeds the
+        parent's.  ``None`` means the search was cut (budget, abort,
+        cancellation): partial summaries are never cached.
+
+        A non-``None`` ``resume_level`` re-enters a checkpointed node:
+        its structure, cache key, canonicalizing permutation and partial
+        summary are restored instead of counted (the restored counters
+        already include it), the recorded branch is taken first, and
+        ``resume_rest`` descends the rest of the recorded frontier the
+        same way.
         """
-
-        def remember(summary: _Summary) -> None:
-            """Store the summary — unless the cached one covers more.
-
-            A slot is taken over only when the new summary is at least
-            as reusable as the stored one: recorded under a subset of
-            its sleep keys (every arrival the stored entry served, plus
-            the less-slept ones that had to re-expand) and not newly
-            truncated.  Anything else would shrink the compatible class.
-            """
-            existing = cache.get(key)
-            if existing is not None:
-                if summary.truncated and not existing.summary.truncated:
-                    return
-                if sleep_sets:
-                    own = indep.canonical_mask(indep.mask_of(sleep), perm)
-                    stored = indep.canonical_mask(
-                        existing.sleep_keys, existing.perm
-                    )
-                    if own & ~stored:
-                        return
-            cache[key] = _CacheEntry(
-                depth, summary, tuple(path), raw, indep.mask_of(sleep), perm
-            )
-
         if resume_level is None:
             if cancel is not None and cancel.is_set():
                 interrupt()
@@ -1848,71 +1745,76 @@ def _explore_subtree(
                 return None
             choices = cursor.handle.choices()  # prelude before fingerprinting
             cursor.sync()
-            raw = cursor.handle.fingerprint()
-            if groups:
-                key, perm, encodings = cursor.handle.orbit_key(groups)
-                out.orbit_encodings += encodings
-            else:
-                key, perm = raw, None
-            entry = cache.get(key)
-            if entry is not None and _entry_reusable(
-                entry.summary, entry.depth, depth, max_depth
-            ):
-                # Subset-reuse: the stored subtree covers this arrival
-                # iff the arrival sleeps at least what the
-                # representative slept (compared in the canonical frame
-                # under symmetry).  A less slept arrival needs subtrees
-                # the entry skipped, so it falls through and re-expands
-                # — under the *intersection* of the two sleep sets, so
-                # the replacing summary serves the stored entry's
-                # arrival pattern as well as this one and the slot
-                # stabilizes after at most one re-expansion.
-                stored_mask = indep.canonical_mask(
-                    entry.sleep_keys, entry.perm
-                )
-                compatible = not sleep_sets or not (
-                    stored_mask
-                    & ~indep.canonical_mask(indep.mask_of(sleep), perm)
-                )
-                if not compatible:
-                    sleep = {
-                        k: fp
-                        for k, fp in sleep.items()
-                        if stored_mask
-                        >> (
-                            k
-                            if perm is None
-                            else intern_key(
-                                _map_sleep_key(indep.key_tuple(k), perm)
+            key = raw = perm = None
+            if dedup:
+                raw = cursor.handle.fingerprint()
+                if groups:
+                    key, perm, encodings = cursor.handle.orbit_key(groups)
+                    out.orbit_encodings += encodings
+                else:
+                    key = raw
+                entry = cache.get(key)
+                if entry is not None and _entry_reusable(
+                    entry.summary, entry.depth, depth, max_depth
+                ):
+                    # Subset-reuse: the stored subtree covers this
+                    # arrival iff the arrival sleeps at least what the
+                    # representative slept (compared in the canonical
+                    # frame under symmetry).  A less slept arrival needs
+                    # subtrees the entry skipped, so it falls through
+                    # and re-expands — under the *intersection* of the
+                    # two sleep sets, so the replacing summary serves
+                    # the stored entry's arrival pattern as well as this
+                    # one and the slot stabilizes after at most one
+                    # re-expansion.
+                    stored_mask = indep.canonical_mask(
+                        entry.sleep_keys, entry.perm
+                    )
+                    compatible = not sleep_sets or not (
+                        stored_mask
+                        & ~indep.canonical_mask(indep.mask_of(sleep), perm)
+                    )
+                    if not compatible:
+                        sleep = {
+                            k: fp
+                            for k, fp in sleep.items()
+                            if stored_mask
+                            >> (
+                                k
+                                if perm is None
+                                else intern_key(
+                                    _map_sleep_key(indep.key_tuple(k), perm)
+                                )
                             )
+                            & 1
+                        }
+                    if compatible:
+                        if entry.raw == raw:
+                            out.states_deduped += 1
+                            summary = entry.summary
+                            base = None if groups else tuple(path)
+                        else:
+                            out.states_merged_symmetry += 1
+                            assert perm is not None and entry.perm is not None
+                            witness = _witness_permutation(perm, entry.perm)
+                            summary = _transform_summary(
+                                entry.summary, witness
+                            )
+                            base = None
+                        out.dedup_hits_by_depth[depth] = (
+                            out.dedup_hits_by_depth.get(depth, 0) + 1
                         )
-                        & 1
-                    }
-                if compatible:
-                    if entry.raw == raw:
-                        out.states_deduped += 1
-                        summary = entry.summary
-                        base = None if groups else tuple(path)
-                    else:
-                        out.states_merged_symmetry += 1
-                        assert perm is not None and entry.perm is not None
-                        witness = _witness_permutation(perm, entry.perm)
-                        summary = _transform_summary(entry.summary, witness)
-                        base = None
-                    out.dedup_hits_by_depth[depth] = (
-                        out.dedup_hits_by_depth.get(depth, 0) + 1
-                    )
-                    out.max_depth_seen = max(
-                        out.max_depth_seen, depth + summary.height
-                    )
-                    if summary.truncated:
-                        out.exhausted = False
-                    if not replay(summary, base):
-                        return None
-                    return summary
+                        out.max_depth_seen = max(
+                            out.max_depth_seen, depth + summary.height
+                        )
+                        if summary.truncated:
+                            out.exhausted = False
+                        if not replay(summary, base):
+                            return None
+                        return summary
+                if entry is None:
+                    out.states_seen += 1  # first expansion of this state/orbit
             out.schedules_explored += 1
-            if entry is None:
-                out.states_seen += 1  # first expansion of this state/orbit
             note_expansion(depth)
             out.max_depth_seen = max(out.max_depth_seen, depth)
             if not choices:
@@ -1923,12 +1825,14 @@ def _explore_subtree(
                     summary.violations.append((0, own, problems, None))
                 if not keep_going:
                     return None
-                remember(summary)
+                if dedup:
+                    remember(key, raw, perm, depth, sleep, summary)
                 return summary
             if depth >= max_depth:
                 out.exhausted = False
                 summary = _Summary(truncated=True)
-                remember(summary)
+                if dedup:
+                    remember(key, raw, perm, depth, sleep, summary)
                 return summary
             summary = _Summary()
             if sleep_sets:
@@ -1943,8 +1847,9 @@ def _explore_subtree(
             )
             key, raw = resume_level.key, resume_level.raw
             perm = resume_level.perm
-            assert resume_level.summary is not None
-            summary = resume_level.summary
+            # Cache-off frames store no summary: with the cache off,
+            # summaries only feed their parents' and are never read.
+            summary = resume_level.summary or _Summary()
         last = active[-1] if active else None
         descend = resume_rest
         for branch in pending:
@@ -1964,11 +1869,11 @@ def _explore_subtree(
                 _LiveFrame(branch, sleep, explored, key, raw, perm, summary)
             )
             if descend:
-                child_summary = dedup_dfs(
+                child_summary = dfs(
                     child, depth + 1, child_sleep, descend[0], descend[1:]
                 )
             else:
-                child_summary = dedup_dfs(child, depth + 1, child_sleep)
+                child_summary = dfs(child, depth + 1, child_sleep)
             descend = None  # only the recorded branch resumes a frame
             frames.pop()
             path.pop()
@@ -1988,7 +1893,8 @@ def _explore_subtree(
             summary.truncated = summary.truncated or child_summary.truncated
             if sleep_sets and taken is not None:
                 explored[keys[branch]] = taken
-        remember(summary)
+        if dedup:
+            remember(key, raw, perm, depth, sleep, summary)
         return summary
 
     root_sleep: _SleepSet = {
@@ -1996,77 +1902,11 @@ def _explore_subtree(
     }
     head = resume_stack[0] if resume_stack else None
     rest = resume_stack[1:] if resume_stack else None
-    if dedup:
-        dedup_dfs(cursor, len(prefix), root_sleep, head, rest)
-    else:
-        dfs(cursor, len(prefix), root_sleep, head, rest)
+    dfs(cursor, len(prefix), root_sleep, head, rest)
     flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
     return out
-
-
-# ---------------------------------------------------------------------------
-# The replay engine (differential oracle and benchmark baseline)
-# ---------------------------------------------------------------------------
-
-
-def _explore_replay(
-    simulator: Simulator,
-    scripts: Mapping[int, Sequence[Hashable]],
-    property_check: object,
-    crash_schedule: CrashSchedule | None,
-    max_schedules: int,
-    max_depth: int,
-    stop_at_first_violation: bool,
-) -> ExplorationResult:
-    """The from-scratch engine: each prefix re-run via a guided run."""
-    prop = _as_property(property_check)
-    result = ExplorationResult(schedules_explored=0, terminal_schedules=0)
-
-    def run_prefix(prefix: list[int]) -> SimulationResult:
-        return simulator.run(
-            scripts,
-            crash_schedule=crash_schedule,
-            guide=prefix,
-            max_steps=max_depth + 1,
-        )
-
-    def dfs(prefix: list[int]) -> bool:
-        """Returns False to abort the whole search."""
-        if result.terminal_schedules >= max_schedules:
-            result.exhausted = False
-            return False
-        result.schedules_explored += 1
-        result.max_depth_seen = max(result.max_depth_seen, len(prefix))
-        outcome = run_prefix(prefix)
-        result.events_executed += len(prefix)
-        result.events_replayed += max(0, len(prefix) - 1)
-        if outcome.pending_choices == 0:
-            result.terminal_schedules += 1
-            problems = prop(outcome)
-            if problems:
-                result.violations.append(
-                    Violation(tuple(prefix), tuple(problems))
-                )
-                if stop_at_first_violation:
-                    result.aborted = True
-                    result.exhausted = False
-                    return False
-            return True
-        if len(prefix) >= max_depth:
-            result.exhausted = False
-            return True
-        for branch in range(outcome.pending_choices):
-            prefix.append(branch)
-            keep_going = dfs(prefix)
-            prefix.pop()
-            if not keep_going:
-                return False
-        return True
-
-    dfs([])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -2100,8 +1940,6 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
         dedup,
         sleep_sets,
         groups,
-        static_independence,
-        crash_aware,
         cancel,
         checkpoint_to,
         checkpoint_every,
@@ -2140,8 +1978,6 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
         sleep_sets=sleep_sets,
         groups=groups,
         initial_sleep=initial_sleep,
-        static_independence=static_independence,
-        crash_aware=crash_aware,
         cancel=cancel,
         checkpoint_to=shard_path,
         checkpoint_every=checkpoint_every,
@@ -2159,8 +1995,6 @@ def _expand_frontier(
     target_shards: int,
     result: ExplorationResult,
     sleep_sets: bool = False,
-    static_independence=None,
-    crash_aware: bool = True,
 ) -> list[tuple]:
     """Expand the tree breadth-first until enough subtrees exist.
 
@@ -2174,9 +2008,7 @@ def _expand_frontier(
     here exactly as the sequential DFS would prune them.
     """
     prop = _as_property(property_check)
-    indep = _IndependenceOracle(
-        static_independence, crash_aware=crash_aware
-    )
+    indep = _IndependenceOracle()
     root = _Cursor(
         simulator.begin(scripts, crash_schedule=crash_schedule),
         prop.tracker(simulator.n),
@@ -2271,8 +2103,6 @@ def _explore_parallel(
     dedup: bool,
     sleep_sets: bool = False,
     groups: Sequence[tuple[int, ...]] = (),
-    static_independence=None,
-    crash_aware: bool = True,
     cancel=None,
     checkpoint_to: str | None = None,
     checkpoint_every: int = 1000,
@@ -2316,8 +2146,6 @@ def _explore_parallel(
         target_shards=workers * 4,
         result=result,
         sleep_sets=sleep_sets,
-        static_independence=static_independence,
-        crash_aware=crash_aware,
     )
     if dedup:
         # frontier nodes were expanded here, before any cache existed
@@ -2339,8 +2167,6 @@ def _explore_parallel(
         dedup,
         sleep_sets,
         groups,
-        static_independence,
-        crash_aware,
         cancel,
         checkpoint_to,
         checkpoint_every,
@@ -2459,12 +2285,9 @@ def explore_schedules(
     max_schedules: int = 100_000,
     max_depth: int = 400,
     stop_at_first_violation: bool = False,
-    engine: str = "incremental",
     dedup: bool = False,
     workers: int = 1,
     sleep_sets: bool = False,
-    static_independence=None,
-    crash_aware: bool = True,
     symmetry: str = "none",
     progress: ProgressCallback | None = None,
     progress_every: int = 1000,
@@ -2480,126 +2303,77 @@ def explore_schedules(
     sound reduction described on
     :class:`~repro.runtime.simulator.Simulator`); ``max_schedules``
     bounds the number of *terminal* schedules visited, ``max_depth`` the
-    decision depth.  ``engine`` selects the incremental engine
-    (default), the state-deduplicating ``"dedup"`` engine (the
-    incremental engine with a fingerprint transposition cache —
-    equivalently pass ``dedup=True``), or the historical from-scratch
-    ``"replay"`` engine; ``workers > 1`` runs the incremental engine
-    sharded over a process pool (see the module docstring for the merge
-    semantics; with dedup, caches are per-shard).
+    decision depth.  ``dedup=True`` turns on the fingerprint
+    transposition cache; ``workers > 1`` shards the search over a
+    process pool (see the module docstring for the merge semantics; with
+    dedup, caches are per-shard).
 
     Two pre-step reductions compose with the cache.  ``sleep_sets=True``
-    (incremental engines) prunes a branch before forking when the event
-    it takes is *asleep*: an already-explored sibling order covers every
-    interleaving it would start, by the recorded-footprint independence
-    relation of :mod:`repro.runtime.independence`.  Slept terminals are
-    not re-counted, so ``terminal_schedules`` reports covered-distinct
+    prunes a branch before forking when the event it takes is *asleep*:
+    an already-explored sibling order covers every interleaving it would
+    start, by the recorded-footprint independence relation of
+    :mod:`repro.runtime.independence`.  Slept terminals are not
+    re-counted, so ``terminal_schedules`` reports covered-distinct
     schedules, not raw interleavings — and under dedup a cached subtree
     recorded with a smaller sleep set stands in for later, more-slept
     arrivals (the subset-reuse rule), so the count may include
     commutation-redundant terminals a from-scratch sleep-set search
     would have skipped; the set of distinct terminal observations and
-    violations is unaffected.  The recorded-footprint relation is
-    *crash-aware* by default: a pending crash fires at a fixed global
-    decision count that adjacent swaps preserve, so a pair commutes
-    when neither event touched a still-alive victim (see
-    :mod:`repro.runtime.independence`); ``crash_aware=False`` restores
-    the historical blanket that kept every pair dependent while a
-    crash was pending (the before/after benchmark axis).
-    ``static_independence`` (requires ``sleep_sets``) further refines
-    the relation with a proven-commutation table from the algorithm's
-    static effect summary (:mod:`repro.statics.independence`) — a
-    fallback the crash-aware relation subsumes in practice, kept for
-    the historical comparison and for ``crash_aware=False`` runs; pass
-    ``True`` to infer the table from the algorithm (raises
-    :class:`ValueError` when no closed summary can be proven) or a
-    prebuilt :class:`~repro.statics.independence.StaticIndependence`
-    instance.  Per-source verdict counts land in
-    :attr:`ExplorationResult.independence_stats`.  ``symmetry="rename"`` (requires
-    dedup) additionally merges states equal up to a permutation of
-    interchangeable process ids plus an injective renaming of message
-    contents (the paper's Definition 3 applied to states); states are
-    keyed by the orbit-canonical digest of
-    :meth:`~repro.runtime.simulator.SimulationRun.orbit_key` (canonical
-    labelling, ~1 encoding per state —
-    :attr:`ExplorationResult.orbit_encodings`).  It is gated
-    on the algorithm declaring
+    violations is unaffected.  The relation is *crash-aware*: a pending
+    crash fires at a fixed global decision count that adjacent swaps
+    preserve, so a pair commutes when neither event touched a victim
+    whose injection lands inside the swap window.  Per-source verdict
+    counts land in :attr:`ExplorationResult.independence_stats`.
+    ``symmetry="rename"`` (requires dedup) additionally merges states
+    equal up to a permutation of interchangeable process ids plus an
+    injective renaming of message contents (the paper's Definition 3
+    applied to states); states are keyed by the orbit-canonical digest
+    of :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`
+    (canonical labelling, ~1 encoding per state —
+    :attr:`ExplorationResult.orbit_encodings`).  It is gated on the
+    algorithm declaring
     :meth:`~repro.runtime.process.BroadcastProcess.symmetric_processes`
     and is violation-complete — violations found through a merge carry
-    the witnessing pid permutation on
-    :attr:`Violation.permutation`, with guides in the cached
-    representative's frame.
+    the witnessing pid permutation on :attr:`Violation.permutation`,
+    with guides in the cached representative's frame.
 
-    ``progress`` (sequential engines only) is invoked every
+    ``progress`` (``workers=1`` only) is invoked every
     ``progress_every`` node expansions with a :class:`ProgressSnapshot`
     of counters and wall-clock telemetry.
 
-    ``checkpoint_to=path`` (incremental engines) writes a versioned,
-    integrity-sealed checkpoint of the complete search state every
-    ``checkpoint_every`` node expansions, on cancellation, and once more
-    at completion; ``resume_from=path`` restores one and continues to a
-    result construction-identical to an uninterrupted run (module
-    docstring, *Checkpoint and resume*).  ``cancel`` is a cooperative
-    stop token (any object with a ``threading.Event``-style
-    ``is_set()``): once set, the search writes a final checkpoint (when
-    one was requested) and returns promptly with ``interrupted=True``.
-    A checkpoint records its configuration digest; ``resume_from`` with
-    a different configuration — including a different ``workers`` count
-    — raises :class:`~repro.runtime.checkpoint.CheckpointError`.
+    ``checkpoint_to=path`` writes a versioned, integrity-sealed
+    checkpoint of the complete search state every ``checkpoint_every``
+    node expansions, on cancellation, and once more at completion;
+    ``resume_from=path`` restores one and continues to a result
+    construction-identical to an uninterrupted run (module docstring,
+    *Checkpoint and resume*).  ``cancel`` is a cooperative stop token
+    (any object with a ``threading.Event``-style ``is_set()``): once
+    set, the search writes a final checkpoint (when one was requested)
+    and returns promptly with ``interrupted=True``.  A checkpoint
+    records its configuration digest; ``resume_from`` with a different
+    configuration — including a different ``workers`` count — raises
+    :class:`~repro.runtime.checkpoint.CheckpointError`.
     """
-    if engine not in ("incremental", "dedup", "replay"):
-        raise ValueError(
-            f"unknown engine {engine!r}: expected 'incremental', "
-            f"'dedup' or 'replay'"
-        )
-    if engine == "dedup":
-        engine, dedup = "incremental", True
-    if dedup and engine != "incremental":
-        raise ValueError(
-            "state deduplication requires the incremental engine"
-        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and engine != "incremental":
-        raise ValueError("parallel exploration requires the incremental engine")
     if symmetry not in ("none", "rename"):
         raise ValueError(
             f"unknown symmetry {symmetry!r}: expected 'none' or 'rename'"
         )
     if symmetry == "rename" and not dedup:
         raise ValueError(
-            "symmetry reduction requires the dedup engine (its merges "
-            "live in the transposition cache)"
-        )
-    if sleep_sets and engine != "incremental":
-        raise ValueError(
-            "sleep-set reduction requires the incremental engine"
-        )
-    if static_independence and not sleep_sets:
-        raise ValueError(
-            "static_independence refines the sleep-set reduction; pass "
-            "sleep_sets=True as well"
+            "symmetry reduction requires dedup=True (its merges live in "
+            "the transposition cache)"
         )
     if progress_every < 1:
         raise ValueError(
             f"progress_every must be >= 1, got {progress_every}"
         )
-    if progress is not None and engine == "replay":
-        raise ValueError("progress reporting requires the incremental engine")
     if progress is not None and workers > 1:
         raise ValueError("progress reporting requires workers=1")
     if checkpoint_every < 1:
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
-    if engine == "replay" and (
-        cancel is not None
-        or checkpoint_to is not None
-        or resume_from is not None
-    ):
-        raise ValueError(
-            "checkpoint/resume and cooperative cancellation require the "
-            "incremental engine"
         )
     simulator = Simulator(
         simulator.n,
@@ -2610,31 +2384,6 @@ def explore_schedules(
         atomic_local=True,
         validate_footprints=simulator.validate_footprints,
     )
-    if static_independence is True:
-        from ..statics.independence import StaticIndependence
-
-        static_independence = StaticIndependence.for_simulator(simulator)
-        if static_independence is None or not static_independence.usable:
-            raise ValueError(
-                "static_independence=True, but no closed effect summary "
-                "could be proven for this algorithm (run `python -m "
-                "repro.statics` on it to see the open reasons); pass a "
-                "prebuilt table or drop the option"
-            )
-    elif static_independence is not None and not static_independence.usable:
-        # A prebuilt but unusable table proves nothing; drop it so the
-        # engines skip the per-pair indirection entirely.
-        static_independence = None
-    if engine == "replay":
-        return _explore_replay(
-            simulator,
-            scripts,
-            property_check,
-            crash_schedule,
-            max_schedules,
-            max_depth,
-            stop_at_first_violation,
-        )
     groups = (
         _renaming_groups(simulator, scripts, crash_schedule)
         if symmetry == "rename"
@@ -2667,8 +2416,11 @@ def explore_schedules(
             crash_schedule=crash_schedule,
             dedup=dedup,
             sleep_sets=sleep_sets,
-            static_independence=static_independence is not None,
-            crash_aware=crash_aware,
+            # Two retired options, digested at the only values every
+            # search now has, so checkpoints written while they existed
+            # still resume.
+            static_independence=False,
+            crash_aware=True,
             groups=tuple(groups),
             max_schedules=max_schedules,
             max_depth=max_depth,
@@ -2704,8 +2456,6 @@ def explore_schedules(
             dedup,
             sleep_sets=sleep_sets,
             groups=groups,
-            static_independence=static_independence,
-            crash_aware=crash_aware,
             cancel=cancel,
             checkpoint_to=checkpoint_to,
             checkpoint_every=checkpoint_every,
@@ -2726,8 +2476,6 @@ def explore_schedules(
         groups=groups,
         progress=progress,
         progress_every=progress_every,
-        static_independence=static_independence,
-        crash_aware=crash_aware,
         cancel=cancel,
         checkpoint_to=checkpoint_to,
         checkpoint_every=checkpoint_every,

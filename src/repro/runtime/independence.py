@@ -33,8 +33,7 @@ check over two footprints:
   those whose injection lands between or immediately after the pair
   (``crashed_pids`` and ``imminent`` below).
 
-Crashes — fired or pending — used to make the relation
-blanket-conservative.  The crash-aware proof replaces that: crashes
+Crashes — fired or pending — do not blanket the relation: crashes
 inject at a fixed *global decision count*, and swapping two adjacent
 events preserves every subsequent decision count, so the injection
 lands on the same index either way.  For a pair enabled at decision
@@ -60,9 +59,8 @@ three ways:
 
 The recorded footprint distinguishes the imminent and just-killed
 sets from the full still-alive victim set (``pending``), which is
-what makes the third case provable — the historical blanket refused
-every one of them wholesale.  :func:`classify` reports which argument
-carried the verdict so the explorer can count them.
+what makes the third case provable.  :func:`classify` reports which
+argument carried the verdict so the explorer can count them.
 
 The conservative direction is always safe: a dependent verdict merely
 keeps a branch.  The commutation differential tests
@@ -83,7 +81,6 @@ __all__ = [
     "FootprintDraft",
     "choice_key",
     "classify",
-    "conservative_independent",
     "independent",
     "observed_footprint",
 ]
@@ -109,14 +106,11 @@ class Footprint:
     #: True when the event (or its drain) proposed on a k-SA object.
     oracle: bool = False
     #: True when the next prelude injected a crash after this event.
-    #: Kept for observability and for the historical blanket relation
-    #: (:func:`conservative_independent`); the crash-aware check uses
-    #: ``crashed_pids`` instead.
+    #: Kept for observability and verdict attribution; the crash-aware
+    #: check uses ``crashed_pids`` instead.
     crashed: bool = False
     #: Still-alive victims of the crash schedule at the time the
     #: footprint was finalized.  Non-empty means a crash is *pending*;
-    #: the historical blanket relation
-    #: (:func:`conservative_independent`) refuses any such pair, and
     #: :func:`classify` uses it to attribute crash-aware verdicts.
     pending: frozenset[int] = frozenset()
     #: The pending schedule itself: sorted ``(victim, deadline)`` pairs
@@ -225,24 +219,6 @@ def independent(a: Footprint | None, b: Footprint | None) -> bool:
     return not ((a.pids | b.pids) & hazards)
 
 
-def conservative_independent(
-    a: Footprint | None, b: Footprint | None
-) -> bool:
-    """The pre-crash-aware relation: any pending crash blankets the pair.
-
-    Kept for before/after benchmarking (``crash_aware=False`` engine
-    variants) and as the reference the crash-aware differential tests
-    strengthen against.
-    """
-    if a is None or b is None:
-        return False
-    if a.crashed or b.crashed:
-        return False
-    if a.pending or b.pending:
-        return False
-    return independent(a, b)
-
-
 def classify(
     a: Footprint | None, b: Footprint | None
 ) -> tuple[bool, str]:
@@ -250,16 +226,11 @@ def classify(
 
     Sources:
 
-    * ``"dynamic"`` — independent with no pending crash in sight (the
-      pre-crash-aware relation would have agreed);
+    * ``"dynamic"`` — independent with no crash, fired or pending, in
+      sight;
     * ``"crash_proof"`` — independent *because* the crash-aware victim
-      disjointness argument discharged a pending or fired crash that
-      the old blanket would have refused;
+      disjointness argument discharged a pending or fired crash;
     * ``"conservative"`` — dependent (branch kept).
-
-    The explorer adds a fourth source, ``"static_table"``, when the
-    :class:`~repro.statics.independence.StaticIndependence` fallback
-    proves a pair this relation declined.
     """
     if not independent(a, b):
         return (False, "conservative")

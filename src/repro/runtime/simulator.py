@@ -268,7 +268,7 @@ class SimulationRun:
         summary = self.simulator.footprint_summary()
         if summary is None or not summary.closed:
             return
-        from ..statics.independence import attributed_handlers
+        from ..statics.model import attributed_handlers
 
         handlers = attributed_handlers(summary, draft.kind)
         if not handlers:

@@ -32,7 +32,6 @@ _SHOWCASE: dict[str, Any] = {
     "algorithm": "send-to-all",
     "n": 3,
     "scripts": {"0": ["a"], "1": ["b"]},
-    "engine": "dedup",
     "progress_every": 50,
 }
 
@@ -40,7 +39,7 @@ _SHOWCASE: dict[str, Any] = {
 #: explicit, a different telemetry cadence.  Must hit the memo.
 _SHOWCASE_RESPELLED: dict[str, Any] = {
     "scripts": {"1": ["b"], "0": ["a"]},
-    "engine": "dedup",
+    "dedup": True,
     "n": 3,
     "k": 1,
     "sleep_sets": False,
@@ -49,7 +48,7 @@ _SHOWCASE_RESPELLED: dict[str, Any] = {
     "progress_every": 200,
 }
 
-#: A deliberately long job on the plain incremental engine (seconds of
+#: A deliberately long job with the dedup cache off (seconds of
 #: wall clock, bounded by ``max_schedules``) — slow enough that a
 #: SIGTERM lands mid-flight, bounded enough to finish.  The checkpoint
 #: round-trip phase of the selfcheck kills a server running this job
@@ -58,7 +57,7 @@ _LONG: dict[str, Any] = {
     "algorithm": "send-to-all",
     "n": 3,
     "scripts": {"0": ["a", "b"], "1": ["c"]},
-    "engine": "incremental",
+    "dedup": False,
     "max_schedules": 20_000,
     "progress_every": 25,
 }
@@ -69,7 +68,6 @@ _VIOLATING: dict[str, Any] = {
     "n": 2,
     "scripts": {"0": ["x"], "1": ["y"]},
     "spec": "total-order",
-    "engine": "dedup",
 }
 
 
@@ -151,8 +149,7 @@ def _independence_line(stats: Any) -> str | None:
         return None
     parts = [
         f"{name}={stats[name]}"
-        for name in ("dynamic", "crash_proof", "static_table",
-                     "conservative")
+        for name in ("dynamic", "crash_proof", "conservative")
         if stats.get(name)
     ]
     queries = stats.get("memo_queries", 0)

@@ -13,10 +13,16 @@ users share one exploration.
 
 The digest is :func:`repro.runtime.fingerprint.stable_digest` over the
 normalized field values plus :data:`ENGINE_SCHEMA`, the version of the
-engine's canonical state encoding.  Bumping the schema (as PR 7 did,
-encoding v2 = schema 5) changes every key at once: results computed
-under an older encoding are never served for a newer engine, they just
-age out of the store.
+engine's canonical state encoding and descriptor shape.  Bumping the
+schema changes every key at once: results computed under an older
+encoding are never served for a newer engine, they just age out of the
+store.
+
+Construction is strict about types as well as names: a boolean, integer,
+script or crash field of the wrong JSON type (``"n": "3"``,
+``"sleep_sets": "false"``, a script given as a string) raises
+:class:`DescriptorError` instead of being coerced into some other
+request.
 """
 
 from __future__ import annotations
@@ -65,12 +71,14 @@ __all__ = [
     "job_digest",
 ]
 
-#: Version of the engine's canonical state encoding (see
-#: ``BENCH_explorer.json`` schema and PR 7's encoder rewrite).  Part of
-#: every memo key: digests and state counts produced under different
-#: encodings are incomparable, so results memoized under an older
-#: schema must never satisfy a submission against a newer engine.
-ENGINE_SCHEMA = 5
+#: Version of the engine's canonical state encoding and of the
+#: descriptor's field set.  Part of every memo key: digests and state
+#: counts produced under different encodings are incomparable, so
+#: results memoized under an older schema must never satisfy a
+#: submission against a newer engine.  Schema 5 is the canonical
+#: encoding v2; schema 6 replaces the engine selector with the ``dedup``
+#: flag.
+ENGINE_SCHEMA = 6
 
 #: Algorithm registry: descriptor name → ``factory(pid, n)`` class.
 ALGORITHMS: Mapping[str, Callable[[int, int], Any]] = {
@@ -108,12 +116,54 @@ SPECS: Mapping[str, Callable[[int], BroadcastSpec]] = {
 #: The property name selecting the SR channel axioms.
 _CHANNELS = "channels"
 
-_ENGINES = ("incremental", "dedup", "replay")
 _SYMMETRIES = ("none", "rename")
+
+#: Scalar fields by the one type each accepts.  ``bool`` is a subclass
+#: of ``int`` in Python, so integer fields reject booleans explicitly.
+_BOOL_FIELDS = (
+    "assume_complete",
+    "sync_broadcasts",
+    "dedup",
+    "sleep_sets",
+    "stop_at_first_violation",
+)
+_INT_FIELDS = (
+    "n", "k", "workers", "max_schedules", "max_depth", "progress_every"
+)
+_STR_FIELDS = ("algorithm", "spec", "symmetry")
 
 
 class DescriptorError(ValueError):
     """A job descriptor that cannot be resolved against the registry."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pid(value: Any, what: str) -> int:
+    """A process id: an integer, or its decimal string (a JSON key)."""
+    if _is_int(value):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DescriptorError(f"{what} pid must be an integer, got {value!r}")
+
+
+def _pairs(value: Any, field_name: str) -> list:
+    """The ``(key, value)`` items of a mapping or a pair sequence."""
+    if isinstance(value, Mapping):
+        return list(value.items())
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(item, (list, tuple)) and len(item) == 2 for item in value
+    ):
+        return [tuple(item) for item in value]
+    raise DescriptorError(
+        f"{field_name} must be an object keyed by pid, got {value!r}"
+    )
 
 
 def _normalize_scripts(
@@ -126,15 +176,22 @@ def _normalize_scripts(
     list-vs-tuple spellings of the same script canonicalize identically.
     Empty scripts are dropped — broadcasting nothing is the default.
     """
-    if isinstance(scripts, Mapping):
-        items = scripts.items()
-    else:
-        items = list(scripts)
     normalized = []
-    for pid, contents in items:
+    for pid, contents in _pairs(scripts, "scripts"):
+        if not isinstance(contents, (list, tuple)):
+            raise DescriptorError(
+                f"script of pid {pid!r} must be a list, got {contents!r}"
+            )
         entries = tuple(contents)
+        for entry in entries:
+            try:
+                hash(entry)
+            except TypeError:
+                raise DescriptorError(
+                    f"script entry {entry!r} of pid {pid!r} is not hashable"
+                ) from None
         if entries:
-            normalized.append((int(pid), entries))
+            normalized.append((_pid(pid, "script"), entries))
     normalized.sort()
     pids = [pid for pid, _ in normalized]
     if len(set(pids)) != len(pids):
@@ -144,11 +201,23 @@ def _normalize_scripts(
 
 def _normalize_crashes(at_step: Any) -> tuple[tuple[int, int], ...]:
     """``crash_at_step`` as a pid-sorted tuple of ``(pid, step)`` pairs."""
-    if isinstance(at_step, Mapping):
-        items = at_step.items()
-    else:
-        items = list(at_step)
-    return tuple(sorted((int(pid), int(step)) for pid, step in items))
+    normalized = []
+    for pid, step in _pairs(at_step, "crash_at_step"):
+        if not _is_int(step):
+            raise DescriptorError(
+                f"crash step of pid {pid!r} must be an integer, got {step!r}"
+            )
+        normalized.append((_pid(pid, "crash"), step))
+    return tuple(sorted(normalized))
+
+
+def _normalize_initial_crashes(pids: Any) -> tuple[int, ...]:
+    """``crash_initially`` as a sorted tuple of distinct pids."""
+    if not isinstance(pids, (list, tuple, set, frozenset)):
+        raise DescriptorError(
+            f"crash_initially must be a list of pids, got {pids!r}"
+        )
+    return tuple(sorted({_pid(p, "initial-crash") for p in pids}))
 
 
 @dataclass(frozen=True)
@@ -170,9 +239,8 @@ class JobDescriptor:
     sync_broadcasts: bool = False
     crash_at_step: tuple[tuple[int, int], ...] = ()
     crash_initially: tuple[int, ...] = ()
-    engine: str = "dedup"
+    dedup: bool = True
     sleep_sets: bool = False
-    static_independence: bool = False
     symmetry: str = "none"
     workers: int = 1
     max_schedules: int = 100_000
@@ -186,6 +254,7 @@ class JobDescriptor:
     progress_every: int = 1000
 
     def __post_init__(self) -> None:
+        self._check_types()
         object.__setattr__(
             self, "scripts", _normalize_scripts(self.scripts)
         )
@@ -195,9 +264,23 @@ class JobDescriptor:
         object.__setattr__(
             self,
             "crash_initially",
-            tuple(sorted(int(p) for p in set(self.crash_initially))),
+            _normalize_initial_crashes(self.crash_initially),
         )
         self._validate()
+
+    def _check_types(self) -> None:
+        """Reject scalar fields of the wrong type, naming the field."""
+        for names, check, noun in (
+            (_BOOL_FIELDS, lambda v: isinstance(v, bool), "a boolean"),
+            (_INT_FIELDS, _is_int, "an integer"),
+            (_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not check(value):
+                    raise DescriptorError(
+                        f"{name} must be {noun}, got {value!r}"
+                    )
 
     def _validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -214,10 +297,6 @@ class JobDescriptor:
             raise DescriptorError(f"n must be >= 1, got {self.n}")
         if self.k < 1:
             raise DescriptorError(f"k must be >= 1, got {self.k}")
-        if self.engine not in _ENGINES:
-            raise DescriptorError(
-                f"unknown engine {self.engine!r}; expected one of {_ENGINES}"
-            )
         if self.symmetry not in _SYMMETRIES:
             raise DescriptorError(
                 f"unknown symmetry {self.symmetry!r}; "
@@ -259,7 +338,7 @@ class JobDescriptor:
     def from_json(cls, data: Mapping[str, Any]) -> "JobDescriptor":
         """Build a descriptor from its JSON dict; inverse of :meth:`to_json`.
 
-        Unknown keys are rejected loudly — a typoed engine flag that
+        Unknown keys are rejected loudly — a typoed option that
         silently fell back to a default would memoize the *wrong*
         exploration under the caller's intended key.
         """
@@ -293,9 +372,8 @@ class JobDescriptor:
                 str(pid): step for pid, step in self.crash_at_step
             },
             "crash_initially": list(self.crash_initially),
-            "engine": self.engine,
+            "dedup": self.dedup,
             "sleep_sets": self.sleep_sets,
-            "static_independence": self.static_independence,
             "symmetry": self.symmetry,
             "workers": self.workers,
             "max_schedules": self.max_schedules,
@@ -342,19 +420,14 @@ class JobDescriptor:
                 initially=frozenset(self.crash_initially),
             )
         kwargs: dict[str, Any] = {
-            "engine": self.engine,
+            "dedup": self.dedup,
             "sleep_sets": self.sleep_sets,
-            "static_independence": self.static_independence or None,
             "symmetry": self.symmetry,
             "workers": self.workers,
             "max_schedules": self.max_schedules,
             "max_depth": self.max_depth,
             "stop_at_first_violation": self.stop_at_first_violation,
         }
-        if kwargs["static_independence"] is None:
-            del kwargs["static_independence"]
-        else:
-            kwargs["static_independence"] = True
         return simulator, dict(self.scripts), prop, crash, kwargs
 
     # -- memoization ------------------------------------------------------

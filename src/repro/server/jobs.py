@@ -34,8 +34,7 @@ Two execution backends share the same message protocol
   per-job cancel event is threaded into the engine, which polls it at
   node entry, writes a checkpoint (when checkpointing is on), and
   returns promptly with ``interrupted=True`` — reported as
-  ``cancelled``.  Only jobs on the replay engine (no cancel support)
-  still run to completion; not-yet-started batch members are skipped.
+  ``cancelled``; not-yet-started batch members are skipped.
 
 With ``checkpoint_dir`` set, running explorations checkpoint
 periodically under ``<dir>/<job digest>.ckpt``.  The digest-keyed path
@@ -150,22 +149,16 @@ def _run_descriptor(
     """Execute one descriptor; returns ``(result_json, vdigest, seconds)``.
 
     ``emit`` receives each :class:`ProgressSnapshot` as its ``to_json``
-    dict.  Progress is only wired where the engine supports it (the
-    sequential incremental engines); the replay oracle and sharded runs
-    execute without it.  ``cancel``/``checkpoint_to`` are likewise wired
-    only for the incremental engines: a run with a checkpoint path
-    resumes from an existing file at that path (the digest-keyed warm
-    restart), falling back to a cold run — after discarding the file —
-    when it turns out stale or corrupt.  An interrupted run returns its
+    dict.  Progress is only wired for sequential runs; sharded runs
+    execute without it.  A run with a checkpoint path resumes from an
+    existing file at that path (the digest-keyed warm restart), falling
+    back to a cold run — after discarding the file — when it turns out
+    stale or corrupt.  An interrupted run returns its
     partial result; the caller inspects ``payload["interrupted"]``.
     """
     simulator, scripts, prop, crash, kwargs = descriptor.build()
     progress: Callable[[Any], None] | None = None
-    if (
-        emit is not None
-        and kwargs.get("workers", 1) == 1
-        and kwargs.get("engine") != "replay"
-    ):
+    if emit is not None and kwargs.get("workers", 1) == 1:
         callback = emit
 
         def stream(snapshot: Any) -> None:
@@ -173,14 +166,13 @@ def _run_descriptor(
 
         progress = stream
 
-    if kwargs.get("engine") != "replay":
-        if cancel is not None:
-            kwargs["cancel"] = cancel
-        if checkpoint_to is not None:
-            kwargs["checkpoint_to"] = checkpoint_to
-            kwargs["checkpoint_every"] = checkpoint_every
-            if os.path.exists(checkpoint_to):
-                kwargs["resume_from"] = checkpoint_to
+    if cancel is not None:
+        kwargs["cancel"] = cancel
+    if checkpoint_to is not None:
+        kwargs["checkpoint_to"] = checkpoint_to
+        kwargs["checkpoint_every"] = checkpoint_every
+        if os.path.exists(checkpoint_to):
+            kwargs["resume_from"] = checkpoint_to
 
     started = time.perf_counter()
     try:
@@ -728,9 +720,9 @@ class JobManager:
         :meth:`_finalize_batch`).  On the thread backend a started job
         is interrupted cooperatively: its cancel event is set and the
         engine stops at the next node entry (checkpointing first when
-        enabled) — except replay-engine jobs, which cannot observe the
-        event; for those the request is recorded (not-yet-started batch
-        members will be skipped) and ``False`` is returned.
+        enabled).  ``False`` means the batch has not set up its cancel
+        events yet; the request is still recorded, so the job is
+        skipped when its batch starts.
         """
         record = self._jobs[job_id]
         if record.state.terminal:
@@ -746,7 +738,7 @@ class JobManager:
             handle.process.terminate()
             return True
         event = handle.cancel_events.get(job_id)
-        if event is not None and record.descriptor.engine != "replay":
+        if event is not None:
             event.set()
             return True
         return False

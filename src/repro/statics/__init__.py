@@ -4,16 +4,13 @@ Infers, per handler and message type, a conservative **effect summary**
 of what a :class:`~repro.runtime.process.BroadcastProcess` /
 :class:`~repro.runtime.service.ServiceProcess` step handler may touch:
 fields read and written, messages emitted (with destination shape), k-SA
-oracle proposals, deliveries, and ``Wait`` suspension.  Three consumers:
+oracle proposals, deliveries, and ``Wait`` suspension.  Two consumers:
 
 * **lint** — REP007/REP008 (:mod:`repro.lint.rules.footprint`) surface
   static races and inference-defeating constructs;
 * **sanitizer** — the simulator's ``validate_footprints=True`` mode
-  asserts every recorded dynamic footprint is contained in the summary;
-* **explorer** — :class:`StaticIndependence` proves commutation of
-  pid-disjoint events while a crash is pending, recovering sleep-set
-  pruning on the fault schedules where the recorded-footprint relation
-  goes conservative (ROADMAP "raw speed" item 3).
+  asserts every recorded dynamic footprint is contained in the summary
+  of the handlers its event may run (:func:`attributed_handlers`).
 
 Run ``python -m repro.statics [paths]`` to print summaries, or with
 ``--check`` to fail on open (unproven) summaries; see
@@ -28,8 +25,14 @@ from .analyzer import (
     summarize_classdef,
     summarize_module,
 )
-from .independence import StaticIndependence, attributed_handlers
-from .model import OPAQUE, RACE, AlgorithmSummary, EffectSummary, OpenReason
+from .model import (
+    OPAQUE,
+    RACE,
+    AlgorithmSummary,
+    EffectSummary,
+    OpenReason,
+    attributed_handlers,
+)
 from .snapshot import load_snapshot, render_snapshot
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "OPAQUE",
     "OpenReason",
     "RACE",
-    "StaticIndependence",
     "attributed_handlers",
     "load_snapshot",
     "render_snapshot",

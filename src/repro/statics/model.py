@@ -15,9 +15,9 @@ beyond the instance.  Closure is the load-bearing property — it proves
 the *per-process isolation* that the recorded-footprint independence
 relation silently assumes (disjoint pid sets only imply commutation when
 no handler reaches state outside its own process), and it is what the
-:class:`~repro.statics.independence.StaticIndependence` table requires
-before proving commutation under a pending crash.  An open summary
-carries :class:`OpenReason` records saying exactly where and why
+simulator's footprint sanitizer requires before checking recorded
+footprints against a summary (:func:`attributed_handlers`).  An open
+summary carries :class:`OpenReason` records saying exactly where and why
 inference gave up; the lint rules REP007/REP008 surface those as
 findings.
 """
@@ -33,6 +33,7 @@ __all__ = [
     "OpenReason",
     "RACE",
     "OPAQUE",
+    "attributed_handlers",
 ]
 
 #: Open-reason category: the handler reaches state shared beyond its own
@@ -152,3 +153,29 @@ class AlgorithmSummary:
                 for name, summary in self.handlers
             },
         }
+
+
+def attributed_handlers(
+    summary: AlgorithmSummary, kind: str
+) -> tuple[EffectSummary, ...]:
+    """The handlers whose code a ``kind`` scheduling event may run.
+
+    A ``"bcast"`` event starts ``on_broadcast`` (and the drain runs its
+    body up to the first suspension).  A ``"recv"`` event runs
+    ``on_receive`` — and may *resume* a suspended ``on_broadcast`` /
+    ``on_invoke`` operation body whose ``Wait`` guard the reception
+    unblocked, so suspendable operation handlers are attributed too.  A
+    ``"local"`` event (non-atomic runs only) may advance any handler.
+    """
+    handlers = {name: s for name, s in summary.handlers}
+    if kind == "bcast":
+        picked = [handlers.get("on_broadcast")]
+    elif kind == "recv":
+        picked = [handlers.get("on_receive")]
+        for operation in ("on_broadcast", "on_invoke"):
+            body = handlers.get(operation)
+            if body is not None and body.waits:
+                picked.append(body)
+    else:
+        picked = [handlers.get(name) for name in handlers]
+    return tuple(s for s in picked if s is not None)

@@ -4,8 +4,8 @@ The contract under test: kill an exploration at *any* node entry, and
 resuming from its checkpoint produces a result construction-identical
 to an uninterrupted run — same terminals, same violations (digest and
 guides), same counters, same per-depth maps — on every engine variant
-(plain incremental, dedup, sleep sets, symmetry, their composition, and
-the sharded parallel front-end).  Only the event-replay economics may
+(plain DFS, dedup, sleep sets, symmetry, their composition, and the
+sharded parallel front-end).  Only the event-replay economics may
 differ: a resume re-pays schedule prefixes exactly as parallel shards
 do, so ``events_executed``/``events_replayed`` are exempt.
 
@@ -16,6 +16,7 @@ boundaries deep in the tree.
 """
 
 import os
+import shutil
 
 import pytest
 
@@ -76,15 +77,10 @@ class PollCounter:
 #: Every engine-variant kwarg set the identity contract covers.
 VARIANTS = {
     "plain": {},
-    "dedup": {"engine": "dedup"},
+    "dedup": {"dedup": True},
     "sleep": {"sleep_sets": True},
-    "dedup-sleep": {"engine": "dedup", "sleep_sets": True},
-    "composed": {
-        "engine": "dedup",
-        "sleep_sets": True,
-        "symmetry": "rename",
-        "static_independence": True,
-    },
+    "dedup-sleep": {"dedup": True, "sleep_sets": True},
+    "composed": {"dedup": True, "sleep_sets": True, "symmetry": "rename"},
 }
 
 #: Fields that must survive an interrupt/resume cycle bit-for-bit.
@@ -245,14 +241,14 @@ class TestCompleteCheckpoint:
             simulator,
             {0: ["a"], 1: ["b"]},
             prop,
-            engine="dedup",
+            dedup=True,
             checkpoint_to=path,
         )
         resumed = explore_schedules(
             s2a_simulator(),
             {0: ["a"], 1: ["b"]},
             violating_property(),
-            engine="dedup",
+            dedup=True,
             resume_from=path,
         )
         assert_identical(resumed, reference)
@@ -297,11 +293,11 @@ class TestCrashAwareVariants:
         parallel = self.run(workers=2, **kwargs)
         assert parallel.exhausted
         assert parallel.violations_digest() == reference.violations_digest()
-        if kwargs.get("engine") != "dedup":
+        if not kwargs.get("dedup"):
             # the dedup cache is per-shard, so sharding legitimately
             # changes which revisits are cut (sequential and parallel
             # dedup counts drift with or without crash-awareness); the
-            # incremental engine has no such order-dependence
+            # cache-off search has no such order-dependence
             assert (
                 parallel.terminal_schedules == reference.terminal_schedules
             )
@@ -328,6 +324,43 @@ class TestCrashAwareVariants:
             sleeping.terminal_schedules < runs["dedup"].terminal_schedules
         )
         assert sleeping.independence_stats.get("crash_proof", 0) > 0
+
+
+class TestCheckpointFromTheTwoLoopExplorer:
+    """A plain-DFS checkpoint written before the loops were unified.
+
+    ``tests/data/s2a_n3_crash_plain.ckpt`` was cut a third of the way
+    through a cache-off search by the explorer that still ran plain DFS
+    in a loop of its own; its frames carry no summaries.  The unified
+    loop must resume it to the uninterrupted result.
+    """
+
+    FIXTURE = os.path.join(
+        os.path.dirname(__file__),
+        os.pardir,
+        "data",
+        "s2a_n3_crash_plain.ckpt",
+    )
+    OPTIONS = dict(crash_schedule=CrashSchedule(at_step={2: 4}), max_depth=8)
+
+    @staticmethod
+    def make_config():
+        return (
+            s2a_simulator(3),
+            {0: ["x"], 1: ["y"]},
+            violating_property(),
+        )
+
+    def test_resumes_to_the_uninterrupted_result(self, tmp_path):
+        path = os.path.join(tmp_path, "search.ckpt")
+        shutil.copy(self.FIXTURE, path)
+        reference = explore_schedules(*self.make_config(), **self.OPTIONS)
+        resumed = explore_schedules(
+            *self.make_config(), resume_from=path, **self.OPTIONS
+        )
+        assert reference.violations, "crash config expected to violate"
+        assert_identical(resumed, reference)
+        assert resumed.violations == reference.violations
 
 
 class TestCooperativeCancel:
@@ -455,24 +488,9 @@ class TestCheckpointSafety:
                 s2a_simulator(),
                 {0: ["a"], 1: ["b"]},
                 clean_property(),
-                engine="dedup",
+                dedup=True,
                 resume_from=path,
             )
-
-    def test_replay_engine_rejects_checkpointing(self, tmp_path):
-        for kwargs in (
-            {"cancel": Countdown(1)},
-            {"checkpoint_to": os.path.join(tmp_path, "x.ckpt")},
-            {"resume_from": os.path.join(tmp_path, "x.ckpt")},
-        ):
-            with pytest.raises(ValueError, match="incremental engine"):
-                explore_schedules(
-                    s2a_simulator(),
-                    {0: ["a"], 1: ["b"]},
-                    clean_property(),
-                    engine="replay",
-                    **kwargs,
-                )
 
     def test_checkpoint_every_validated(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):

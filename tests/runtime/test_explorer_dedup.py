@@ -1,10 +1,10 @@
-"""Differential tests of the state-deduplicating engine.
+"""Differential tests of the state-deduplicating cache.
 
-``engine="dedup"`` is the incremental engine plus a fingerprint
-transposition cache; pruning must be *invisible* in the result — the
-same terminal count, the same exhaustion verdict, and the identical
-violation list (guides and rendered problems) as the incremental engine
-on every configuration, in every stop mode, under budget caps, crash
+``dedup=True`` turns on the explorer's fingerprint transposition cache;
+pruning must be *invisible* in the result — the same terminal count,
+the same exhaustion verdict, and the identical violation list (guides
+and rendered problems) as the search without the cache on every
+configuration, in every stop mode, under budget caps, crash
 schedules, and sharded execution.  What may (and must, on symmetric
 configurations) differ is the work done: ``states_seen`` +
 ``states_deduped`` expansions instead of one expansion per prefix.
@@ -83,7 +83,7 @@ class TestDedupEquivalence:
     ):
         baseline = explore_schedules(simulator(), scripts, prop(), **kwargs)
         dedup = explore_schedules(
-            simulator(), scripts, prop(), engine="dedup", **kwargs
+            simulator(), scripts, prop(), dedup=True, **kwargs
         )
         assert_same_outcome(dedup, baseline)
 
@@ -93,42 +93,24 @@ class TestDedupEquivalence:
         )
         dedup = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup",
+            dedup=True,
         )
         # every expansion is either a fresh state or a pruned arrival
         assert dedup.schedules_explored == dedup.states_seen
         assert dedup.states_deduped > 0
         assert dedup.states_seen < baseline.schedules_explored
-        # the non-dedup engine reports zeroed counters
+        # the cache-off search reports zeroed counters
         assert baseline.states_seen == 0
         assert baseline.states_deduped == 0
-
-    def test_dedup_flag_equals_dedup_engine(self):
-        by_engine = explore_schedules(
-            s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup",
-        )
-        by_flag = explore_schedules(
-            s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            dedup=True,
-        )
-        assert by_engine == by_flag
-
-    def test_dedup_requires_the_incremental_engine(self):
-        with pytest.raises(ValueError, match="incremental"):
-            explore_schedules(
-                urb_simulator(), {0: ["a"]}, channels_property(),
-                engine="replay", dedup=True,
-            )
 
     def test_runs_are_deterministic(self):
         first = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup",
+            dedup=True,
         )
         second = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup",
+            dedup=True,
         )
         assert first == second
 
@@ -148,7 +130,7 @@ class TestDedupStopModes:
             {0: ["a"], 1: ["b"]},
             channels_property(assume_complete=False),
             max_schedules=25,
-            engine="dedup",
+            dedup=True,
         )
         assert dedup.terminal_schedules == 25
         assert_same_outcome(dedup, baseline)
@@ -163,7 +145,7 @@ class TestDedupStopModes:
         )
         dedup = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            max_schedules=cap, engine="dedup",
+            max_schedules=cap, dedup=True,
         )
         assert_same_outcome(dedup, baseline)
 
@@ -179,7 +161,7 @@ class TestDedupStopModes:
             {0: ["a"], 1: ["b"]},
             total_order(),
             stop_at_first_violation=True,
-            engine="dedup",
+            dedup=True,
         )
         assert dedup.aborted and not dedup.exhausted
         assert_same_outcome(dedup, baseline)
@@ -197,7 +179,7 @@ class TestDedupStopModes:
                 {0: ["a"], 1: ["b"]},
                 channels_property(assume_complete=False),
                 max_depth=depth,
-                engine="dedup",
+                dedup=True,
             )
             assert_same_outcome(dedup, baseline)
 
@@ -209,11 +191,11 @@ class TestDedupParallel:
     def test_parallel_dedup_matches_sequential(self, workers):
         sequential = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup",
+            dedup=True,
         )
         parallel = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup", workers=workers,
+            dedup=True, workers=workers,
         )
         assert parallel.workers == workers
         assert_same_outcome(parallel, sequential)
@@ -222,11 +204,11 @@ class TestDedupParallel:
     def test_parallel_dedup_is_deterministic(self):
         first = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup", workers=3,
+            dedup=True, workers=3,
         )
         second = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup", workers=3,
+            dedup=True, workers=3,
         )
         assert first == second
 
@@ -236,6 +218,6 @@ class TestDedupParallel:
         )
         parallel = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine="dedup", workers=2,
+            dedup=True, workers=2,
         )
         assert_same_outcome(parallel, baseline)

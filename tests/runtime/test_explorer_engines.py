@@ -1,8 +1,8 @@
-"""Differential tests of the exploration engines.
+"""Differential tests of the exploration engine.
 
-The incremental engine (resumable run handles, fork-at-branch) and the
-historical replay engine (guided re-runs from scratch) must explore the
-exact same schedule tree: same node and terminal counts, same violations
+The explorer (resumable run handles, fork-at-branch) and the replay
+oracle of :mod:`tests.runtime.replay_oracle` (guided re-runs from
+scratch) must explore the exact same schedule tree: same node and terminal counts, same violations
 with the same reproduction guides.  The parallel front-end must merge
 per-shard outcomes back into exactly the sequential result.  And every
 violation guide must round-trip through ``Simulator.run(..., guide=...)``
@@ -25,6 +25,12 @@ from repro.specs import (
     UniformReliableBroadcastSpec,
 )
 
+from .replay_oracle import explore_replay
+
+#: The explorer and the oracle, by the names the tests are parametrized
+#: over.
+ENGINES = {"incremental": explore_schedules, "replay": explore_replay}
+
 
 def urb_simulator(**kwargs):
     return Simulator(
@@ -43,7 +49,7 @@ def total_order():
 
 
 class TestEngineEquivalence:
-    """incremental and replay visit the identical tree."""
+    """The explorer and the replay oracle visit the identical tree."""
 
     CONFIGS = [
         (
@@ -67,7 +73,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("simulator, scripts, prop", CONFIGS)
     def test_same_tree_same_violations(self, simulator, scripts, prop):
         incremental = explore_schedules(simulator, scripts, prop)
-        replay = explore_schedules(simulator, scripts, prop, engine="replay")
+        replay = explore_replay(simulator, scripts, prop)
         assert incremental.terminal_schedules == replay.terminal_schedules
         assert incremental.schedules_explored == replay.schedules_explored
         assert incremental.max_depth_seen == replay.max_depth_seen
@@ -80,13 +86,12 @@ class TestEngineEquivalence:
         ]
 
     def test_agree_under_budget_cap(self):
-        for engine in ("incremental", "replay"):
-            result = explore_schedules(
+        for explore in ENGINES.values():
+            result = explore(
                 s2a_simulator(),
                 {0: ["a"], 1: ["b"]},
                 channels_property(assume_complete=False),
                 max_schedules=25,
-                engine=engine,
             )
             assert result.terminal_schedules == 25
             assert not result.exhausted
@@ -98,12 +103,8 @@ class TestEngineEquivalence:
         incremental = explore_schedules(
             s2a_simulator(3), {0: ["a"], 1: ["b"]}, total_order(), **kwargs
         )
-        replay = explore_schedules(
-            s2a_simulator(3),
-            {0: ["a"], 1: ["b"]},
-            total_order(),
-            engine="replay",
-            **kwargs,
+        replay = explore_replay(
+            s2a_simulator(3), {0: ["a"], 1: ["b"]}, total_order(), **kwargs
         )
         assert incremental.terminal_schedules == replay.terminal_schedules
         assert incremental.violations, "config expected to violate"
@@ -117,60 +118,54 @@ class TestEngineEquivalence:
         incremental = explore_schedules(
             s2a_simulator(), {0: ["a"], 1: ["b"]}, prop
         )
-        replay = explore_schedules(
-            s2a_simulator(), {0: ["a"], 1: ["b"]}, prop, engine="replay"
-        )
+        replay = explore_replay(s2a_simulator(), {0: ["a"], 1: ["b"]}, prop)
         assert incremental.events_replayed * 3 <= replay.events_replayed
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
+        """There is one engine: the old selector fails loudly."""
+        with pytest.raises(TypeError, match="engine"):
             explore_schedules(
                 urb_simulator(), {0: ["a"]}, channels_property(),
-                engine="quantum",
+                engine="dedup",
             )
 
 
 class TestStopModes:
     """`stop_at_first_violation` aborts: not exhausted, flagged aborted."""
 
-    @pytest.mark.parametrize("engine", ["incremental", "replay"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_stop_mode_reports_aborted_not_exhausted(self, engine):
-        result = explore_schedules(
+        result = ENGINES[engine](
             s2a_simulator(),
             {0: ["a"], 1: ["b"]},
             total_order(),
             stop_at_first_violation=True,
-            engine=engine,
         )
         assert len(result.violations) == 1
         assert result.aborted
         assert not result.exhausted
         assert "aborted" in str(result)
 
-    @pytest.mark.parametrize("engine", ["incremental", "replay"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_full_mode_collects_all_violations(self, engine):
-        result = explore_schedules(
-            s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine=engine,
+        result = ENGINES[engine](
+            s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order()
         )
         assert len(result.violations) == 36
         assert not result.aborted
         assert result.exhausted
         assert "exhaustive" in str(result)
 
-    @pytest.mark.parametrize("engine", ["incremental", "replay"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_both_modes_find_the_same_first_violation(self, engine):
-        stopped = explore_schedules(
+        explore = ENGINES[engine]
+        stopped = explore(
             s2a_simulator(),
             {0: ["a"], 1: ["b"]},
             total_order(),
             stop_at_first_violation=True,
-            engine=engine,
         )
-        full = explore_schedules(
-            s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
-            engine=engine,
-        )
+        full = explore(s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order())
         assert stopped.violations[0] == full.violations[0]
 
     def test_clean_exhaustive_run_is_not_aborted(self):
@@ -247,13 +242,6 @@ class TestParallelExploration:
         assert parallel.aborted
         assert not parallel.exhausted
         assert parallel.violations[0] == sequential.violations[0]
-
-    def test_parallel_requires_incremental_engine(self):
-        with pytest.raises(ValueError, match="incremental"):
-            explore_schedules(
-                urb_simulator(), {0: ["a"]}, channels_property(),
-                engine="replay", workers=2,
-            )
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):

@@ -5,7 +5,7 @@ symmetry merges states equal up to a pid permutation plus an injective
 content renaming.  Both must preserve exactly what the explorer is for:
 the set of distinct terminal observations and the set of violations
 (symmetry: modulo the recorded permutation).  These tests diff every
-reduction against the plain dedup engine over sync/async/crash
+reduction against the plain dedup search over sync/async/crash
 configurations, through budget and depth cut points, across worker
 counts, and on double runs (determinism).
 """
@@ -88,11 +88,11 @@ class TestSleepSetsPreserveObservations:
     ):
         plain, base = observations_of(
             factory(**kwargs), scripts, crash_schedule=crashes,
-            engine=base_engine, max_depth=10,
+            dedup=base_engine == "dedup", max_depth=10,
         )
         slept, reduced = observations_of(
             factory(**kwargs), scripts, crash_schedule=crashes,
-            engine=base_engine, max_depth=10, sleep_sets=True,
+            dedup=base_engine == "dedup", max_depth=10, sleep_sets=True,
         )
         assert slept == plain
         assert reduced.exhausted and base.exhausted
@@ -106,17 +106,17 @@ class TestSleepSetsPreserveObservations:
         for depth in (3, 5):
             plain, _ = observations_of(
                 factory(**kwargs), scripts, crash_schedule=crashes,
-                engine="dedup", max_depth=depth,
+                dedup=True, max_depth=depth,
             )
             slept, _ = observations_of(
                 factory(**kwargs), scripts, crash_schedule=crashes,
-                engine="dedup", max_depth=depth, sleep_sets=True,
+                dedup=True, max_depth=depth, sleep_sets=True,
             )
             assert slept == plain
 
     def test_sleep_actually_prunes(self):
         _, result = observations_of(
-            s2a(), {0: ["a"], 1: ["b"]}, engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, dedup=True,
             max_depth=8, sleep_sets=True,
         )
         assert result.states_pruned_sleep > 0
@@ -127,11 +127,11 @@ class TestSleepSetsPreserveObservations:
         for budget in (1, 7, 40):
             first = explore_schedules(
                 s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-                engine="dedup", sleep_sets=True, max_schedules=budget,
+                dedup=True, sleep_sets=True, max_schedules=budget,
             )
             again = explore_schedules(
                 s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-                engine="dedup", sleep_sets=True, max_schedules=budget,
+                dedup=True, sleep_sets=True, max_schedules=budget,
             )
             assert first.terminal_schedules <= budget
             assert not first.exhausted
@@ -151,11 +151,11 @@ class TestSleepSetsPreserveObservations:
         """
         dedup = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8,
+            dedup=True, max_depth=8,
         )
         slept = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8, sleep_sets=True,
+            dedup=True, max_depth=8, sleep_sets=True,
         )
         assert slept.states_seen == dedup.states_seen == 321
         assert slept.schedules_explored >= slept.states_seen
@@ -195,10 +195,10 @@ class TestRenamingSymmetry:
 
     def test_observations_complete_modulo_renaming(self):
         plain, _ = observations_of(
-            s2a(), {0: ["a"], 1: ["b"]}, engine="dedup", max_depth=8,
+            s2a(), {0: ["a"], 1: ["b"]}, dedup=True, max_depth=8,
         )
         merged, result = observations_of(
-            s2a(), {0: ["a"], 1: ["b"]}, engine="dedup", max_depth=8,
+            s2a(), {0: ["a"], 1: ["b"]}, dedup=True, max_depth=8,
             sleep_sets=True, symmetry="rename",
         )
         assert result.states_merged_symmetry > 0
@@ -230,15 +230,15 @@ class TestRenamingSymmetry:
         |perms| = 2.
         """
         dedup = explore_schedules(
-            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), dedup=True,
             max_depth=8,
         )
         renamed = explore_schedules(
-            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), dedup=True,
             max_depth=8, symmetry="rename",
         )
         composed = explore_schedules(
-            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, channels_property(), dedup=True,
             max_depth=8, sleep_sets=True, symmetry="rename",
         )
         assert dedup.states_seen == 321
@@ -268,10 +268,10 @@ class TestRenamingSymmetry:
         scripts = {0: ["x"], 1: ["y"]}
         prop = spec_property(TotalOrderBroadcastSpec(), assume_complete=False)
         base = explore_schedules(
-            s2a(n=2), scripts, prop, engine="dedup"
+            s2a(n=2), scripts, prop, dedup=True
         )
         reduced = explore_schedules(
-            s2a(n=2), scripts, prop, engine="dedup",
+            s2a(n=2), scripts, prop, dedup=True,
             sleep_sets=True, symmetry="rename",
         )
         assert base.violations and reduced.violations
@@ -292,11 +292,11 @@ class TestRenamingSymmetry:
         policy = ScriptedPolicy({})
         plain = explore_schedules(
             s2a(ksa_policy=policy), {0: ["a"], 1: ["b"]},
-            channels_property(), engine="dedup", max_depth=6,
+            channels_property(), dedup=True, max_depth=6,
         )
         renamed = explore_schedules(
             s2a(ksa_policy=policy), {0: ["a"], 1: ["b"]},
-            channels_property(), engine="dedup", max_depth=6,
+            channels_property(), dedup=True, max_depth=6,
             symmetry="rename",
         )
         assert renamed.states_seen == plain.states_seen
@@ -306,11 +306,11 @@ class TestRenamingSymmetry:
         """Faulty processes never participate in the renaming group."""
         crashes = CrashSchedule(at_step={1: 3})
         plain, _ = observations_of(
-            s2a(), {0: ["a"], 1: ["b"]}, engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, dedup=True,
             crash_schedule=crashes, max_depth=8,
         )
         merged, _ = observations_of(
-            s2a(), {0: ["a"], 1: ["b"]}, engine="dedup",
+            s2a(), {0: ["a"], 1: ["b"]}, dedup=True,
             crash_schedule=crashes, max_depth=8, symmetry="rename",
         )
         # 0 and 1 are distinguishable (1 crashes): nothing may merge
@@ -321,7 +321,7 @@ class TestRenamingSymmetry:
         runs = [
             explore_schedules(
                 s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-                engine="dedup", max_depth=8, sleep_sets=True,
+                dedup=True, max_depth=8, sleep_sets=True,
                 symmetry="rename",
             )
             for _ in range(2)
@@ -343,7 +343,7 @@ class TestProgressReporting:
         snapshots = []
         result = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8,
+            dedup=True, max_depth=8,
             progress=snapshots.append, progress_every=50,
         )
         assert snapshots, "expected at least one snapshot"
@@ -364,7 +364,7 @@ class TestProgressReporting:
         snapshots = []
         explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8, sleep_sets=True,
+            dedup=True, max_depth=8, sleep_sets=True,
             symmetry="rename", progress=snapshots.append, progress_every=25,
         )
         assert snapshots
@@ -382,11 +382,11 @@ class TestProgressReporting:
         """
         sequential = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8, sleep_sets=True,
+            dedup=True, max_depth=8, sleep_sets=True,
         )
         parallel = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8, sleep_sets=True, workers=2,
+            dedup=True, max_depth=8, sleep_sets=True, workers=2,
         )
         for result in (sequential, parallel):
             assert (
@@ -402,7 +402,7 @@ class TestProgressReporting:
         # sequential cache) but the merge stays deterministic...
         again = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
-            engine="dedup", max_depth=8, sleep_sets=True, workers=2,
+            dedup=True, max_depth=8, sleep_sets=True, workers=2,
         )
         assert again.terminal_schedules == parallel.terminal_schedules
         assert again.expansions_by_depth == parallel.expansions_by_depth
@@ -412,10 +412,10 @@ class TestProgressReporting:
         scripts = {0: ["x"], 1: ["y"]}
         prop = spec_property(TotalOrderBroadcastSpec(), assume_complete=False)
         seq_v = explore_schedules(
-            s2a(n=2), scripts, prop, engine="dedup", sleep_sets=True,
+            s2a(n=2), scripts, prop, dedup=True, sleep_sets=True,
         )
         par_v = explore_schedules(
-            s2a(n=2), scripts, prop, engine="dedup", sleep_sets=True,
+            s2a(n=2), scripts, prop, dedup=True, sleep_sets=True,
             workers=2,
         )
         assert seq_v.violations and par_v.violations
@@ -432,14 +432,8 @@ class TestProgressReporting:
             explore_schedules(*config, symmetry="mirror")
         with pytest.raises(ValueError, match="dedup"):
             explore_schedules(*config, symmetry="rename")
-        with pytest.raises(ValueError, match="incremental"):
-            explore_schedules(*config, engine="replay", sleep_sets=True)
         with pytest.raises(ValueError, match="progress_every"):
             explore_schedules(*config, progress_every=0)
-        with pytest.raises(ValueError, match="incremental"):
-            explore_schedules(
-                *config, engine="replay", progress=lambda s: None
-            )
         with pytest.raises(ValueError, match="workers"):
             explore_schedules(
                 *config, workers=2, progress=lambda s: None

@@ -19,9 +19,9 @@ The crash-aware differential (``TestCrashAwareCommutation``) is the
 tentpole's proof obligation made executable: at *every* reachable
 decision point of the crash-heavy configurations where a crash is still
 pending (located via ``Footprint.pending_deadlines``), every pair the
-crash-aware relation claims independent — including the pairs the
-historical blanket refused — is executed in both orders and compared
-fingerprint-exactly.
+crash-aware relation claims independent — including the pairs it
+proves only through the victim-disjointness argument — is executed in
+both orders and compared fingerprint-exactly.
 """
 
 import random
@@ -34,7 +34,6 @@ from repro.runtime.independence import (
     Footprint,
     choice_key,
     classify,
-    conservative_independent,
     independent,
     observed_footprint,
 )
@@ -261,7 +260,7 @@ class TestCrashAwareCommutation:
             ]
             live = [f for f in footprints if f is not None and f.pending]
             if not live:
-                continue  # the schedule drained: blanket and aware agree
+                continue  # the schedule drained: no crash in sight
             pending_points += 1
             for footprint in live:
                 # the deadlines locate the pending injections exactly
@@ -288,8 +287,11 @@ class TestCrashAwareCommutation:
                         continue
                     if source == "crash_proof":
                         crash_proofs += 1
-                        # the blanket would have kept this branch
-                        assert not conservative_independent(a, b)
+                        # the argument only carries pairs with a crash
+                        # in sight
+                        assert (
+                            a.pending or b.pending or a.crashed or b.crashed
+                        )
                     assert_pair_commutes(handle, i, j)
         assert pending_points > 0, "no pending-crash decision points probed"
         assert crash_proofs > 0, (
@@ -298,7 +300,7 @@ class TestCrashAwareCommutation:
 
 
 class TestClassify:
-    """Verdict sources and the blanket/aware strictness ordering."""
+    """Verdict sources of the crash-aware relation."""
 
     def test_sources(self):
         free_a = Footprint("recv", frozenset({0}))
@@ -335,30 +337,6 @@ class TestClassify:
         assert classify(straddle, pend_b) == (True, "crash_proof")
         toucher = Footprint("recv", frozenset({1, 2}))
         assert classify(straddle, toucher) == (False, "conservative")
-
-    def test_conservative_implies_independent(self):
-        # the blanket only ever *declines more*: anything it accepts,
-        # the crash-aware relation accepts with source "dynamic"
-        samples = [
-            Footprint("recv", frozenset({0})),
-            Footprint("recv", frozenset({1})),
-            Footprint("recv", frozenset({0}), pending=frozenset({2})),
-            Footprint("recv", frozenset({1}), pending=frozenset({2})),
-            Footprint("recv", frozenset({2}), pending=frozenset({2})),
-            Footprint("bcast", frozenset({0}), oracle=True),
-            Footprint("recv", frozenset({0}), crashed=True),
-            None,
-        ]
-        for a in samples:
-            for b in samples:
-                if conservative_independent(a, b):
-                    assert classify(a, b) == (True, "dynamic")
-
-    def test_strictly_more_permissive_under_pending(self):
-        pend_a = Footprint("recv", frozenset({0}), pending=frozenset({2}))
-        pend_b = Footprint("recv", frozenset({1}), pending=frozenset({2}))
-        assert independent(pend_a, pend_b)
-        assert not conservative_independent(pend_a, pend_b)
 
 
 class TestPendingDeadlines:

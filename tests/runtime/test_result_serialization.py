@@ -59,7 +59,7 @@ class TestViolationRoundTrip:
         assert restored.permutation == (1, 0, 2)
 
     def test_real_violations_round_trip(self):
-        result = violating_exploration(engine="dedup")
+        result = violating_exploration(dedup=True)
         assert result.violations
         for violation in result.violations:
             data = json.loads(json.dumps(violation.to_json()))
@@ -69,9 +69,8 @@ class TestViolationRoundTrip:
 class TestExplorationResultRoundTrip:
     @pytest.mark.parametrize("engine", ["incremental", "dedup"])
     def test_lossless(self, engine):
-        result = violating_exploration(
-            engine=engine, sleep_sets=(engine == "dedup")
-        )
+        dedup = engine == "dedup"
+        result = violating_exploration(dedup=dedup, sleep_sets=dedup)
         data = json.loads(json.dumps(result.to_json()))
         restored = ExplorationResult.from_json(data)
         assert restored == result
@@ -81,7 +80,7 @@ class TestExplorationResultRoundTrip:
         assert restored.violations_digest() == result.violations_digest()
 
     def test_progress_errors_survive(self):
-        result = violating_exploration(engine="dedup")
+        result = violating_exploration(dedup=True)
         result.progress_errors.append("ValueError: boom")
         restored = ExplorationResult.from_json(
             json.loads(json.dumps(result.to_json()))
@@ -90,12 +89,12 @@ class TestExplorationResultRoundTrip:
 
     def test_from_json_tolerates_missing_progress_errors(self):
         # payloads memoized before the field existed still load
-        data = violating_exploration(engine="dedup").to_json()
+        data = violating_exploration(dedup=True).to_json()
         del data["progress_errors"]
         assert ExplorationResult.from_json(data).progress_errors == []
 
     def test_violations_digest_ignores_guide_ordering(self):
-        result = violating_exploration(engine="dedup")
+        result = violating_exploration(dedup=True)
         permuted = ExplorationResult.from_json(result.to_json())
         permuted.violations.reverse()
         assert permuted.violations_digest() == result.violations_digest()
@@ -107,7 +106,7 @@ class TestSchemaVersioning:
     def test_schema_one_payload_without_new_fields_loads(self):
         # what a pre-versioning service memoized: no schema stamp, no
         # interrupted flag, none of the later counter fields
-        data = violating_exploration(engine="dedup").to_json()
+        data = violating_exploration(dedup=True).to_json()
         del data["schema"]
         del data["interrupted"]
         del data["workers"]
@@ -118,13 +117,13 @@ class TestSchemaVersioning:
         assert restored.states_deduped == 0
 
     def test_newer_schema_rejected_with_clear_error(self):
-        data = violating_exploration(engine="dedup").to_json()
+        data = violating_exploration(dedup=True).to_json()
         data["schema"] = 99
         with pytest.raises(ValueError, match="schema 99"):
             ExplorationResult.from_json(data)
 
     def test_missing_core_field_names_the_field(self):
-        data = violating_exploration(engine="dedup").to_json()
+        data = violating_exploration(dedup=True).to_json()
         del data["terminal_schedules"]
         with pytest.raises(ValueError, match="terminal_schedules"):
             ExplorationResult.from_json(data)
@@ -132,7 +131,7 @@ class TestSchemaVersioning:
     def test_snapshot_newer_schema_rejected(self):
         snapshots = []
         violating_exploration(
-            engine="dedup", progress=snapshots.append, progress_every=5
+            dedup=True, progress=snapshots.append, progress_every=5
         )
         data = snapshots[0].to_json()
         data["schema"] = 99
@@ -142,7 +141,7 @@ class TestSchemaVersioning:
     def test_snapshot_missing_core_field_names_the_field(self):
         snapshots = []
         violating_exploration(
-            engine="dedup", progress=snapshots.append, progress_every=5
+            dedup=True, progress=snapshots.append, progress_every=5
         )
         data = snapshots[0].to_json()
         del data["expansions"]
@@ -154,7 +153,7 @@ class TestProgressSnapshotRoundTrip:
     def test_live_snapshots_round_trip(self):
         snapshots = []
         violating_exploration(
-            engine="dedup",
+            dedup=True,
             progress=snapshots.append,
             progress_every=5,
         )
@@ -173,13 +172,13 @@ class TestProgressCallbackErrors:
 
     @pytest.mark.parametrize("engine", ["incremental", "dedup"])
     def test_raising_callback_recorded_not_fatal(self, engine):
-        clean = violating_exploration(engine=engine)
+        clean = violating_exploration(dedup=engine == "dedup")
 
         def explode(snapshot):
             raise ValueError("boom")
 
         noisy = violating_exploration(
-            engine=engine, progress=explode, progress_every=5
+            dedup=engine == "dedup", progress=explode, progress_every=5
         )
         assert noisy.progress_errors == ["ValueError: boom"]
         # identical exploration outcome, error report aside
@@ -196,7 +195,7 @@ class TestProgressCallbackErrors:
             raise ValueError("boom")
 
         result = violating_exploration(
-            engine="dedup", progress=explode, progress_every=2
+            dedup=True, progress=explode, progress_every=2
         )
         assert len(calls) == 1
         assert len(result.progress_errors) == 1
@@ -204,7 +203,7 @@ class TestProgressCallbackErrors:
     def test_healthy_callback_still_streams(self):
         snapshots = []
         result = violating_exploration(
-            engine="dedup", progress=snapshots.append, progress_every=2
+            dedup=True, progress=snapshots.append, progress_every=2
         )
         assert len(snapshots) > 1
         assert result.progress_errors == []

@@ -42,7 +42,7 @@ def long_running():
             "algorithm": "uniform-reliable",
             "n": 2,
             "scripts": {"0": ["a"], "1": ["b"]},
-            "engine": "incremental",
+            "dedup": False,
             "progress_every": 25,
         }
     )
@@ -105,26 +105,6 @@ class TestThreadBackendCancel:
             path = mgr._checkpoint_path(record.digest)
             assert path is not None and os.path.exists(path)
             await mgr.drain()
-
-        asyncio.run(main())
-
-    def test_replay_job_is_not_cancellable(self):
-        async def main():
-            mgr = manager(backend="thread")
-            descriptor = JobDescriptor.from_json(
-                {
-                    "algorithm": "send-to-all",
-                    "n": 2,
-                    "scripts": {"0": ["a"], "1": ["b"]},
-                    "engine": "replay",
-                }
-            )
-            record = mgr.submit(descriptor)
-            queue = mgr.subscribe(record.job_id)
-            assert (await queue.get())["event"] == "running"
-            assert mgr.cancel(record.job_id) is False
-            await mgr.drain()
-            assert record.state is JobState.DONE
 
         asyncio.run(main())
 

@@ -41,9 +41,8 @@ class TestEquivalentSpellings:
             BASE,
             spec="channels",
             k=1,
-            engine="dedup",
+            dedup=True,
             sleep_sets=False,
-            static_independence=False,
             symmetry="none",
             workers=1,
             max_schedules=100_000,
@@ -101,9 +100,8 @@ class TestDistinctRequestsDistinctKeys:
             {"n": 4},
             {"scripts": {"0": ["a"], "1": ["c"]}},
             {"spec": "total-order"},
-            {"engine": "incremental"},
+            {"dedup": False},
             {"sleep_sets": True},
-            {"static_independence": True},
             {"symmetry": "rename"},
             {"workers": 2},
             {"max_schedules": 50_000},
@@ -136,7 +134,7 @@ class TestValidation:
         [
             {"algorithm": "nope"},
             {"spec": "nope"},
-            {"engine": "nope"},
+            {"scripts": {"-1": ["a"]}},  # negative pid
             {"symmetry": "nope"},
             {"n": 0},
             {"k": 0},
@@ -158,6 +156,14 @@ class TestValidation:
         with pytest.raises(DescriptorError, match="unknown descriptor"):
             JobDescriptor.from_json(dict(BASE, sleeep_sets=True))
 
+    @pytest.mark.parametrize(
+        "removed", [{"engine": "dedup"}, {"static_independence": True}]
+    )
+    def test_removed_keys_rejected_by_name(self, removed):
+        (key,) = removed
+        with pytest.raises(DescriptorError, match=key):
+            JobDescriptor.from_json(dict(BASE, **removed))
+
     def test_missing_required_keys_rejected(self):
         with pytest.raises(DescriptorError, match="missing required"):
             JobDescriptor.from_json({"algorithm": "send-to-all"})
@@ -167,6 +173,53 @@ class TestValidation:
             JobDescriptor.from_json(
                 dict(BASE, scripts=[[0, ["a"]], ["0", ["b"]]])
             )
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"n": "3"}, "n"),
+            ({"n": 3.0}, "n"),
+            ({"k": True}, "k"),
+            ({"workers": "2"}, "workers"),
+            ({"max_schedules": None}, "max_schedules"),
+            ({"max_depth": [8]}, "max_depth"),
+            ({"progress_every": "10"}, "progress_every"),
+            ({"dedup": "false"}, "dedup"),
+            ({"sleep_sets": "false"}, "sleep_sets"),
+            ({"sleep_sets": 1}, "sleep_sets"),
+            ({"assume_complete": "yes"}, "assume_complete"),
+            ({"sync_broadcasts": 0}, "sync_broadcasts"),
+            ({"stop_at_first_violation": None}, "stop_at_first_violation"),
+            ({"algorithm": ["send-to-all"]}, "algorithm"),
+            ({"spec": 3}, "spec"),
+            ({"symmetry": None}, "symmetry"),
+        ],
+    )
+    def test_wrong_typed_scalars_rejected(self, bad, field):
+        with pytest.raises(DescriptorError, match=field):
+            JobDescriptor.from_json(dict(BASE, **bad))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"scripts": {"0": "ab"}},  # a string, not a list of entries
+            {"scripts": {"0": 5}},
+            {"scripts": {"zero": ["a"]}},
+            {"scripts": {"0": [["a"]]}},  # unhashable entry
+            {"scripts": "0:a"},
+            {"scripts": [["0"]]},
+            {"crash_at_step": {"0": "1"}},
+            {"crash_at_step": {"0": True}},
+            {"crash_at_step": {"x": 1}},
+            {"crash_at_step": [1, 2]},
+            {"crash_initially": "0"},
+            {"crash_initially": [0.5]},
+            {"crash_initially": [True]},
+        ],
+    )
+    def test_wrong_typed_scripts_and_crashes_rejected(self, bad):
+        with pytest.raises(DescriptorError):
+            JobDescriptor.from_json(dict(BASE, **bad))
 
     def test_registries_resolve(self):
         for name in ALGORITHMS:
@@ -185,9 +238,8 @@ class TestBuildAndCost:
         assert scripts == {0: ("a",), 1: ("b",)}
         assert prop is not None
         assert crash is not None and crash.at_step == {0: 2}
-        assert kwargs["engine"] == "dedup"
+        assert kwargs["dedup"] is True
         assert kwargs["sleep_sets"] is True
-        assert "static_independence" not in kwargs
 
     def test_estimated_cost_orders_small_before_large(self):
         tiny = JobDescriptor.from_json(

@@ -46,7 +46,7 @@ def long_running():
             "algorithm": "uniform-reliable",
             "n": 2,
             "scripts": {"0": ["a"], "1": ["b"]},
-            "engine": "incremental",
+            "dedup": False,
         }
     )
 

@@ -19,7 +19,6 @@ SHOWCASE = {
     "algorithm": "send-to-all",
     "n": 3,
     "scripts": {"0": ["a"], "1": ["b"]},
-    "engine": "dedup",
     "progress_every": 50,
 }
 
@@ -29,7 +28,7 @@ SHOWCASE_RESPELLED = {
     "scripts": {"1": ["b"], "0": ["a"]},
     "n": 3,
     "k": 1,
-    "engine": "dedup",
+    "dedup": True,
     "symmetry": "none",
     "algorithm": "send-to-all",
     "progress_every": 500,
@@ -112,7 +111,6 @@ class TestAcceptance:
             "algorithm": "send-to-all",
             "n": 3,
             "scripts": {"0": ["a"], "1": ["b"]},
-            "engine": "dedup",
             "sleep_sets": True,
             "crash_at_step": {"2": 4},
             "max_depth": 8,
@@ -281,6 +279,21 @@ class TestProtocolSurface:
                     await client.submit({"algorithm": "nope", "n": 2,
                                          "scripts": {"0": ["a"]}})
                 # the connection survives every rejected request
+                assert (await client.ping())["pong"] is True
+            await service.shutdown()
+
+        asyncio.run(main())
+
+    def test_wrong_typed_descriptor_rejected_session_survives(self):
+        async def main():
+            service, host, port = await started_service()
+            async with ServiceClient(host, port) as client:
+                with pytest.raises(ServiceError, match="n must be"):
+                    await client.submit(
+                        {"algorithm": "send-to-all", "n": "3",
+                         "scripts": {"0": ["a"]}}
+                    )
+                # the reply was ok: false and the session is still open
                 assert (await client.ping())["pong"] is True
             await service.shutdown()
 
