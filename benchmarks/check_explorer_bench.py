@@ -19,20 +19,24 @@ Usage::
     python benchmarks/check_explorer_bench.py \
         BENCH_explorer.json BENCH_explorer.fresh.json
 
-Beyond the baseline diff, the checker enforces one *internal*
-invariant of the fresh report: every engine variant of a configuration
-must agree on the violation-set digest — the reductions (sleep sets,
-renaming symmetry, crash-aware commutation) are only admissible because
-they preserve violations, so a cross-engine mismatch is a reduction bug
-and always fails.
+Beyond the baseline diff, the checker enforces two *internal*
+invariants of the fresh report.  Every engine variant of a
+configuration must agree on the violation-set digest — the reductions
+(sleep sets, renaming symmetry, crash-aware commutation) are only
+admissible because they preserve violations, so a cross-engine mismatch
+is a reduction bug and always fails.  And a ``workers=N`` row must
+report exactly the deterministic counters of the ``workers=1`` row with
+the same config and label — the worker count changes speed, never the
+answer — except the verdict memo's ``memo_hits``, which each worker
+process keeps on its own.
 
 A config, run or derived per-config field present in the baseline but
 absent from the fresh report is an error; ``--allow-subset`` tolerates
 the absences (for partial local runs), never a mismatch.
 
 Exit status: 0 when the reports agree on everything deterministic
-(timing warnings allowed), 1 on any schema, determinism, missing-field
-or cross-engine violation mismatch.
+(timing warnings allowed), 1 on any schema, determinism, missing-field,
+cross-engine violation or worker-count mismatch.
 """
 
 from __future__ import annotations
@@ -104,6 +108,34 @@ def _cross_engine_violations(report: dict) -> list[str]:
     return errors
 
 
+def _worker_count_drift(report: dict) -> list[str]:
+    """Errors: a sharded row must report its sequential row's counters."""
+    errors: list[str] = []
+    for config in report.get("configs", []):
+        sequential = {
+            run["label"]: run for run in config["runs"] if run["workers"] == 1
+        }
+        for run in config["runs"]:
+            base = sequential.get(run["label"])
+            if run["workers"] == 1 or base is None:
+                continue
+            for field in DETERMINISTIC_RUN_FIELDS:
+                mine, theirs = run.get(field), base.get(field)
+                if field == "independence_stats":
+                    mine, theirs = (
+                        {k: v for k, v in (stats or {}).items()
+                         if k != "memo_hits"}
+                        for stats in (mine, theirs)
+                    )
+                if mine != theirs:
+                    errors.append(
+                        f"{config['name']} {_run_key(run)}: {field} = "
+                        f"{mine}, the workers=1 row has {theirs} — the "
+                        f"worker count changed the answer"
+                    )
+    return errors
+
+
 def compare(
     baseline: dict,
     candidate: dict,
@@ -116,6 +148,7 @@ def compare(
     warnings: list[str] = []
 
     errors.extend(_cross_engine_violations(candidate))
+    errors.extend(_worker_count_drift(candidate))
     for field in ("benchmark", "schema"):
         if baseline.get(field) != candidate.get(field):
             errors.append(

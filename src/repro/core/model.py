@@ -123,11 +123,6 @@ class ChannelTracker:
         elif isinstance(action, CrashAction):
             self._crashed.add(step.process)
 
-    def observe_all(self, steps: "list[Step] | tuple[Step, ...]") -> None:
-        """Account a contiguous batch of steps."""
-        for step in steps:
-            self.observe(step)
-
     def fork(self) -> "ChannelTracker":
         """An independent tracker continuing from the current state."""
         clone = ChannelTracker(self.n)

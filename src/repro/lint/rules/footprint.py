@@ -2,12 +2,10 @@
 
 The effect-summary analyzer (:mod:`repro.statics.analyzer`) infers, per
 step handler, a conservative footprint of what the handler may touch.
-Three downstream consumers stand on that inference being *closed*: the
-simulator's footprint sanitizer, the explorer's proven-commutation
-table for crash schedules, and the golden summary snapshots.  An
-algorithm whose handlers defeat the analyzer silently loses all three —
-so the two failure categories the analyzer reports become lint
-findings:
+Two downstream consumers stand on that inference being *closed*: the
+simulator's footprint sanitizer and the golden summary snapshots.  An
+algorithm whose handlers defeat the analyzer silently loses both — so
+the two failure categories the analyzer reports become lint findings:
 
 * **REP007** (``race``) — a handler reaches state *outside* its own
   instance fields: a ``global``/``nonlocal`` mutation, a write to an

@@ -99,22 +99,21 @@ the cache off for those.
 ``workers > 1`` shards the top of the schedule tree across a
 ``multiprocessing`` pool (fork start method): the tree is expanded
 breadth-first until enough independent subtrees exist, each worker runs
-the depth-first loop on its subtree, and the per-shard outcomes are
-merged back *in depth-first order*, so an exhaustive parallel run
-returns exactly the sequential result (same terminal count, same
-violations in the same order).  On budget-capped runs the merged
-``terminal_schedules`` and ``violations`` still match the sequential
-engine; ``schedules_explored``/event counters reflect the work actually
-performed, which can be larger because every worker receives the full
-budget.  Where the ``fork`` start method is unavailable the call falls
-back to a single worker.  Under ``dedup=True`` the workers share
-nothing: each shard builds its own private cache, so merged results
-remain deterministic and identical to the sequential dedup engine
-(cross-shard convergences are simply not pruned).  With sleep sets on
-top, the *covered-terminal count* may differ from the sequential run —
-subset-reuse replays whatever summary the local cache recorded first,
-and per-shard caches record different representatives — but the set of
-distinct terminal observations and violations is the same.
+the depth-first loop on its subtree, continuing from the run handle the
+expansion left at the subtree's root, and the per-shard outcomes are
+merged back *in depth-first order*.  An exhaustive sharded run
+therefore returns the sequential result field for field — same
+counters, same violations in the same order; only ``workers`` and the
+per-process verdict memo's ``memo_hits`` differ.  On budget-capped runs
+the merged ``terminal_schedules`` and ``violations`` still match the
+sequential engine; ``schedules_explored``/event counters reflect the
+work actually performed, which can be larger because every worker
+receives the full budget.  Only cache-less searches shard: with
+``dedup=True`` (and so with symmetry) a single cache must see every
+state for the result to stay independent of the worker count, so the
+search runs in one process and reports ``workers=1``.  Where the
+``fork`` start method is unavailable the call likewise falls back to a
+single worker.
 
 Properties
 ----------
@@ -161,8 +160,8 @@ re-enters normal DFS at the interruption point, so the resumed search
 reaches a result construction-identical to an uninterrupted run — same
 violations digest, same state counters, same per-depth maps.  The only
 honest exceptions are ``events_executed``/``events_replayed``, which
-additionally count the prefix replay the resume itself pays, exactly
-as the parallel engine's shard prefixes do.  Checkpoints are bound to
+additionally count the prefix replay the resume itself pays.
+Checkpoints are bound to
 their configuration by a :func:`~repro.runtime.checkpoint.config_digest`
 over everything that shapes the tree; resuming against anything else
 raises :class:`~repro.runtime.checkpoint.CheckpointError`.  Under
@@ -170,7 +169,9 @@ raises :class:`~repro.runtime.checkpoint.CheckpointError`.  Under
 per-shard outcomes and each shard checkpoints its own subtree to
 ``<path>.shard-<i>``; a resumed parallel run re-expands the (cheap,
 deterministic) frontier and skips every shard whose outcome was already
-merged.  ``cancel`` accepts any object with a ``threading.Event``-style
+merged.  The shard files are deleted once the run completes.  A cached
+search never shards, so it writes a sequential checkpoint whatever
+``workers`` was requested.  ``cancel`` accepts any object with a ``threading.Event``-style
 ``is_set()`` method, is polled at node entry, and makes the search
 return promptly with ``interrupted=True`` (after writing a final
 checkpoint when one was requested).  Forked shard workers see a *fork
@@ -180,6 +181,7 @@ merging parent polls the live token between shard merges either way.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -428,8 +430,9 @@ class ExplorationResult:
     #: the remainder construction-identically.
     interrupted: bool = False
     #: Scheduled events committed over the whole search, including any
-    #: re-execution (the parallel engine re-runs shard prefixes once per
-    #: worker; a resume re-runs the checkpointed path).
+    #: re-execution (a resume re-runs the checkpointed path).  Sharded
+    #: runs execute exactly the sequential events: each shard continues
+    #: from the run handle the frontier expansion left at its root.
     events_executed: int = 0
     #: The subset of ``events_executed`` that re-executed work already
     #: performed earlier in the search — the quantity forking run
@@ -479,7 +482,9 @@ class ExplorationResult:
     #: ``memo_queries``/``memo_hits`` of the interned-footprint verdict
     #: cache.  Like :attr:`events_executed`, these are telemetry, not
     #: part of the construction-identity contract: a resumed run
-    #: re-consults the relation along its restored frontier path.
+    #: re-consults the relation along its restored frontier path, and
+    #: ``memo_hits`` depends on ``workers`` (each process memoizes its
+    #: own verdicts).
     independence_stats: dict[str, int] = field(default_factory=dict)
     #: Errors raised by the ``progress`` callback, as
     #: ``"ExceptionType: message"`` strings.  A raising callback is
@@ -1394,10 +1399,7 @@ class _ResumeLevel:
 
 
 def _explore_subtree(
-    simulator: Simulator,
-    scripts: Mapping[int, Sequence[Hashable]],
-    property_check: object,
-    crash_schedule: CrashSchedule | None,
+    root: _Cursor,
     prefix: tuple[int, ...],
     max_schedules: int,
     max_depth: int,
@@ -1414,7 +1416,11 @@ def _explore_subtree(
     resume: Mapping | None = None,
     config: str = "",
 ) -> _SubtreeOutcome:
-    """Incremental DFS below ``prefix`` (replayed once to materialize).
+    """Incremental DFS below ``root``, the node ``prefix`` leads to.
+
+    ``root`` is consumed: the search forks and advances it in place.
+    ``prefix`` only supplies the path and depth of violations found
+    below it.
 
     With ``dedup=True`` the DFS consults a per-call transposition cache:
     a node whose state fingerprint was already fully expanded is pruned,
@@ -1464,14 +1470,6 @@ def _explore_subtree(
                 merged[source] = merged.get(source, 0) + count
         out.independence_stats = merged
 
-    prop = _as_property(property_check)
-    handle = simulator.begin(scripts, crash_schedule=crash_schedule)
-    for branch in prefix:
-        handle.choices()
-        handle.advance(branch)
-    out.events_executed += len(prefix)
-    out.events_replayed += len(prefix)
-    cursor = _Cursor(handle, prop.tracker(simulator.n), 0)
     path = list(prefix)
     started = _now() if progress is not None else 0.0
     frames: list[_LiveFrame] = []
@@ -1902,7 +1900,7 @@ def _explore_subtree(
     }
     head = resume_stack[0] if resume_stack else None
     rest = resume_stack[1:] if resume_stack else None
-    dfs(cursor, len(prefix), root_sleep, head, rest)
+    dfs(root, len(prefix), root_sleep, head, rest)
     flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
@@ -1920,7 +1918,9 @@ _SHARD_STATE: tuple | None = None
 def _explore_shard(index: int) -> _SubtreeOutcome:
     """Pool worker entry point: explore the ``index``-th shard subtree.
 
-    With checkpointing on, each shard owns ``<path>.shard-<index>``: it
+    The shard starts from the frontier cursor the parent built for it
+    (inherited through the fork, so nothing is replayed).  With
+    checkpointing on, each shard owns ``<path>.shard-<index>``: it
     resumes from it when a valid one exists (a corrupt or
     mismatched-config file means a cold start for that shard, never an
     error — the shard's work is self-contained) and checkpoints its own
@@ -1929,23 +1929,17 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
     """
     assert _SHARD_STATE is not None
     (
-        simulator,
-        scripts,
-        property_check,
-        crash_schedule,
         shard_work,
         max_schedules,
         max_depth,
         stop_at_first_violation,
-        dedup,
         sleep_sets,
-        groups,
         cancel,
         checkpoint_to,
         checkpoint_every,
         config,
     ) = _SHARD_STATE
-    prefix, initial_sleep = shard_work[index]
+    prefix, root, initial_sleep = shard_work[index]
     shard_path = None
     shard_config = ""
     resume_body = None
@@ -1966,17 +1960,12 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
             ):
                 resume_body = body
     return _explore_subtree(
-        simulator,
-        scripts,
-        property_check,
-        crash_schedule,
+        root,
         prefix,
         max_schedules,
         max_depth,
         stop_at_first_violation,
-        dedup=dedup,
         sleep_sets=sleep_sets,
-        groups=groups,
         initial_sleep=initial_sleep,
         cancel=cancel,
         checkpoint_to=shard_path,
@@ -1987,16 +1976,13 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
 
 
 def _expand_frontier(
-    simulator: Simulator,
-    scripts: Mapping[int, Sequence[Hashable]],
-    property_check: object,
-    crash_schedule: CrashSchedule | None,
+    root: _Cursor,
     max_depth: int,
     target_shards: int,
     result: ExplorationResult,
     sleep_sets: bool = False,
 ) -> list[tuple]:
-    """Expand the tree breadth-first until enough subtrees exist.
+    """Expand the tree breadth-first from ``root`` until enough subtrees exist.
 
     Returns the frontier as an *ordered* work list whose order is the
     depth-first visiting order of the remaining work: entries are either
@@ -2007,13 +1993,7 @@ def _expand_frontier(
     are accounted directly into ``result``; slept branches are pruned
     here exactly as the sequential DFS would prune them.
     """
-    prop = _as_property(property_check)
     indep = _IndependenceOracle()
-    root = _Cursor(
-        simulator.begin(scripts, crash_schedule=crash_schedule),
-        prop.tracker(simulator.n),
-        0,
-    )
     entries: list[tuple] = [("shard", (), root, {})]
     for _round in range(8):
         shard_count = sum(1 for e in entries if e[0] == "shard")
@@ -2092,17 +2072,12 @@ def _expand_frontier(
 
 
 def _explore_parallel(
-    simulator: Simulator,
-    scripts: Mapping[int, Sequence[Hashable]],
-    property_check: object,
-    crash_schedule: CrashSchedule | None,
+    root: _Cursor,
     max_schedules: int,
     max_depth: int,
     stop_at_first_violation: bool,
     workers: int,
-    dedup: bool,
     sleep_sets: bool = False,
-    groups: Sequence[tuple[int, ...]] = (),
     cancel=None,
     checkpoint_to: str | None = None,
     checkpoint_every: int = 1000,
@@ -2111,13 +2086,12 @@ def _explore_parallel(
 ) -> ExplorationResult:
     """Shard the tree over a worker pool and merge in DFS order.
 
-    Under ``dedup`` each shard worker keeps a private transposition
-    cache (shared-nothing): merged results stay deterministic and equal
-    to the sequential dedup engine, only cross-shard convergences go
-    unpruned.  Sleep sets shard cleanly too — each frontier subtree
-    carries the sleep set its root would have had sequentially — and
-    symmetry canonicalization is per-shard, so cross-shard orbits go
-    unmerged the same way cross-shard states go undeduplicated.
+    Only cache-less searches shard.  Each shard continues from the
+    cursor the frontier expansion left at its root, and sleep sets
+    shard cleanly — each frontier subtree carries the sleep set its
+    root would have had sequentially — so the merged result equals the
+    sequential one, field for field, apart from ``workers`` and the
+    per-process verdict memo's ``memo_hits``.
 
     With checkpointing on, the parent owns ``checkpoint_to``: its body
     maps shard indices to already-merged outcomes, rewritten after each
@@ -2126,7 +2100,8 @@ def _explore_parallel(
     re-expands the frontier — deterministic and cheap, so its counters
     are recomputed rather than stored — then skips every shard whose
     outcome the previous run already merged; unfinished shards resume
-    from their own files.
+    from their own files.  Once the complete checkpoint is written the
+    shard files are deleted; an interrupted run keeps them.
     """
     global _SHARD_STATE
     if resume is not None and resume.get("complete"):
@@ -2138,35 +2113,23 @@ def _explore_parallel(
         schedules_explored=0, terminal_schedules=0, workers=workers
     )
     entries = _expand_frontier(
-        simulator,
-        scripts,
-        property_check,
-        crash_schedule,
+        root,
         max_depth,
         target_shards=workers * 4,
         result=result,
         sleep_sets=sleep_sets,
     )
-    if dedup:
-        # frontier nodes were expanded here, before any cache existed
-        result.states_seen = result.schedules_explored
-    shard_work = [(e[1], e[3]) for e in entries if e[0] == "shard"]
+    shard_work = [e[1:] for e in entries if e[0] == "shard"]
     pending_indices = [
         i for i in range(len(shard_work)) if str(i) not in stored
     ]
     ctx = multiprocessing.get_context("fork")
     _SHARD_STATE = (
-        simulator,
-        scripts,
-        property_check,
-        crash_schedule,
         shard_work,
         max_schedules,
         max_depth,
         stop_at_first_violation,
-        dedup,
         sleep_sets,
-        groups,
         cancel,
         checkpoint_to,
         checkpoint_every,
@@ -2232,18 +2195,10 @@ def _explore_parallel(
                 result.events_executed += sub.events_executed
                 result.events_replayed += sub.events_replayed
                 result.progress_errors.extend(sub.progress_errors)
-                result.states_seen += sub.states_seen
-                result.states_deduped += sub.states_deduped
                 result.states_pruned_sleep += sub.states_pruned_sleep
-                result.states_merged_symmetry += sub.states_merged_symmetry
-                result.orbit_encodings += sub.orbit_encodings
                 for depth, count in sub.expansions_by_depth.items():
                     result.expansions_by_depth[depth] = (
                         result.expansions_by_depth.get(depth, 0) + count
-                    )
-                for depth, count in sub.dedup_hits_by_depth.items():
-                    result.dedup_hits_by_depth[depth] = (
-                        result.dedup_hits_by_depth.get(depth, 0) + count
                     )
                 for source, count in sub.independence_stats.items():
                     result.independence_stats[source] = (
@@ -2268,6 +2223,10 @@ def _explore_parallel(
         _SHARD_STATE = None
     if not result.interrupted:
         parent_snapshot(complete=True)
+        if checkpoint_to is not None:
+            for index in range(len(shard_work)):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(f"{checkpoint_to}.shard-{index}")
     return result
 
 
@@ -2304,9 +2263,10 @@ def explore_schedules(
     :class:`~repro.runtime.simulator.Simulator`); ``max_schedules``
     bounds the number of *terminal* schedules visited, ``max_depth`` the
     decision depth.  ``dedup=True`` turns on the fingerprint
-    transposition cache; ``workers > 1`` shards the search over a
-    process pool (see the module docstring for the merge semantics; with
-    dedup, caches are per-shard).
+    transposition cache; ``workers > 1`` shards a cache-less search
+    over a process pool without changing its result (see the module
+    docstring for the merge semantics).  A search with the cache on
+    runs in one process and reports ``workers=1``.
 
     Two pre-step reductions compose with the cache.  ``sleep_sets=True``
     prunes a branch before forking when the event it takes is *asleep*:
@@ -2351,8 +2311,8 @@ def explore_schedules(
     set, the search writes a final checkpoint (when one was requested)
     and returns promptly with ``interrupted=True``.  A checkpoint
     records its configuration digest; ``resume_from`` with a different
-    configuration — including a different ``workers`` count — raises
-    :class:`~repro.runtime.checkpoint.CheckpointError`.
+    configuration — including a different effective ``workers`` count —
+    raises :class:`~repro.runtime.checkpoint.CheckpointError`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -2394,6 +2354,8 @@ def explore_schedules(
             multiprocessing.get_context("fork")
         except ValueError:
             workers = 1  # platform without fork: degrade gracefully
+        if dedup:
+            workers = 1  # one cache sees every state: never shard it
     config = ""
     if checkpoint_to is not None or resume_from is not None:
         # Everything that shapes the search tree or the result
@@ -2443,19 +2405,19 @@ def explore_schedules(
                 f"{resume_body.get('kind')!r}, expected "
                 f"{expected_kind!r}"
             )
+    root = _Cursor(
+        simulator.begin(scripts, crash_schedule=crash_schedule),
+        _as_property(property_check).tracker(simulator.n),
+        0,
+    )
     if workers > 1:
         return _explore_parallel(
-            simulator,
-            scripts,
-            property_check,
-            crash_schedule,
+            root,
             max_schedules,
             max_depth,
             stop_at_first_violation,
             workers,
-            dedup,
             sleep_sets=sleep_sets,
-            groups=groups,
             cancel=cancel,
             checkpoint_to=checkpoint_to,
             checkpoint_every=checkpoint_every,
@@ -2463,10 +2425,7 @@ def explore_schedules(
             config=config,
         )
     sub = _explore_subtree(
-        simulator,
-        scripts,
-        property_check,
-        crash_schedule,
+        root,
         (),
         max_schedules,
         max_depth,

@@ -438,10 +438,11 @@ class JobDescriptor:
         Everything that changes what the engine explores or reports is
         in; ``progress_every`` — pure telemetry cadence — is out, so two
         submissions differing only in how often they want progress
-        events still share one exploration.  ``workers`` *is* included:
-        sharded runs are violation-equivalent but not construction
-        -identical to sequential ones (covered-terminal counts may
-        drift under subset reuse), and the memo promises the latter.
+        events still share one exploration.  ``workers`` *is* included
+        because the result records it: a sharded run's answer equals
+        the sequential one (only ``workers`` and the verdict memo's
+        ``memo_hits`` differ), but a memo hit must return exactly the
+        result its descriptor would compute.
         """
         return tuple(
             (f.name, getattr(self, f.name))

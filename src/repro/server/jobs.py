@@ -798,13 +798,6 @@ class JobManager:
                 *list(self._tasks), return_exceptions=True
             )
 
-    async def wait_idle(self) -> None:
-        """Await every in-flight batch (testing/shutdown helper)."""
-        while self._tasks:
-            await asyncio.gather(
-                *list(self._tasks), return_exceptions=True
-            )
-
     # -- introspection ----------------------------------------------------
 
     def jobs(self) -> list[dict]:

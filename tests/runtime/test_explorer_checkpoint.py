@@ -6,8 +6,11 @@ to an uninterrupted run — same terminals, same violations (digest and
 guides), same counters, same per-depth maps — on every engine variant
 (plain DFS, dedup, sleep sets, symmetry, their composition, and the
 sharded parallel front-end).  Only the event-replay economics may
-differ: a resume re-pays schedule prefixes exactly as parallel shards
-do, so ``events_executed``/``events_replayed`` are exempt.
+differ: a resume re-pays its checkpointed path, so
+``events_executed``/``events_replayed`` are exempt.  The worker count is
+held to a stricter contract: a ``workers=N`` run equals the sequential
+run field for field, apart from ``workers`` and the per-process verdict
+memo's ``memo_hits``.
 
 The small n=2 configurations are cut at *every* cancellation boundary
 (every node entry is a poll point); the depth-8 n=3 showcase is cut at
@@ -34,6 +37,8 @@ from repro.runtime.explorer import (
     spec_property,
 )
 from repro.specs import SendToAllSpec, TotalOrderBroadcastSpec
+
+from .test_explorer_engines import worker_independent
 
 
 def s2a_simulator(n=2):
@@ -220,6 +225,8 @@ class TestParallelResume:
         reference = explore_schedules(
             simulator, scripts, prop, workers=2, checkpoint_to=path
         )
+        # the per-shard side files are gone once the merge completed
+        assert os.listdir(tmp_path) == ["done.ckpt"]
         # the completed run leaves a complete checkpoint; resuming it
         # reconstructs the stored result without re-exploring
         simulator, scripts, prop = self.make_config()
@@ -261,9 +268,8 @@ class TestCrashAwareVariants:
     The crash-aware commutation proof runs by default, so the identity
     contract must hold where it actually fires: a crash-heavy
     configuration.  Same-variant runs must be construction-identical
-    whether sequential or killed-and-resumed from a checkpoint; the
-    sharded front-end must agree on terminals and violations; and every
-    variant must agree on the semantic outcome.
+    whether sequential, sharded, or killed-and-resumed from a
+    checkpoint; and every variant must agree on the semantic outcome.
     """
 
     CRASHES = CrashSchedule(at_step={2: 4})
@@ -291,16 +297,8 @@ class TestCrashAwareVariants:
         assert reference.violations, "crash config expected to violate"
 
         parallel = self.run(workers=2, **kwargs)
-        assert parallel.exhausted
-        assert parallel.violations_digest() == reference.violations_digest()
-        if not kwargs.get("dedup"):
-            # the dedup cache is per-shard, so sharding legitimately
-            # changes which revisits are cut (sequential and parallel
-            # dedup counts drift with or without crash-awareness); the
-            # cache-off search has no such order-dependence
-            assert (
-                parallel.terminal_schedules == reference.terminal_schedules
-            )
+        assert_identical(parallel, reference)
+        assert parallel.violations == reference.violations
 
         path = os.path.join(tmp_path, f"{variant}.ckpt")
         resume_kwargs = dict(
@@ -324,6 +322,43 @@ class TestCrashAwareVariants:
             sleeping.terminal_schedules < runs["dedup"].terminal_schedules
         )
         assert sleeping.independence_stats.get("crash_proof", 0) > 0
+
+
+class TestWorkerCountDifferential:
+    """``workers`` changes speed, never the answer.
+
+    Every variant, with and without a pending crash, at two worker
+    counts: the result equals the sequential one in every field but
+    ``workers`` and ``memo_hits``.  Cache-less variants really shard;
+    cached ones run in one process and say so.
+    """
+
+    @staticmethod
+    def run(variant, crashes, **kwargs):
+        return explore_schedules(
+            s2a_simulator(3),
+            {0: ["x"], 1: ["y"]},
+            violating_property(),
+            crash_schedule=crashes,
+            max_depth=8,
+            **VARIANTS[variant],
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "crashes",
+        [None, CrashSchedule(at_step={2: 4})],
+        ids=["no-crash", "crash-2-at-4"],
+    )
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_sharded_equals_sequential(self, variant, crashes, workers):
+        sequential = self.run(variant, crashes)
+        sharded = self.run(variant, crashes, workers=workers)
+        assert sequential.violations, "config expected to violate"
+        cached = VARIANTS[variant].get("dedup", False)
+        assert sharded.workers == (1 if cached else workers)
+        assert worker_independent(sharded) == worker_independent(sequential)
 
 
 class TestCheckpointFromTheTwoLoopExplorer:

@@ -9,6 +9,8 @@ violation guide must round-trip through ``Simulator.run(..., guide=...)``
 to the same execution and the same violations.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
@@ -46,6 +48,18 @@ def s2a_simulator(n=2, **kwargs):
 
 def total_order():
     return spec_property(TotalOrderBroadcastSpec(), assume_complete=False)
+
+
+def worker_independent(result):
+    """Every result field that must not depend on the worker count.
+
+    ``workers`` itself and the verdict memo's ``memo_hits`` (each
+    process memoizes its own verdicts) are the only exceptions.
+    """
+    fields = dataclasses.asdict(result)
+    del fields["workers"]
+    fields["independence_stats"].pop("memo_hits", None)
+    return fields
 
 
 class TestEngineEquivalence:
@@ -193,10 +207,7 @@ class TestParallelExploration:
             workers=workers,
         )
         assert parallel.workers == workers
-        assert parallel.terminal_schedules == sequential.terminal_schedules
-        assert parallel.schedules_explored == sequential.schedules_explored
-        assert parallel.exhausted == sequential.exhausted
-        assert parallel.violations == sequential.violations
+        assert worker_independent(parallel) == worker_independent(sequential)
 
     def test_parallel_runs_are_deterministic(self):
         first = explore_schedules(

@@ -143,6 +143,21 @@ def test_cross_variant_violation_mismatch_fails(report):
     assert any("disagree on the violation set" in e for e in errors)
 
 
+def test_worker_count_drift_fails(report):
+    sharded = run("dedup", workers=4, terminal_schedules=2520)
+    report["configs"][0]["runs"].append(sharded)
+    # each worker process memoizes its own verdicts: memo_hits may differ
+    sharded["independence_stats"]["memo_hits"] = 3
+    fresh = copy.deepcopy(report)
+    assert check.compare(report, fresh) == ([], [])
+    fresh["configs"][0]["runs"][2]["events_replayed"] = 60
+    errors, _ = check.compare(fresh, fresh)
+    assert errors == [
+        "depth8 ('dedup', 4): events_replayed = 60, the workers=1 row "
+        "has 0 — the worker count changed the answer"
+    ]
+
+
 def test_slower_timing_only_warns(report):
     fresh = copy.deepcopy(report)
     fresh["configs"][0]["runs"][0]["seconds"] = 10.0
