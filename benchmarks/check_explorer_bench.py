@@ -8,9 +8,9 @@ behaviour changed and the baseline must be regenerated deliberately.
 In particular a drift in ``states_seen`` under a symmetry variant means
 the canonical-labelling search stopped landing on the orbit floor, and
 a drift in ``orbit_encodings`` means the invariant profiles stopped
-separating pids.  Wall-clock timings (including the encoder
-microbench) are the one machine-dependent quantity: regressions beyond
-the tolerance only *warn*, they never fail CI.
+separating pids.  Wall-clock timings are the one machine-dependent
+quantity: regressions beyond the tolerance only *warn*, they never fail
+CI.
 
 Usage::
 
@@ -157,23 +157,6 @@ def compare(
             )
     if errors:
         return errors, warnings  # different shape entirely: stop here
-
-    # the encoder microbench is pure timing: warn-only, like wall-clock
-    base_micro = baseline.get("encoder_microbench")
-    cand_micro = candidate.get("encoder_microbench")
-    if base_micro and cand_micro:
-        if cand_micro["speedup"] < 1.0:
-            warnings.append(
-                f"encoder microbench: fast path is slower than the "
-                f"reference ({cand_micro['speedup']}x) — the "
-                f"buffer-reusing encoder lost its edge on this machine"
-            )
-        elif cand_micro["speedup"] * tolerance < base_micro["speedup"]:
-            warnings.append(
-                f"encoder microbench: speedup {cand_micro['speedup']}x "
-                f"vs baseline {base_micro['speedup']}x "
-                f"(>{tolerance}x regression; machines differ — not fatal)"
-            )
 
     base_configs = {c["name"]: c for c in baseline["configs"]}
     cand_configs = {c["name"]: c for c in candidate["configs"]}

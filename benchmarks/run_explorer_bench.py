@@ -28,7 +28,8 @@ canonical labelling, versus ``|group|!`` per state under the old
 permutation enumeration), a ``dedup-rename`` variant isolating the
 symmetry reduction, and an ``encoder_microbench`` entry timing the
 buffer-reusing canonical encoder against the naive one-hasher-per-node
-reference implementation it replaced.  Schema 5 also changes the
+reference implementation it replaced (since dropped with that
+reference; its last figure is in EXPERIMENTS.md).  Schema 5 also changes the
 canonical encoding itself (distinct list tag, raw-encoding set
 ordering), so digests and state counts are not comparable to schema ≤ 4
 baselines.
@@ -65,14 +66,12 @@ import platform
 import time
 
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
-from repro.core.message import Message, MessageId
 from repro.runtime import (
     CrashSchedule,
     Simulator,
     channels_property,
     explore_schedules,
     spec_property,
-    stable_digest,
 )
 from repro.specs import TotalOrderBroadcastSpec
 
@@ -232,122 +231,6 @@ def run_one(config: dict, *, label: str, workers: int = 1) -> dict:
     }
 
 
-# --- encoder microbench -----------------------------------------------------
-#
-# The reference implementation below is the encoding scheme the
-# buffer-reusing encoder replaced: one blake2b hasher per *node*, with
-# containers hashing their children's finished digests (so every leaf
-# digest is finalized, copied, and re-fed).  It is kept here — not in
-# the library — purely as the microbench baseline.
-
-
-def _reference_update(hasher, value) -> None:
-    import dataclasses
-
-    if value is None:
-        hasher.update(b"N")
-    elif isinstance(value, bool):
-        hasher.update(b"B1" if value else b"B0")
-    elif isinstance(value, int):
-        hasher.update(b"i" + str(value).encode())
-    elif isinstance(value, float):
-        hasher.update(b"f" + value.hex().encode())
-    elif isinstance(value, str):
-        encoded = value.encode()
-        hasher.update(b"s" + str(len(encoded)).encode() + b":" + encoded)
-    elif isinstance(value, bytes):
-        hasher.update(b"y" + str(len(value)).encode() + b":" + value)
-    elif isinstance(value, (tuple, list)):
-        hasher.update(b"(" + str(len(value)).encode())
-        for item in value:
-            sub = hashlib.blake2b(digest_size=16)
-            _reference_update(sub, item)
-            hasher.update(sub.digest())
-        hasher.update(b")")
-    elif isinstance(value, (set, frozenset)):
-        digests = []
-        for item in value:
-            sub = hashlib.blake2b(digest_size=16)
-            _reference_update(sub, item)
-            digests.append(sub.digest())
-        hasher.update(b"{" + str(len(value)).encode())
-        for digest in sorted(digests):
-            hasher.update(digest)
-    elif isinstance(value, dict):
-        digests = []
-        for key, item in value.items():
-            sub = hashlib.blake2b(digest_size=16)
-            _reference_update(sub, (key, item))
-            digests.append(sub.digest())
-        hasher.update(b"m" + str(len(value)).encode())
-        for digest in sorted(digests):
-            hasher.update(digest)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        hasher.update(b"D" + type(value).__qualname__.encode())
-        for field in dataclasses.fields(value):
-            sub = hashlib.blake2b(digest_size=16)
-            _reference_update(sub, getattr(value, field.name))
-            hasher.update(sub.digest())
-    else:
-        hasher.update(b"r" + repr(value).encode())
-
-
-def _reference_digest(value) -> str:
-    hasher = hashlib.blake2b(digest_size=16)
-    _reference_update(hasher, value)
-    return hasher.hexdigest()
-
-
-def _encoder_corpus() -> list:
-    """Values shaped like the simulator state the encoder actually sees:
-    journals (tuples of tagged tuples), in-flight pools (tuples of
-    Message dataclasses), registries (dicts), and gate sets."""
-    corpus = []
-    for seed in range(64):
-        messages = tuple(
-            Message(MessageId(seed % 3, seq), f"payload-{seed}-{seq}")
-            for seq in range(4)
-        )
-        corpus.append(
-            (
-                "state",
-                seed,
-                messages,
-                {pid: ("journal", ("bcast", pid), ("recv", pid, seed % 5))
-                 for pid in range(3)},
-                frozenset({(seed % 3, step) for step in range(3)}),
-                ["script", f"value-{seed}"],
-            )
-        )
-    return corpus
-
-
-def run_encoder_microbench(rounds: int = 40) -> dict:
-    corpus = _encoder_corpus()
-    # warm up caches (buffer pool, dataclass field memoization) and the
-    # reference path alike, outside the timed region
-    for value in corpus:
-        stable_digest(value)
-        _reference_digest(value)
-    started = time.perf_counter()
-    for _ in range(rounds):
-        for value in corpus:
-            _reference_digest(value)
-    reference = time.perf_counter() - started
-    started = time.perf_counter()
-    for _ in range(rounds):
-        for value in corpus:
-            stable_digest(value)
-    fast = time.perf_counter() - started
-    return {
-        "values": len(corpus),
-        "rounds": rounds,
-        "reference_seconds": round(reference, 4),
-        "fast_seconds": round(fast, 4),
-        "speedup": round(reference / max(1e-9, fast), 2),
-    }
-
-
 #: The config/variant pair --profile runs: the sleep-set row of the
 #: crash configuration — the DFS inner loop with the crash-aware
 #: independence oracle, interned keys, and bitmask sleep sets all hot.
@@ -407,16 +290,8 @@ def main() -> None:
             "crash-aware relation; rows keyed by label; digests and "
             "state counts remain on the schema-5 canonical encoding"
         ),
-        "encoder_microbench": run_encoder_microbench(),
         "configs": [],
     }
-    micro = report["encoder_microbench"]
-    print(
-        f"encoder microbench: reference {micro['reference_seconds']}s, "
-        f"fast {micro['fast_seconds']}s "
-        f"({micro['speedup']}x over {micro['values']} values x "
-        f"{micro['rounds']} rounds)"
-    )
     for config in CONFIGS:
         entry = {"name": config["name"], "runs": []}
         for label in config["engines"]:

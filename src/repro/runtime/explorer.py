@@ -97,18 +97,20 @@ property that inspects the *global interleaving* of the terminal trace
 the cache off for those.
 
 ``workers > 1`` shards the top of the schedule tree across a
-``multiprocessing`` pool (fork start method): the tree is expanded
-breadth-first until enough independent subtrees exist, each worker runs
-the depth-first loop on its subtree, continuing from the run handle the
-expansion left at the subtree's root, and the per-shard outcomes are
-merged back *in depth-first order*.  An exhaustive sharded run
-therefore returns the sequential result field for field — same
-counters, same violations in the same order; only ``workers`` and the
-per-process verdict memo's ``memo_hits`` differ.  On budget-capped runs
-the merged ``terminal_schedules`` and ``violations`` still match the
-sequential engine; ``schedules_explored``/event counters reflect the
-work actually performed, which can be larger because every worker
-receives the full budget.  Only cache-less searches shard: with
+``multiprocessing`` pool (fork start method).  A *frontier pass* of the
+same depth-first loop stops at a cut depth, deepened until enough
+subtrees exist, and lists their roots and the terminals above the cut;
+each worker continues the loop from the run handle the pass left at one
+root, and the per-shard outcomes are merged back *in depth-first
+order*.  An exhaustive sharded run therefore returns the sequential
+result field for field — same counters, same violations in the same
+order; only ``workers`` and the verdict memo's ``memo_hits`` differ.
+On budget-capped runs the merged ``terminal_schedules`` and
+``violations`` still match the sequential engine;
+``schedules_explored``, the event counters and ``exhausted`` reflect the
+work actually performed: every worker receives the full budget, so a
+sharded run may finish the tree (``exhausted=True``) where the
+sequential one stopped at the budget.  Only cache-less searches shard: with
 ``dedup=True`` (and so with symmetry) a single cache must see every
 state for the result to stay independent of the worker count, so the
 search runs in one process and reports ``workers=1``.  Where the
@@ -177,13 +179,17 @@ return promptly with ``interrupted=True`` (after writing a final
 checkpoint when one was requested).  Forked shard workers see a *fork
 snapshot* of the token: an inherited pre-fork state is honored, and the
 merging parent polls the live token between shard merges either way.
+Once the parent stops merging — cancelled, budget spent or aborted — it
+stops the running shards too, and lets the pool drain.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
@@ -1022,14 +1028,10 @@ class _CacheEntry:
 #: when it was explored and put to sleep.  Footprints persist while the
 #: event stays asleep: every event taken since was independent of it, so
 #: what it touches cannot have changed.  Interned ids are
-#: per-exploration and not run-stable, so every serialization boundary
-#: (checkpoints, shard handoff) carries key *tuples* and re-interns on
-#: the way in.
+#: per-exploration and not run-stable, so checkpoints carry key *tuples*
+#: and re-intern on the way in.  Parallel shards need no such boundary:
+#: they inherit the frontier pass's oracle through the fork, ids and all.
 _SleepSet = dict[int, Footprint]
-
-#: A tuple-keyed sleep set: the at-rest / cross-process form, and the
-#: working form of the breadth-first frontier expansion.
-_PortableSleepSet = dict[tuple, Footprint]
 
 
 def _map_sleep_key(key: tuple, permutation: Sequence[int]) -> tuple:
@@ -1407,7 +1409,9 @@ def _explore_subtree(
     dedup: bool = False,
     sleep_sets: bool = False,
     groups: Sequence[tuple[int, ...]] = (),
-    initial_sleep: _PortableSleepSet | None = None,
+    root_sleep: _SleepSet | None = None,
+    oracle: _IndependenceOracle | None = None,
+    frontier: tuple[int, list[tuple]] | None = None,
     progress: ProgressCallback | None = None,
     progress_every: int = 1000,
     cancel=None,
@@ -1430,13 +1434,19 @@ def _explore_subtree(
     ``sleep_sets=True`` adds the sleep-set partial-order reduction: a
     branch whose choice is asleep (its footprint independent of every
     event taken since a sibling order explored it) is skipped before
-    forking; ``initial_sleep`` seeds the root's sleep set (parallel
-    shards inherit theirs from the frontier expansion).  Cached
+    forking; ``root_sleep`` seeds the root's sleep set, keyed in
+    ``oracle`` (a shard passes the frontier pass's; by default a fresh
+    one), whose verdicts are counted from the call's start.  Cached
     summaries are reused under the subset-reuse rule: the sleep set is
     not part of the cache key, and an entry stands in for any arrival
     sleeping at least what the entry slept.  A non-empty ``groups``
     tuple switches the dedup cache to orbit-canonical keys (see
     :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`).
+
+    ``frontier=(cut, work)`` makes the call a frontier pass: a node at
+    depth ``cut`` is not explored but appended to ``work`` as
+    ``("shard", path, cursor, sleep)``, and each terminal above the cut
+    is also appended as ``("terminal", path, problems)``.
 
     ``cancel``/``checkpoint_to``/``checkpoint_every``/``resume`` are the
     durability hooks (module docstring, *Checkpoint and resume*):
@@ -1450,7 +1460,8 @@ def _explore_subtree(
         # The interrupted search had already finished (the final
         # checkpoint landed); its outcome is the whole answer.
         return _outcome_from_json(resume["outcome"])
-    indep = _IndependenceOracle()
+    indep = oracle if oracle is not None else _IndependenceOracle()
+    cut, work = frontier if frontier is not None else (-1, None)
     if resume is not None:
         out = _outcome_from_json(resume["outcome"])
         cache = _cache_from_json(resume["cache"], indep)
@@ -1460,12 +1471,14 @@ def _explore_subtree(
         cache = {}
         resume_stack = []
     # Verdict counters accumulated before a resume; the oracle's own
-    # counters are merged on top at every flush.
+    # counters since this call started are merged on top at every flush.
     stats_base = dict(out.independence_stats)
+    stats_start = dict(indep.stats)
 
     def flush_stats() -> None:
         merged = dict(stats_base)
         for source, count in indep.stats.items():
+            count -= stats_start[source]
             if count:
                 merged[source] = merged.get(source, 0) + count
         out.independence_stats = merged
@@ -1568,6 +1581,8 @@ def _explore_subtree(
         problems = tuple(
             cursor.tracker.at_terminal(cursor.handle.result())
         )
+        if work is not None:
+            work.append(("terminal", tuple(path), problems))
         if problems:
             out.violations.append((ordinal, Violation(tuple(path), problems)))
             if stop_at_first_violation:
@@ -1733,6 +1748,9 @@ def _explore_subtree(
         same way.
         """
         if resume_level is None:
+            if depth == cut:
+                work.append(("shard", tuple(path), cursor, sleep))
+                return _Summary()
             if cancel is not None and cancel.is_set():
                 interrupt()
                 return None
@@ -1895,12 +1913,9 @@ def _explore_subtree(
             remember(key, raw, perm, depth, sleep, summary)
         return summary
 
-    root_sleep: _SleepSet = {
-        intern_key(key): fp for key, fp in (initial_sleep or {}).items()
-    }
     head = resume_stack[0] if resume_stack else None
     rest = resume_stack[1:] if resume_stack else None
-    dfs(root, len(prefix), root_sleep, head, rest)
+    dfs(root, len(prefix), root_sleep or {}, head, rest)
     flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
@@ -1915,21 +1930,38 @@ def _explore_subtree(
 _SHARD_STATE: tuple | None = None
 
 
+class _ShardCancel:
+    """A shard's cancel token: the parent's stop flag or the caller's."""
+
+    def __init__(self, stop, cancel) -> None:
+        self.stop, self.cancel = stop, cancel
+
+    def is_set(self) -> bool:
+        return bool(self.stop.value) or (
+            self.cancel is not None and self.cancel.is_set()
+        )
+
+
 def _explore_shard(index: int) -> _SubtreeOutcome:
     """Pool worker entry point: explore the ``index``-th shard subtree.
 
-    The shard starts from the frontier cursor the parent built for it
-    (inherited through the fork, so nothing is replayed).  With
+    The shard starts from the cursor and sleep set the frontier pass
+    left at its root (inherited through the fork, so nothing is replayed
+    or re-interned), on its own copy of that pass's oracle, so its
+    verdict counts never depend on the shards its worker ran before.  With
     checkpointing on, each shard owns ``<path>.shard-<index>``: it
     resumes from it when a valid one exists (a corrupt or
     mismatched-config file means a cold start for that shard, never an
     error — the shard's work is self-contained) and checkpoints its own
     subtree into it.  The forked worker sees a fork-time *snapshot* of
-    the cancel token; the merging parent polls the live token.
+    the cancel token; the merging parent polls the live token, and
+    raises the shared stop flag once it stops merging.
     """
     assert _SHARD_STATE is not None
     (
         shard_work,
+        oracle,
+        stop,
         max_schedules,
         max_depth,
         stop_at_first_violation,
@@ -1939,7 +1971,7 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
         checkpoint_every,
         config,
     ) = _SHARD_STATE
-    prefix, root, initial_sleep = shard_work[index]
+    prefix, root, root_sleep = shard_work[index]
     shard_path = None
     shard_config = ""
     resume_body = None
@@ -1966,8 +1998,9 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
         max_depth,
         stop_at_first_violation,
         sleep_sets=sleep_sets,
-        initial_sleep=initial_sleep,
-        cancel=cancel,
+        root_sleep=root_sleep,
+        oracle=copy.deepcopy(oracle),
+        cancel=_ShardCancel(stop, cancel),
         checkpoint_to=shard_path,
         checkpoint_every=checkpoint_every,
         resume=resume_body,
@@ -1976,99 +2009,34 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
 
 
 def _expand_frontier(
-    root: _Cursor,
-    max_depth: int,
-    target_shards: int,
-    result: ExplorationResult,
-    sleep_sets: bool = False,
-) -> list[tuple]:
-    """Expand the tree breadth-first from ``root`` until enough subtrees exist.
+    root: _Cursor, max_depth: int, target_shards: int, sleep_sets: bool
+) -> tuple[list[tuple], _SubtreeOutcome, _IndependenceOracle]:
+    """Cut the top of the tree into at least ``target_shards`` subtrees.
 
-    Returns the frontier as an *ordered* work list whose order is the
-    depth-first visiting order of the remaining work: entries are either
-    ``("terminal", prefix, problems)`` — a shallow terminal already
-    evaluated here — or ``("shard", prefix, cursor, sleep)`` — a subtree
-    for a worker, with the sleep set its root inherits when the
-    sleep-set reduction is on.  Interior nodes visited during expansion
-    are accounted directly into ``result``; slept branches are pruned
-    here exactly as the sequential DFS would prune them.
+    Iterative deepening: frontier passes of :func:`_explore_subtree`
+    cut at depth 1, 2, … 8, each on a fork of ``root`` with a fresh
+    oracle, until one yields enough shards, or none.  Returns that
+    pass's work list, its outcome (the counters of every node above the
+    cut) and its oracle, which keys the shards' sleep sets.  Shallower
+    passes are discarded uncounted.
     """
-    indep = _IndependenceOracle()
-    entries: list[tuple] = [("shard", (), root, {})]
-    for _round in range(8):
-        shard_count = sum(1 for e in entries if e[0] == "shard")
-        if shard_count >= target_shards:
+    for cut in range(1, 9):
+        oracle = _IndependenceOracle()
+        work: list[tuple] = []
+        outcome = _explore_subtree(
+            root.fork(),
+            (),
+            sys.maxsize,
+            max_depth,
+            False,
+            sleep_sets=sleep_sets,
+            oracle=oracle,
+            frontier=(cut, work),
+        )
+        shards = sum(1 for entry in work if entry[0] == "shard")
+        if shards >= target_shards or not shards:
             break
-        new_entries: list[tuple] = []
-        expanded = False
-        for entry in entries:
-            if entry[0] == "terminal":
-                new_entries.append(entry)
-                continue
-            _, prefix, cursor, sleep = entry
-            choices = cursor.handle.choices()
-            cursor.sync()
-            result.schedules_explored += 1
-            result.expansions_by_depth[len(prefix)] = (
-                result.expansions_by_depth.get(len(prefix), 0) + 1
-            )
-            result.max_depth_seen = max(
-                result.max_depth_seen, len(prefix)
-            )
-            if not choices:
-                problems = cursor.tracker.at_terminal(
-                    cursor.handle.result()
-                )
-                new_entries.append(("terminal", prefix, tuple(problems)))
-                continue
-            if len(prefix) >= max_depth:
-                result.exhausted = False
-                continue
-            expanded = True
-            if sleep_sets:
-                keys = [choice_key(choice) for choice in choices]
-                active = [
-                    b for b in range(len(choices)) if keys[b] not in sleep
-                ]
-                result.states_pruned_sleep += len(choices) - len(active)
-            else:
-                keys = []
-                active = list(range(len(choices)))
-            explored: _PortableSleepSet = {}
-            last = active[-1] if active else None
-            for branch in active:
-                if branch != last:
-                    child = cursor.fork()
-                    result.events_replayed += child.handle.replayed_steps
-                else:
-                    child = cursor
-                child.handle.advance(branch)
-                result.events_executed += 1
-                if sleep_sets:
-                    child.handle.choices()  # finalize the footprint
-                    taken = child.handle.last_footprint
-                    child_sleep = {
-                        key: footprint
-                        for candidates in (sleep, explored)
-                        for key, footprint in candidates.items()
-                        if indep(footprint, taken)
-                    }
-                    if taken is not None:
-                        explored[keys[branch]] = taken
-                else:
-                    child_sleep = {}
-                new_entries.append(
-                    ("shard", prefix + (branch,), child, child_sleep)
-                )
-        entries = new_entries
-        if not expanded:
-            break
-    for source, count in indep.stats.items():
-        if count:
-            result.independence_stats[source] = (
-                result.independence_stats.get(source, 0) + count
-            )
-    return entries
+    return work, outcome, oracle
 
 
 def _explore_parallel(
@@ -2087,11 +2055,13 @@ def _explore_parallel(
     """Shard the tree over a worker pool and merge in DFS order.
 
     Only cache-less searches shard.  Each shard continues from the
-    cursor the frontier expansion left at its root, and sleep sets
-    shard cleanly — each frontier subtree carries the sleep set its
-    root would have had sequentially — so the merged result equals the
-    sequential one, field for field, apart from ``workers`` and the
-    per-process verdict memo's ``memo_hits``.
+    cursor :func:`_expand_frontier` left at its root, under the sleep
+    set that root has in the sequential search, so the merged result
+    equals the sequential one, field for field, apart from ``workers``
+    and the verdict memo's ``memo_hits``.  Every shard gets the full
+    budget, so a capped run merges ``terminal_schedules`` and
+    ``violations`` up to it, while the work counters and ``exhausted``
+    report what the shards did.
 
     With checkpointing on, the parent owns ``checkpoint_to``: its body
     maps shard indices to already-merged outcomes, rewritten after each
@@ -2112,20 +2082,43 @@ def _explore_parallel(
     result = ExplorationResult(
         schedules_explored=0, terminal_schedules=0, workers=workers
     )
-    entries = _expand_frontier(
-        root,
-        max_depth,
-        target_shards=workers * 4,
-        result=result,
-        sleep_sets=sleep_sets,
+
+    def absorb(sub: _SubtreeOutcome) -> None:
+        """Add an outcome's work counters; terminals merge separately."""
+        result.schedules_explored += sub.schedules_explored
+        result.events_executed += sub.events_executed
+        result.events_replayed += sub.events_replayed
+        result.progress_errors.extend(sub.progress_errors)
+        result.states_pruned_sleep += sub.states_pruned_sleep
+        for depth, count in sub.expansions_by_depth.items():
+            result.expansions_by_depth[depth] = (
+                result.expansions_by_depth.get(depth, 0) + count
+            )
+        for source, count in sub.independence_stats.items():
+            result.independence_stats[source] = (
+                result.independence_stats.get(source, 0) + count
+            )
+        result.max_depth_seen = max(result.max_depth_seen, sub.max_depth_seen)
+        if not sub.exhausted:
+            result.exhausted = False
+
+    entries, frontier, oracle = _expand_frontier(
+        root, max_depth, workers * 4, sleep_sets
     )
+    absorb(frontier)
     shard_work = [e[1:] for e in entries if e[0] == "shard"]
     pending_indices = [
         i for i in range(len(shard_work)) if str(i) not in stored
     ]
     ctx = multiprocessing.get_context("fork")
+    # Raised when the merge is over, so the shards stop and the pool
+    # drains: terminating it could kill a worker holding the result
+    # queue's lock, which hangs the pool's shutdown.
+    stop = ctx.RawValue("b", 0)
     _SHARD_STATE = (
         shard_work,
+        oracle,
+        stop,
         max_schedules,
         max_depth,
         stop_at_first_violation,
@@ -2191,34 +2184,22 @@ def _explore_parallel(
                 if not reused and checkpoint_to is not None:
                     stored[str(shard_index)] = _outcome_to_json(sub)
                     parent_snapshot(complete=False)
-                result.schedules_explored += sub.schedules_explored
-                result.events_executed += sub.events_executed
-                result.events_replayed += sub.events_replayed
-                result.progress_errors.extend(sub.progress_errors)
-                result.states_pruned_sleep += sub.states_pruned_sleep
-                for depth, count in sub.expansions_by_depth.items():
-                    result.expansions_by_depth[depth] = (
-                        result.expansions_by_depth.get(depth, 0) + count
-                    )
-                for source, count in sub.independence_stats.items():
-                    result.independence_stats[source] = (
-                        result.independence_stats.get(source, 0) + count
-                    )
-                result.max_depth_seen = max(
-                    result.max_depth_seen, sub.max_depth_seen
-                )
+                absorb(sub)
                 budget_left = max_schedules - result.terminal_schedules
                 take = min(sub.terminal_schedules, budget_left)
                 for ordinal, violation in sub.violations:
                     if ordinal < take:
                         result.violations.append(violation)
                 result.terminal_schedules += take
-                if take < sub.terminal_schedules or not sub.exhausted:
+                if take < sub.terminal_schedules:
                     result.exhausted = False
                 if sub.aborted:
                     result.aborted = True
                     result.exhausted = False
                     break
+            stop.value = 1
+            pool.close()
+            pool.join()
     finally:
         _SHARD_STATE = None
     if not result.interrupted:
@@ -2297,9 +2278,10 @@ def explore_schedules(
     the witnessing pid permutation on :attr:`Violation.permutation`,
     with guides in the cached representative's frame.
 
-    ``progress`` (``workers=1`` only) is invoked every
-    ``progress_every`` node expansions with a :class:`ProgressSnapshot`
-    of counters and wall-clock telemetry.
+    ``progress`` is invoked every ``progress_every`` node expansions
+    with a :class:`ProgressSnapshot` of counters and wall-clock
+    telemetry.  It needs a search that runs in one process: ``workers=1``,
+    or any ``workers`` with the cache on.
 
     ``checkpoint_to=path`` writes a versioned, integrity-sealed
     checkpoint of the complete search state every ``checkpoint_every``
@@ -2329,8 +2311,6 @@ def explore_schedules(
         raise ValueError(
             f"progress_every must be >= 1, got {progress_every}"
         )
-    if progress is not None and workers > 1:
-        raise ValueError("progress reporting requires workers=1")
     if checkpoint_every < 1:
         raise ValueError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -2356,6 +2336,8 @@ def explore_schedules(
             workers = 1  # platform without fork: degrade gracefully
         if dedup:
             workers = 1  # one cache sees every state: never shard it
+    if progress is not None and workers > 1:
+        raise ValueError("progress reporting requires workers=1 or dedup")
     config = ""
     if checkpoint_to is not None or resume_from is not None:
         # Everything that shapes the search tree or the result

@@ -149,7 +149,8 @@ def _run_descriptor(
     """Execute one descriptor; returns ``(result_json, vdigest, seconds)``.
 
     ``emit`` receives each :class:`ProgressSnapshot` as its ``to_json``
-    dict.  Progress is only wired for sequential runs; sharded runs
+    dict.  Progress is wired whenever the search runs in one process
+    (``workers=1``, or the cache on, which never shards); sharded runs
     execute without it.  A run with a checkpoint path resumes from an
     existing file at that path (the digest-keyed warm restart), falling
     back to a cold run — after discarding the file — when it turns out
@@ -158,7 +159,8 @@ def _run_descriptor(
     """
     simulator, scripts, prop, crash, kwargs = descriptor.build()
     progress: Callable[[Any], None] | None = None
-    if emit is not None and kwargs.get("workers", 1) == 1:
+    one_process = kwargs["workers"] == 1 or kwargs["dedup"]
+    if emit is not None and one_process:
         callback = emit
 
         def stream(snapshot: Any) -> None:

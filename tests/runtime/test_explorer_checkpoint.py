@@ -23,7 +23,7 @@ import shutil
 
 import pytest
 
-from repro.broadcasts import SendToAllBroadcast
+from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -360,6 +360,65 @@ class TestWorkerCountDifferential:
         assert sharded.workers == (1 if cached else workers)
         assert worker_independent(sharded) == worker_independent(sequential)
 
+    #: Trees whose frontier pass reaches cases the depth-8 tree above
+    #: never does.  With one sender the tree is shallower than the cut,
+    #: so terminals lie above it (and, at some worker counts, no shard
+    #: is left at all); a ``max_depth`` of 1 or 2 cuts branches above it.
+    SHALLOW = {
+        "urb-one-sender": (
+            lambda: Simulator(
+                2, lambda pid, n_: UniformReliableBroadcast(pid, n_)
+            ),
+            {0: ["a"]},
+            {},
+        ),
+        "s2a-max-depth-1": (
+            lambda: s2a_simulator(3), {0: ["x"], 1: ["y"]}, {"max_depth": 1}
+        ),
+        "s2a-max-depth-2": (
+            lambda: s2a_simulator(3), {0: ["x"], 1: ["y"]}, {"max_depth": 2}
+        ),
+    }
+
+    #: Search bounds.  A budget-capped or aborted sharded run gives every
+    #: shard the full budget, so only what the merge cuts is compared.
+    BOUNDS = {
+        "exhaustive": {},
+        "stop-at-first": {"stop_at_first_violation": True},
+        "max-schedules-3": {"max_schedules": 3},
+    }
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("variant", ["plain", "sleep"])
+    @pytest.mark.parametrize("bound", sorted(BOUNDS))
+    @pytest.mark.parametrize("tree", sorted(SHALLOW))
+    def test_shallow_frontier_equals_sequential(
+        self, tree, bound, variant, workers
+    ):
+        make_simulator, scripts, options = self.SHALLOW[tree]
+        kwargs = dict(VARIANTS[variant], **options, **self.BOUNDS[bound])
+
+        def run(**extra):
+            return explore_schedules(
+                make_simulator(),
+                scripts,
+                lambda result: ["every terminal violates"],
+                **kwargs,
+                **extra,
+            )
+
+        sequential = run()
+        sharded = run(workers=workers)
+        assert sharded.workers == workers
+        if bound == "exhaustive":
+            assert worker_independent(sharded) == worker_independent(
+                sequential
+            )
+        else:
+            assert sharded.terminal_schedules == sequential.terminal_schedules
+            assert sharded.violations == sequential.violations
+            assert sharded.aborted == sequential.aborted
+
 
 class TestCheckpointFromTheTwoLoopExplorer:
     """A plain-DFS checkpoint written before the loops were unified.
@@ -396,6 +455,42 @@ class TestCheckpointFromTheTwoLoopExplorer:
         assert reference.violations, "crash config expected to violate"
         assert_identical(resumed, reference)
         assert resumed.violations == reference.violations
+
+
+class TestParallelCheckpointFromTheBreadthFirstFrontier:
+    """A parallel checkpoint written while the frontier was breadth-first.
+
+    ``tests/data/s2a_n3_parallel.ckpt`` was cut by the explorer that
+    still expanded the parallel frontier in a breadth-first loop of its
+    own: a plain ``workers=2`` search of the :class:`TestParallelResume`
+    configuration, interrupted parent-side after shards 0-2 had merged
+    and shard 3 had completed unmerged.  Its outcomes are keyed by shard
+    index, so the depth-first frontier pass must list the same subtrees
+    in the same order for the resume to reach the uninterrupted result.
+    """
+
+    FIXTURE = os.path.join(
+        os.path.dirname(__file__),
+        os.pardir,
+        "data",
+        "s2a_n3_parallel.ckpt",
+    )
+
+    def test_resumes_to_the_uninterrupted_result(self, tmp_path):
+        path = os.path.join(tmp_path, "search.ckpt")
+        shutil.copy(self.FIXTURE, path)
+        body = read_checkpoint(path)
+        assert body["kind"] == "parallel" and not body["complete"]
+        assert sorted(body["shards"], key=int) == ["0", "1", "2", "3"]
+        reference = explore_schedules(
+            *TestParallelResume.make_config(), workers=2
+        )
+        resumed = explore_schedules(
+            *TestParallelResume.make_config(), workers=2, resume_from=path
+        )
+        assert_identical(resumed, reference)
+        assert resumed.violations == reference.violations
+        assert os.listdir(tmp_path) == ["search.ckpt"]
 
 
 class TestCooperativeCancel:

@@ -10,9 +10,14 @@ to the same execution and the same violations.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.explorer import (
@@ -253,6 +258,38 @@ class TestParallelExploration:
         assert parallel.aborted
         assert not parallel.exhausted
         assert parallel.violations[0] == sequential.violations[0]
+
+    def test_early_stops_drain_the_pool(self):
+        # A capped sharded run stops merging while shards still run.
+        # Terminating the pool then can kill a worker that holds the
+        # result queue's lock and hang the shutdown; the pool must be
+        # drained instead.  The race is rare, so the check repeats it,
+        # with more workers than cores, in a child interpreter whose
+        # timeout turns a hang into a failure.
+        script = textwrap.dedent(
+            """
+            from repro.broadcasts import SendToAllBroadcast
+            from repro.runtime import Simulator, explore_schedules
+
+            for _ in range(100):
+                result = explore_schedules(
+                    Simulator(3, lambda pid, n: SendToAllBroadcast(pid, n)),
+                    {0: ["x"], 1: ["y"]},
+                    lambda result: ["every terminal violates"],
+                    max_depth=8,
+                    max_schedules=3,
+                    workers=4,
+                )
+                assert result.terminal_schedules == 3, result
+            """
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=120
+        )
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):

@@ -416,3 +416,15 @@ class TestProgressReporting:
             explore_schedules(
                 *config, workers=2, progress=lambda s: None
             )
+
+    def test_cached_search_reports_progress_at_any_worker_count(self):
+        # dedup=True runs in one process whatever ``workers`` says, so
+        # the progress callback is wired, not refused
+        snapshots = []
+        result = explore_schedules(
+            s2a(), {0: ["a"]}, channels_property(),
+            dedup=True, workers=2, progress=snapshots.append,
+            progress_every=1,
+        )
+        assert result.workers == 1
+        assert len(snapshots) == result.schedules_explored

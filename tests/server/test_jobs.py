@@ -123,9 +123,15 @@ class TestLifecycleAndMemo:
         asyncio.run(main())
 
     def test_progress_events_reach_subscribers(self):
-        async def main():
+        # a cached search never shards, so it streams progress whatever
+        # ``workers`` was requested
+        cached_workers_2 = JobDescriptor.from_json(
+            {**tiny().to_json(), "dedup": True, "workers": 2}
+        )
+
+        async def main(descriptor):
             mgr = manager()
-            record = mgr.submit(tiny())
+            record = mgr.submit(descriptor)
             queue = mgr.subscribe(record.job_id)
             events = []
             while True:
@@ -143,7 +149,8 @@ class TestLifecycleAndMemo:
             assert snapshot["expansions"] >= 1
             await mgr.drain()
 
-        asyncio.run(main())
+        for descriptor in (tiny(), cached_workers_2):
+            asyncio.run(main(descriptor))
 
     def test_late_subscriber_gets_terminal_event(self):
         async def main():
