@@ -59,6 +59,11 @@ __all__ = [
 #: incompatible engine version must never be resumed, only discarded.
 #: Schema 2: footprints carry ``pending_deadlines`` and ``imminent``
 #: (crash-aware commutation) and outcomes carry ``independence_stats``.
+#: Outcomes are ``ExplorationResult`` payloads with ordinal-paired
+#: violations, so they also carry that payload's ``schema`` and
+#: ``workers`` keys.  Adding those two needed no bump: older readers
+#: ignore keys they do not know, and the result decoder defaults both
+#: when a checkpoint written before them lacks them.
 CHECKPOINT_SCHEMA = 2
 
 

@@ -153,8 +153,12 @@ Checkpoint and resume
 state — the DFS frontier as a stack of per-level frames (taken branch,
 sleep set, explored-sibling footprints, and under dedup the level's
 partial summary and cache key), the transposition cache, and the
-partial counters — into a versioned, integrity-sealed checkpoint file
-written atomically (:mod:`repro.runtime.checkpoint`).
+partial result — into a versioned, integrity-sealed checkpoint file
+written atomically (:mod:`repro.runtime.checkpoint`).  The partial
+result at rest is an :meth:`ExplorationResult.to_json` payload whose
+violations are paired with their ordinals (each violating terminal's
+position in the depth-first terminal sequence), which a sharded merge
+needs to cut the violations at the schedule budget.
 ``resume_from=path`` restores it: the resume descent replays the
 recorded branch at each checkpointed level *without re-counting it*
 (the restored counters already include that node's expansion), then
@@ -651,7 +655,9 @@ class ProgressSnapshot:
     Delivered to the ``progress`` callback of :func:`explore_schedules`
     every ``progress_every`` node expansions.  ``elapsed`` and
     ``states_per_second`` are wall-clock telemetry; they never feed back
-    into the search, which stays deterministic.
+    into the search, which stays deterministic.  Both are measured from
+    the start of the current call, so a resumed search reports the rate
+    of its own work, not of the expansions its checkpoint restored.
     """
 
     #: Nodes expanded so far (``schedules_explored``).
@@ -660,9 +666,12 @@ class ProgressSnapshot:
     terminals: int
     #: Decision depth of the node whose expansion triggered this report.
     depth: int
-    #: Wall-clock seconds since the exploration started.
+    #: Wall-clock seconds since this call started (a resumed search
+    #: restarts the clock).
     elapsed: float
-    #: Expansions divided by ``elapsed`` (0.0 while the clock reads 0).
+    #: Expansions made since this call started, divided by ``elapsed``
+    #: (0.0 while the clock reads 0); restored expansions are not
+    #: counted.
     states_per_second: float
     #: Snapshot of per-depth expansion counts (depth → count).
     expansions_by_depth: Mapping[int, int]
@@ -934,35 +943,6 @@ class _Cursor:
         if new_steps:
             self.tracker.observe(new_steps)
             self.mark += len(new_steps)
-
-
-@dataclass
-class _SubtreeOutcome:
-    """Result of exploring one subtree (picklable, for worker returns).
-
-    ``violations`` carries each violation together with the ordinal of
-    its terminal within the subtree's depth-first terminal sequence, so
-    the merge step can truncate precisely at a global budget.
-    """
-
-    schedules_explored: int = 0
-    terminal_schedules: int = 0
-    violations: list[tuple[int, Violation]] = field(default_factory=list)
-    exhausted: bool = True
-    aborted: bool = False
-    interrupted: bool = False
-    max_depth_seen: int = 0
-    events_executed: int = 0
-    events_replayed: int = 0
-    states_seen: int = 0
-    states_deduped: int = 0
-    states_pruned_sleep: int = 0
-    states_merged_symmetry: int = 0
-    orbit_encodings: int = 0
-    expansions_by_depth: dict[int, int] = field(default_factory=dict)
-    dedup_hits_by_depth: dict[int, int] = field(default_factory=dict)
-    independence_stats: dict[str, int] = field(default_factory=dict)
-    progress_errors: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -1255,79 +1235,35 @@ def _cache_from_json(
     return cache
 
 
-def _outcome_to_json(out: _SubtreeOutcome) -> dict:
-    return {
-        "schedules_explored": out.schedules_explored,
-        "terminal_schedules": out.terminal_schedules,
-        "violations": [
-            [ordinal, violation.to_json()]
-            for ordinal, violation in out.violations
-        ],
-        "exhausted": out.exhausted,
-        "aborted": out.aborted,
-        "interrupted": out.interrupted,
-        "max_depth_seen": out.max_depth_seen,
-        "events_executed": out.events_executed,
-        "events_replayed": out.events_replayed,
-        "states_seen": out.states_seen,
-        "states_deduped": out.states_deduped,
-        "states_pruned_sleep": out.states_pruned_sleep,
-        "states_merged_symmetry": out.states_merged_symmetry,
-        "orbit_encodings": out.orbit_encodings,
-        "expansions_by_depth": {
-            str(d): c for d, c in sorted(out.expansions_by_depth.items())
-        },
-        "dedup_hits_by_depth": {
-            str(d): c for d, c in sorted(out.dedup_hits_by_depth.items())
-        },
-        "independence_stats": {
-            s: c for s, c in sorted(out.independence_stats.items())
-        },
-        "progress_errors": list(out.progress_errors),
-    }
+def _outcome_to_json(result: ExplorationResult, ordinals: list[int]) -> dict:
+    """A partial result at rest: each violation paired with its ordinal."""
+    data = result.to_json()
+    data["violations"] = [
+        [ordinal, violation]
+        for ordinal, violation in zip(ordinals, data["violations"])
+    ]
+    return data
 
 
-def _outcome_from_json(data: Mapping) -> _SubtreeOutcome:
-    return _SubtreeOutcome(
-        schedules_explored=int(data["schedules_explored"]),
-        terminal_schedules=int(data["terminal_schedules"]),
-        violations=[
-            (int(ordinal), Violation.from_json(violation))
-            for ordinal, violation in data["violations"]
-        ],
-        exhausted=bool(data["exhausted"]),
-        aborted=bool(data["aborted"]),
-        interrupted=bool(data["interrupted"]),
-        max_depth_seen=int(data["max_depth_seen"]),
-        events_executed=int(data["events_executed"]),
-        events_replayed=int(data["events_replayed"]),
-        states_seen=int(data["states_seen"]),
-        states_deduped=int(data["states_deduped"]),
-        states_pruned_sleep=int(data["states_pruned_sleep"]),
-        states_merged_symmetry=int(data["states_merged_symmetry"]),
-        orbit_encodings=int(data["orbit_encodings"]),
-        expansions_by_depth={
-            int(d): int(c) for d, c in data["expansions_by_depth"].items()
-        },
-        dedup_hits_by_depth={
-            int(d): int(c) for d, c in data["dedup_hits_by_depth"].items()
-        },
-        independence_stats={
-            str(s): int(c)
-            for s, c in data.get("independence_stats", {}).items()
-        },
-        progress_errors=[str(e) for e in data["progress_errors"]],
+def _outcome_from_json(data: Mapping) -> tuple[ExplorationResult, list[int]]:
+    """Inverse of :func:`_outcome_to_json`: the result and its ordinals."""
+    pairs = data["violations"]
+    result = ExplorationResult.from_json(
+        {**data, "violations": [violation for _, violation in pairs]}
     )
+    return result, [int(ordinal) for ordinal, _ in pairs]
 
 
-class _LiveFrame:
-    """One in-progress DFS level, captured for checkpoint serialization.
+class _Frame:
+    """One in-progress DFS level: written by checkpoints, read by resume.
 
-    Holds *references* to the level's live sleep/explored dicts and its
-    partial summary: frames are only serialized at a descendant's node
-    entry, where those objects' current contents are exactly the
-    level's state as of the recorded branch.  The summary is written
-    only under dedup (``key`` set), where the cache reads it.
+    A live frame holds *references* to the level's sleep/explored dicts
+    and its partial summary: frames are only serialized at a
+    descendant's node entry, where those objects' current contents are
+    exactly the level's state as of the recorded branch.  The summary is
+    written only under dedup (``key`` set), where the cache reads it.
+    Sleep sets are keyed by interned ids in memory and by key tuples at
+    rest; :meth:`from_json` re-interns them into the resuming oracle.
     """
 
     __slots__ = (
@@ -1371,33 +1307,32 @@ class _LiveFrame:
             }
         return level
 
+    @classmethod
+    def from_json(
+        cls, data: Mapping, oracle: _IndependenceOracle
+    ) -> "_Frame":
+        def interned(pairs: list) -> _SleepSet:
+            return {
+                oracle.intern_key(key): fp
+                for key, fp in sleep_from_json(pairs).items()
+            }
 
-class _ResumeLevel:
-    """One decoded checkpoint frame, consumed during the resume descent."""
-
-    __slots__ = (
-        "branch", "sleep", "explored", "key", "raw", "perm", "summary"
-    )
-
-    def __init__(self, data: Mapping) -> None:
-        self.branch = int(data["branch"])
-        self.sleep = sleep_from_json(data["sleep"])
-        self.explored = sleep_from_json(data["explored"])
+        frame = cls(
+            int(data["branch"]),
+            interned(data["sleep"]),
+            interned(data["explored"]),
+        )
         dedup = data.get("dedup")
-        if dedup is None:
-            self.key: str | None = None
-            self.raw: str | None = None
-            self.perm: tuple[int, ...] | None = None
-            self.summary: _Summary | None = None
-        else:
-            self.key = str(dedup["key"])
-            self.raw = str(dedup["raw"])
-            self.perm = (
+        if dedup is not None:
+            frame.key = str(dedup["key"])
+            frame.raw = str(dedup["raw"])
+            frame.perm = (
                 None
                 if dedup["perm"] is None
                 else tuple(int(p) for p in dedup["perm"])
             )
-            self.summary = _summary_from_json(dedup["summary"])
+            frame.summary = _summary_from_json(dedup["summary"])
+        return frame
 
 
 def _explore_subtree(
@@ -1419,7 +1354,7 @@ def _explore_subtree(
     checkpoint_every: int = 1000,
     resume: Mapping | None = None,
     config: str = "",
-) -> _SubtreeOutcome:
+) -> tuple[ExplorationResult, list[int]]:
     """Incremental DFS below ``root``, the node ``prefix`` leads to.
 
     ``root`` is consumed: the search forks and advances it in place.
@@ -1455,6 +1390,12 @@ def _explore_subtree(
     ``config`` is the configuration digest stamped into every
     checkpoint this call writes.  The caller is responsible for having
     matched ``config`` against a resumed body's own stamp.
+
+    Returns ``(result, ordinals)``: the search's result (``workers`` is
+    1; the sharded merge sets its own), and for each of its violations
+    the position of the violating terminal in the subtree's depth-first
+    terminal sequence, so a merge can cut the violations at a global
+    budget.
     """
     if resume is not None and resume.get("complete"):
         # The interrupted search had already finished (the final
@@ -1463,11 +1404,13 @@ def _explore_subtree(
     indep = oracle if oracle is not None else _IndependenceOracle()
     cut, work = frontier if frontier is not None else (-1, None)
     if resume is not None:
-        out = _outcome_from_json(resume["outcome"])
+        out, ordinals = _outcome_from_json(resume["outcome"])
         cache = _cache_from_json(resume["cache"], indep)
-        resume_stack = [_ResumeLevel(level) for level in resume["frames"]]
+        resume_stack = [
+            _Frame.from_json(level, indep) for level in resume["frames"]
+        ]
     else:
-        out = _SubtreeOutcome()
+        out, ordinals = ExplorationResult(0, 0), []
         cache = {}
         resume_stack = []
     # Verdict counters accumulated before a resume; the oracle's own
@@ -1484,8 +1427,10 @@ def _explore_subtree(
         out.independence_stats = merged
 
     path = list(prefix)
+    # Progress rates count this call's own expansions, not restored ones.
     started = _now() if progress is not None else 0.0
-    frames: list[_LiveFrame] = []
+    expanded_before = out.schedules_explored
+    frames: list[_Frame] = []
     ckpt_mark = out.schedules_explored
 
     def snapshot(*, complete: bool) -> None:
@@ -1503,7 +1448,7 @@ def _explore_subtree(
             "kind": "subtree",
             "config": config,
             "complete": complete,
-            "outcome": _outcome_to_json(out),
+            "outcome": _outcome_to_json(out, ordinals),
             "frames": (
                 [] if complete else [f.to_json(indep) for f in frames]
             ),
@@ -1560,7 +1505,7 @@ def _explore_subtree(
                 depth=depth,
                 elapsed=elapsed,
                 states_per_second=(
-                    out.schedules_explored / elapsed
+                    (out.schedules_explored - expanded_before) / elapsed
                     if elapsed > 0
                     else 0.0
                 ),
@@ -1584,7 +1529,8 @@ def _explore_subtree(
         if work is not None:
             work.append(("terminal", tuple(path), problems))
         if problems:
-            out.violations.append((ordinal, Violation(tuple(path), problems)))
+            out.violations.append(Violation(tuple(path), problems))
+            ordinals.append(ordinal)
             if stop_at_first_violation:
                 out.aborted = True
                 out.exhausted = False
@@ -1593,14 +1539,17 @@ def _explore_subtree(
 
     intern_key = indep.intern_key
 
-    def active_branches(
+    def branches(
         choices: list, sleep: _SleepSet
     ) -> tuple[list[int], list[int]]:
-        """The non-slept branch indices, and every branch's interned key."""
+        """The non-slept branch indices, and every branch's interned key.
+
+        Without sleep sets every branch is active and no key is minted.
+        """
+        if not sleep_sets:
+            return list(range(len(choices))), []
         keys = [intern_key(choice_key(choice)) for choice in choices]
-        active = [b for b in range(len(choices)) if keys[b] not in sleep]
-        out.states_pruned_sleep += len(choices) - len(active)
-        return active, keys
+        return [b for b in range(len(choices)) if keys[b] not in sleep], keys
 
     def child_sleep_set(
         child: _Cursor, sleep: _SleepSet, explored: _SleepSet
@@ -1621,46 +1570,6 @@ def _explore_subtree(
         }
         return kept, taken
 
-    def restored_structure(
-        cursor: _Cursor, level: _ResumeLevel
-    ) -> tuple[_SleepSet, list[int], list[int], list[int], _SleepSet]:
-        """Recompute a checkpointed node's choice structure on re-entry.
-
-        Everything per-level is a deterministic function of the node's
-        state and the restored sleep set, so only the sleep set itself
-        (dedup's subset-reuse rule may have shrunk it at entry, a
-        history-dependent mutation) and the explored-sibling footprints
-        come from the checkpoint — both re-interned here, because
-        interned key ids are not stable across runs.  Nothing is
-        counted — the restored counters already include this node's
-        expansion.
-        """
-        choices = cursor.handle.choices()
-        cursor.sync()
-        sleep = {
-            intern_key(key): fp for key, fp in level.sleep.items()
-        }
-        if sleep_sets:
-            keys = [intern_key(choice_key(choice)) for choice in choices]
-            active = [
-                b for b in range(len(choices)) if keys[b] not in sleep
-            ]
-        else:
-            keys = []
-            active = list(range(len(choices)))
-        if level.branch not in active:
-            raise CheckpointError(
-                f"checkpoint frame at depth {cursor.handle.decisions} "
-                f"records branch {level.branch}, which is not enabled at "
-                f"the restored node — the checkpoint does not match this "
-                f"configuration"
-            )
-        pending = active[active.index(level.branch):]
-        explored = {
-            intern_key(key): fp for key, fp in level.explored.items()
-        }
-        return sleep, keys, active, pending, explored
-
     def replay(summary: _Summary, base: tuple[int, ...] | None) -> bool:
         """Emit a cached subtree's terminals and violations.
 
@@ -1679,9 +1588,8 @@ def _explore_subtree(
             if ordinal >= take:
                 break
             full = guide if base is None else base + guide
-            out.violations.append(
-                (start + ordinal, Violation(full, problems, perm))
-            )
+            out.violations.append(Violation(full, problems, perm))
+            ordinals.append(start + ordinal)
             if stop_at_first_violation:
                 out.terminal_schedules = start + ordinal + 1
                 out.aborted = True
@@ -1728,8 +1636,7 @@ def _explore_subtree(
         cursor: _Cursor,
         depth: int,
         sleep: _SleepSet,
-        resume_level: _ResumeLevel | None = None,
-        resume_rest: "Sequence[_ResumeLevel] | None" = None,
+        resume: Sequence[_Frame] = (),
     ) -> _Summary | None:
         """Expand one node; the subtree's summary, or None to abort.
 
@@ -1740,14 +1647,18 @@ def _explore_subtree(
         parent's.  ``None`` means the search was cut (budget, abort,
         cancellation): partial summaries are never cached.
 
-        A non-``None`` ``resume_level`` re-enters a checkpointed node:
-        its structure, cache key, canonicalizing permutation and partial
-        summary are restored instead of counted (the restored counters
-        already include it), the recorded branch is taken first, and
-        ``resume_rest`` descends the rest of the recorded frontier the
-        same way.
+        A non-empty ``resume`` re-enters a checkpointed node: ``resume[0]``
+        is its frame, whose sleep set (dedup's subset-reuse rule may
+        have shrunk it at entry, a history-dependent mutation),
+        explored-sibling footprints, cache key, canonicalizing
+        permutation and partial summary are restored; the rest of the
+        node's structure is a deterministic function of its state and is
+        recomputed.  Nothing is counted (the restored counters already
+        include this node's expansion), the recorded branch is taken
+        first, and ``resume[1:]`` descends the rest of the recorded
+        frontier the same way.
         """
-        if resume_level is None:
+        if not resume:
             if depth == cut:
                 work.append(("shard", tuple(path), cursor, sleep))
                 return _Summary()
@@ -1851,23 +1762,30 @@ def _explore_subtree(
                     remember(key, raw, perm, depth, sleep, summary)
                 return summary
             summary = _Summary()
-            if sleep_sets:
-                active, keys = active_branches(choices, sleep)
-            else:
-                active, keys = list(range(len(choices))), []
+            active, keys = branches(choices, sleep)
+            out.states_pruned_sleep += len(choices) - len(active)
             explored: _SleepSet = {}
             pending = active
         else:
-            sleep, keys, active, pending, explored = restored_structure(
-                cursor, resume_level
-            )
-            key, raw = resume_level.key, resume_level.raw
-            perm = resume_level.perm
+            frame = resume[0]
+            choices = cursor.handle.choices()
+            cursor.sync()
+            sleep, explored = frame.sleep, frame.explored
+            active, keys = branches(choices, sleep)
+            if frame.branch not in active:
+                raise CheckpointError(
+                    f"checkpoint frame at depth {depth} records branch "
+                    f"{frame.branch}, which is not enabled at the restored "
+                    f"node — the checkpoint does not match this "
+                    f"configuration"
+                )
+            pending = active[active.index(frame.branch):]
+            key, raw, perm = frame.key, frame.raw, frame.perm
             # Cache-off frames store no summary: with the cache off,
             # summaries only feed their parents' and are never read.
-            summary = resume_level.summary or _Summary()
+            summary = frame.summary or _Summary()
         last = active[-1] if active else None
-        descend = resume_rest
+        descend = resume[1:]
         for branch in pending:
             if branch != last:
                 child = cursor.fork()
@@ -1882,15 +1800,10 @@ def _explore_subtree(
                 child_sleep, taken = sleep, None
             path.append(branch)
             frames.append(
-                _LiveFrame(branch, sleep, explored, key, raw, perm, summary)
+                _Frame(branch, sleep, explored, key, raw, perm, summary)
             )
-            if descend:
-                child_summary = dfs(
-                    child, depth + 1, child_sleep, descend[0], descend[1:]
-                )
-            else:
-                child_summary = dfs(child, depth + 1, child_sleep)
-            descend = None  # only the recorded branch resumes a frame
+            child_summary = dfs(child, depth + 1, child_sleep, descend)
+            descend = ()  # only the recorded branch resumes a frame
             frames.pop()
             path.pop()
             if child_summary is None:
@@ -1913,13 +1826,11 @@ def _explore_subtree(
             remember(key, raw, perm, depth, sleep, summary)
         return summary
 
-    head = resume_stack[0] if resume_stack else None
-    rest = resume_stack[1:] if resume_stack else None
-    dfs(root, len(prefix), root_sleep or {}, head, rest)
+    dfs(root, len(prefix), root_sleep or {}, resume_stack)
     flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
-    return out
+    return out, ordinals
 
 
 # ---------------------------------------------------------------------------
@@ -1942,7 +1853,7 @@ class _ShardCancel:
         )
 
 
-def _explore_shard(index: int) -> _SubtreeOutcome:
+def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
     """Pool worker entry point: explore the ``index``-th shard subtree.
 
     The shard starts from the cursor and sleep set the frontier pass
@@ -2010,20 +1921,20 @@ def _explore_shard(index: int) -> _SubtreeOutcome:
 
 def _expand_frontier(
     root: _Cursor, max_depth: int, target_shards: int, sleep_sets: bool
-) -> tuple[list[tuple], _SubtreeOutcome, _IndependenceOracle]:
+) -> tuple[list[tuple], ExplorationResult, _IndependenceOracle]:
     """Cut the top of the tree into at least ``target_shards`` subtrees.
 
     Iterative deepening: frontier passes of :func:`_explore_subtree`
     cut at depth 1, 2, … 8, each on a fork of ``root`` with a fresh
     oracle, until one yields enough shards, or none.  Returns that
-    pass's work list, its outcome (the counters of every node above the
+    pass's work list, its result (the counters of every node above the
     cut) and its oracle, which keys the shards' sleep sets.  Shallower
     passes are discarded uncounted.
     """
     for cut in range(1, 9):
         oracle = _IndependenceOracle()
         work: list[tuple] = []
-        outcome = _explore_subtree(
+        result, _ = _explore_subtree(
             root.fork(),
             (),
             sys.maxsize,
@@ -2036,7 +1947,7 @@ def _expand_frontier(
         shards = sum(1 for entry in work if entry[0] == "shard")
         if shards >= target_shards or not shards:
             break
-    return work, outcome, oracle
+    return work, result, oracle
 
 
 def _explore_parallel(
@@ -2083,7 +1994,7 @@ def _explore_parallel(
         schedules_explored=0, terminal_schedules=0, workers=workers
     )
 
-    def absorb(sub: _SubtreeOutcome) -> None:
+    def absorb(sub: ExplorationResult) -> None:
         """Add an outcome's work counters; terminals merge separately."""
         result.schedules_explored += sub.schedules_explored
         result.events_executed += sub.events_executed
@@ -2163,9 +2074,11 @@ def _explore_parallel(
                 shard_index += 1
                 reused = str(shard_index) in stored
                 if reused:
-                    sub = _outcome_from_json(stored[str(shard_index)])
+                    sub, ordinals = _outcome_from_json(
+                        stored[str(shard_index)]
+                    )
                 else:
-                    sub = next(shard_outcomes)
+                    sub, ordinals = next(shard_outcomes)
                 if sub.interrupted or (
                     not reused and cancel is not None and cancel.is_set()
                 ):
@@ -2176,18 +2089,22 @@ def _explore_parallel(
                     # merge order is the construction-identity contract
                     # and the resumed run will merge it in sequence.
                     if not sub.interrupted and checkpoint_to is not None:
-                        stored[str(shard_index)] = _outcome_to_json(sub)
+                        stored[str(shard_index)] = _outcome_to_json(
+                            sub, ordinals
+                        )
                     result.interrupted = True
                     result.exhausted = False
                     parent_snapshot(complete=False)
                     break
                 if not reused and checkpoint_to is not None:
-                    stored[str(shard_index)] = _outcome_to_json(sub)
+                    stored[str(shard_index)] = _outcome_to_json(
+                        sub, ordinals
+                    )
                     parent_snapshot(complete=False)
                 absorb(sub)
                 budget_left = max_schedules - result.terminal_schedules
                 take = min(sub.terminal_schedules, budget_left)
-                for ordinal, violation in sub.violations:
+                for ordinal, violation in zip(ordinals, sub.violations):
                     if ordinal < take:
                         result.violations.append(violation)
                 result.terminal_schedules += take
@@ -2406,7 +2323,7 @@ def explore_schedules(
             resume=resume_body,
             config=config,
         )
-    sub = _explore_subtree(
+    result, _ = _explore_subtree(
         root,
         (),
         max_schedules,
@@ -2423,24 +2340,4 @@ def explore_schedules(
         resume=resume_body,
         config=config,
     )
-    return ExplorationResult(
-        schedules_explored=sub.schedules_explored,
-        terminal_schedules=sub.terminal_schedules,
-        violations=[v for _, v in sub.violations],
-        exhausted=sub.exhausted,
-        max_depth_seen=sub.max_depth_seen,
-        aborted=sub.aborted,
-        interrupted=sub.interrupted,
-        events_executed=sub.events_executed,
-        events_replayed=sub.events_replayed,
-        workers=1,
-        states_seen=sub.states_seen,
-        states_deduped=sub.states_deduped,
-        states_pruned_sleep=sub.states_pruned_sleep,
-        states_merged_symmetry=sub.states_merged_symmetry,
-        orbit_encodings=sub.orbit_encodings,
-        expansions_by_depth=dict(sub.expansions_by_depth),
-        dedup_hits_by_depth=dict(sub.dedup_hits_by_depth),
-        independence_stats=dict(sub.independence_stats),
-        progress_errors=list(sub.progress_errors),
-    )
+    return result

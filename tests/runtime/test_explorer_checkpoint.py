@@ -207,17 +207,42 @@ class TestParallelResume:
             clean_property(),
         )
 
-    @pytest.mark.parametrize("variant", ["plain", "dedup-sleep"])
-    @pytest.mark.parametrize("cut", [0, 3, 40])
-    def test_interrupted_shards_resume(self, variant, cut, tmp_path):
-        kwargs = dict(VARIANTS[variant], workers=2)
-        simulator, scripts, prop = self.make_config()
-        reference = explore_schedules(simulator, scripts, prop, **kwargs)
+    #: case → (explore kwargs, property factory).  ``capped`` restores
+    #: violating shard outcomes and cuts their violations at the budget
+    #: by the ordinals stored with them.
+    CASES = {
+        "plain": (VARIANTS["plain"], clean_property),
+        "dedup-sleep": (VARIANTS["dedup-sleep"], clean_property),
+        "capped": (
+            {"sleep_sets": True, "max_schedules": 10},
+            violating_property,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "cut, variant",
+        [
+            (cut, variant)
+            for variant in ("plain", "dedup-sleep")
+            for cut in (0, 3, 40)
+        ]
+        + [(40, "capped"), (80, "capped")],
+    )
+    def test_interrupted_shards_resume(self, cut, variant, tmp_path):
+        kwargs, make_property = self.CASES[variant]
+
+        def make_config():
+            return s2a_simulator(3), {0: ["a"], 1: ["b"]}, make_property()
+
+        reference = explore_schedules(*make_config(), workers=2, **kwargs)
+        sequential = explore_schedules(*make_config(), **kwargs)
         path = os.path.join(tmp_path, "parallel.ckpt")
         resumed = interrupt_and_resume(
-            self.make_config, path, cut, **kwargs
+            make_config, path, cut, workers=2, **kwargs
         )
         assert_identical(resumed, reference)
+        assert resumed.terminal_schedules == sequential.terminal_schedules
+        assert resumed.violations == sequential.violations
 
     def test_complete_checkpoint_short_circuits(self, tmp_path):
         path = os.path.join(tmp_path, "done.ckpt")
@@ -233,8 +258,7 @@ class TestParallelResume:
         resumed = explore_schedules(
             simulator, scripts, prop, workers=2, resume_from=path
         )
-        assert_identical(resumed, reference)
-        assert resumed.events_executed == reference.events_executed
+        assert resumed == reference
 
 
 class TestCompleteCheckpoint:
@@ -258,8 +282,7 @@ class TestCompleteCheckpoint:
             dedup=True,
             resume_from=path,
         )
-        assert_identical(resumed, reference)
-        assert resumed.events_executed == reference.events_executed
+        assert resumed == reference
 
 
 class TestCrashAwareVariants:

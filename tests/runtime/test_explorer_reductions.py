@@ -10,8 +10,12 @@ configurations, through budget and depth cut points, across worker
 counts, and on double runs (determinism).
 """
 
+import itertools
+import threading
+
 import pytest
 
+import repro.runtime.explorer as explorer
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.explorer import (
@@ -403,6 +407,38 @@ class TestProgressReporting:
             assert worker_independent(parallel) == worker_independent(
                 sequential
             )
+
+    def test_resumed_rate_counts_only_its_own_expansions(
+        self, monkeypatch, tmp_path
+    ):
+        # a clock that advances one second per read: the first snapshot
+        # of a call comes one second after its start
+        ticks = itertools.count()
+        monkeypatch.setattr(explorer, "_now", lambda: float(next(ticks)))
+        path = str(tmp_path / "search.ckpt")
+
+        def run(progress, **kwargs):
+            return explore_schedules(
+                s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
+                progress=progress, progress_every=50, checkpoint_to=path,
+                **kwargs,
+            )
+
+        stop = threading.Event()
+
+        def stop_at_400(snapshot):
+            if snapshot.expansions == 400:
+                stop.set()
+
+        first = run(stop_at_400, cancel=stop)
+        assert first.interrupted and first.schedules_explored == 400
+        resumed, cold = [], []
+        run(resumed.append, resume_from=path)
+        assert resumed[0].expansions == 450
+        assert resumed[0].states_per_second == 50.0
+        run(cold.append)
+        assert cold[0].expansions == 50
+        assert cold[0].states_per_second == 50.0
 
     def test_validation_errors(self):
         config = (s2a(), {0: ["a"]}, channels_property())
