@@ -72,11 +72,51 @@ change its encoded state:
 :func:`list_digest` and :func:`encoded_digest` combine such pre-encoded
 bytes with freshly encoded header parts under the layout of
 :func:`_encode_into`.
+
+Orbit templates
+---------------
+
+The symmetry reduction's key, :meth:`~repro.runtime.simulator.SimulationRun.canonical_state_digest`,
+encodes the state under a pid permutation with every content replaced
+by a token numbered by first appearance over the *whole* state, so a
+component's canonical bytes depend on the permutation and on the
+components before it.  What does not depend on either is cached as an
+:class:`OrbitTemplate`: the component's canonical encoding with two
+kinds of slot,
+
+* a *pid slot* for every structural pid (``MessageId.sender``, the
+  sender and receiver of a ``PointToPointId``), and
+* a *content slot* for every leaf, numbered by first appearance within
+  the component,
+
+plus the ordered list of the component's distinct contents.  Filling a
+template (:meth:`PidCanonicalizer.fill`) maps each local content to its
+global first-appearance token through the one token table of the state
+encoding, then joins the literal chunks with the cached encodings of
+``perm[p]`` and of the tokens: linear in the slots, with no recursion.
+The result is byte-identical to encoding the canonical image
+(:meth:`PidCanonicalizer.value`) from scratch.  Token numbering agrees
+because a content's first appearance in the state is its local first
+appearance in the first component that holds it, and components are
+filled in traversal order.  Containers are delimited by count and
+terminator, not byte length, so a filled slot of any length leaves the
+enclosing bytes valid.
+
+A :class:`~repro.runtime.process.ProcessRuntime` extends its journal's
+template lazily, each in-flight message builds one template for its
+pool entry (see :func:`pool_template`), and a run keeps its remaining
+scripts' templates until the next broadcast start; templates are
+immutable, so forks share them.  Unordered containers (sets, dicts) canonicalize by
+sorting their *mapped* encodings, which depends on the token numbers, so
+a component whose values hold one gets no template
+(:meth:`OrbitTemplate.extended` returns ``None``) and is encoded by
+:meth:`PidCanonicalizer.value` into the same token table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 from typing import Any, Callable, Hashable, Sequence
@@ -85,14 +125,20 @@ from ..core.actions import PointToPointId
 from ..core.message import Message, MessageId
 
 __all__ = [
+    "OrbitTemplate",
     "PidCanonicalizer",
     "canonical_update",
     "encoded_digest",
     "encoding",
+    "int_encoding",
     "list_digest",
+    "list_encoding",
     "orbit_digest",
     "payload_digest",
+    "pool_template",
     "stable_digest",
+    "tuple_digest",
+    "tuple_encoding",
 ]
 
 #: Hex-digest length: 16 bytes of blake2b — collision probability is
@@ -102,6 +148,10 @@ _DIGEST_SIZE = 16
 #: Memoized ``dataclasses.fields`` name tuples — ``fields()`` rebuilds
 #: its result list per call, and every message/identity encode pays it.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+#: ``encoding(i)`` for ``i`` in ``range(len(_INT_ENCODINGS))``, grown on
+#: demand by :func:`int_encoding` (pids, degrees, small counters).
+_INT_ENCODINGS: list[bytes] = []
 
 #: Small pool of reusable encoding buffers.  Encoding is re-entrant in
 #: principle (a ``repr`` fallback could digest something itself), so
@@ -139,6 +189,13 @@ def _list_open(count: int) -> bytes:
     """The opening of a ``count``-element list encoding (see ``_CLOSE``)."""
     size = str(count).encode()
     return b"l" + len(size).to_bytes(8, "big") + size
+
+
+@functools.lru_cache(maxsize=1024)
+def _tuple_open(count: int) -> bytes:
+    """The opening of a ``count``-element tuple encoding."""
+    size = str(count).encode()
+    return b"(" + len(size).to_bytes(8, "big") + size
 
 
 #: The terminator of every tuple and list encoding (an empty ``")"``).
@@ -299,6 +356,40 @@ def list_digest(header: Sequence[Any], body: bytes, count: int) -> str:
     return encoded_digest(header, _list_open(count), body, _CLOSE)
 
 
+def tuple_encoding(count: int, *encoded: bytes) -> bytes:
+    """``encoding(items)`` for a tuple ``items`` given its items encoded.
+
+    ``encoded`` are byte chunks whose concatenation is
+    :func:`encoding` ``(*items)`` and ``count`` is ``len(items)``.
+    """
+    return b"".join((_tuple_open(count), *encoded, _CLOSE))
+
+
+def list_encoding(count: int, *encoded: bytes) -> bytes:
+    """``encoding(items)`` for a list ``items`` given its items encoded."""
+    return b"".join((_list_open(count), *encoded, _CLOSE))
+
+
+def tuple_digest(*items: bytes) -> str:
+    """``stable_digest(values)`` for a tuple given one encoding per value."""
+    hasher = hashlib.blake2b(
+        _tuple_open(len(items)), digest_size=_DIGEST_SIZE
+    )
+    for item in items:
+        hasher.update(item)
+    hasher.update(_CLOSE)
+    return hasher.hexdigest()
+
+
+def int_encoding(value: int) -> bytes:
+    """``encoding(value)`` for an int (not a bool), cached for small ones."""
+    if not 0 <= value < 256:
+        return encoding(value)
+    while len(_INT_ENCODINGS) <= value:
+        _INT_ENCODINGS.append(encoding(len(_INT_ENCODINGS)))
+    return _INT_ENCODINGS[value]
+
+
 def payload_digest(text: str) -> str:
     """The integrity digest of one opaque serialized payload.
 
@@ -311,6 +402,11 @@ def payload_digest(text: str) -> str:
     colliding with state fingerprints or memo keys.
     """
     return stable_digest("repro.payload", text)
+
+
+#: ``encoding(("~", t))`` per content token ``t``, grown on demand: a
+#: content slot fills with its global token's encoding.
+_TOKEN_ENCODINGS: list[bytes] = []
 
 
 class PidCanonicalizer:
@@ -334,6 +430,16 @@ class PidCanonicalizer:
       some injective relabeling of contents;
     * containers are encoded structurally (unordered ones by sorted
       sub-encodings), so the encoding never aliases distinct structure.
+      The elements of a set or dict are visited in the order of their
+      raw :func:`encoding`, so the tokens they take depend only on the
+      state, never on ``PYTHONHASHSEED``.
+
+    A component is encoded either by :meth:`fill`, from its cached
+    :class:`OrbitTemplate`, or by :meth:`value` (the canonical image,
+    which :func:`encoding` turns into the same bytes) when it holds an
+    unordered container and has no template.  Both draw tokens from the
+    one table of this instance, in the order the components are
+    encoded.
 
     One instance encodes exactly **one** state: the token table is part
     of the encoding and must start empty, so that token numbers are a
@@ -346,16 +452,18 @@ class PidCanonicalizer:
     way the digest is no longer a function of the state and the dedup
     cache mis-collapses or splits orbits.  Callers mark the end of a
     state encoding with :meth:`seal`; any use after that raises
-    :class:`RuntimeError` (``canonical_state_digest`` and
-    :func:`orbit_digest` seal the instances they create).
+    :class:`RuntimeError` (``canonical_state_digest`` seals the
+    instance it creates).
     """
 
-    __slots__ = ("_perm", "_tokens", "_sealed")
+    __slots__ = ("_perm", "_tokens", "_sealed", "_pids")
 
     def __init__(self, permutation: Sequence[int]) -> None:
         self._perm = tuple(permutation)
         self._tokens: dict[Hashable, int] = {}
         self._sealed = False
+        #: What a template's pid slot ``p`` fills with.
+        self._pids = [int_encoding(image) for image in self._perm]
 
     def seal(self) -> None:
         """Mark the state encoding complete; further use raises."""
@@ -400,20 +508,14 @@ class PidCanonicalizer:
         if isinstance(value, (tuple, list)):
             return tuple(self.value(item) for item in value)
         if isinstance(value, (set, frozenset)):
-            return (
-                "S",
-                tuple(sorted(encoding(self.value(item)) for item in value)),
-            )
+            images = [self.value(item) for item in sorted(value, key=encoding)]
+            return ("S", tuple(sorted(encoding(image) for image in images)))
         if isinstance(value, dict):
-            return (
-                "D",
-                tuple(
-                    sorted(
-                        encoding((self.value(k), self.value(v)))
-                        for k, v in value.items()
-                    )
-                ),
-            )
+            images = [
+                (self.value(k), self.value(v))
+                for k, v in sorted(value.items(), key=encoding)
+            ]
+            return ("D", tuple(sorted(encoding(image) for image in images)))
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
             return (
                 "C",
@@ -424,6 +526,205 @@ class PidCanonicalizer:
                 ),
             )
         return self.token(value)
+
+    def fill(self, template: "OrbitTemplate") -> bytes:
+        """The canonical encoding of the component ``template`` caches.
+
+        Equal to ``encoding(self.value(values))`` for the tuple of values
+        the template was built from, and it numbers fresh contents
+        exactly as that call would: each local content, in local
+        first-appearance order, takes its token from the table or the
+        next free one.
+        """
+        self._check_usable()
+        tokens = self._tokens
+        encoded = []
+        for content in template.contents:
+            number = tokens.get(content)
+            if number is None:
+                number = tokens[content] = len(tokens)
+            while len(_TOKEN_ENCODINGS) <= number:
+                _TOKEN_ENCODINGS.append(encoding(("~", len(_TOKEN_ENCODINGS))))
+            encoded.append(_TOKEN_ENCODINGS[number])
+        # pid slot ``p`` reads ``table[p]``; content slot ``~i`` reads
+        # ``table[~i]``, the i-th entry from the end
+        encoded.reverse()
+        table = self._pids + encoded
+        return template.fmt % tuple(map(table.__getitem__, template.slots))
+
+
+class _Unordered(Exception):
+    """A value holds a set, frozenset or dict: it gets no template."""
+
+
+#: Types whose values are always content leaves (exact types only:
+#: a subclass takes the general path).
+_LEAF_TYPES = frozenset({str, int, bool, float, bytes, type(None)})
+
+#: Literal openings of the canonical images the builder writes.
+_MESSAGE_OPEN = _tuple_open(3) + encoding("M")
+_UID_OPEN = _tuple_open(3) + encoding("U")
+_P2P_OPEN = _tuple_open(4) + encoding("P")
+_RECORD_OPEN = _tuple_open(3) + encoding("C")
+
+
+class _TemplateBuilder:
+    """Writes canonical encodings with slots (see :class:`OrbitTemplate`).
+
+    :meth:`value` mirrors :meth:`PidCanonicalizer.value` case by case,
+    but writes the encoding of the image instead of building it: literal
+    bytes collect in a buffer that is escaped into the format at each
+    slot, and every permuted pid and content token becomes a ``%b``
+    slot.  Contents are numbered after ``base``'s, whose index is copied
+    only when a new content appears.
+    """
+
+    __slots__ = (
+        "index", "fresh", "_base", "_owned", "_fmt", "_literal", "_slots"
+    )
+
+    def __init__(self, base: "OrbitTemplate") -> None:
+        self.index = base._index
+        self._base = base
+        self.fresh: list = []
+        self._owned = False
+        self._fmt = bytearray()
+        self._literal = bytearray()
+        self._slots: list[int] = []
+
+    def _slot(self, code: int) -> None:
+        self._fmt += self._literal.replace(b"%", b"%%")
+        self._fmt += b"%b"
+        self._literal.clear()
+        self._slots.append(code)
+
+    def value(self, value: Any) -> None:
+        literal = self._literal
+        if type(value) in _LEAF_TYPES:
+            self._content(value)
+        elif isinstance(value, Message):
+            literal += _MESSAGE_OPEN
+            self.value(value.uid)
+            self.value(value.content)
+            literal += _CLOSE
+        elif isinstance(value, MessageId):
+            literal += _UID_OPEN
+            self._slot(value.sender)
+            _encode_into(literal, value.seq)
+            literal += _CLOSE
+        elif isinstance(value, PointToPointId):
+            literal += _P2P_OPEN
+            self._slot(value.sender)
+            self._slot(value.receiver)
+            _encode_into(literal, value.seq)
+            literal += _CLOSE
+        elif isinstance(value, (tuple, list)):
+            literal += _tuple_open(len(value))
+            for item in value:
+                self.value(item)
+            literal += _CLOSE
+        elif isinstance(value, (set, frozenset, dict)):
+            raise _Unordered
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            names = _field_names(type(value))
+            literal += _RECORD_OPEN
+            _encode_into(literal, type(value).__qualname__)
+            literal += _tuple_open(len(names))
+            for name in names:
+                self.value(getattr(value, name))
+            literal += _CLOSE
+            literal += _CLOSE
+        else:
+            self._content(value)
+
+    def _content(self, value: Hashable) -> None:
+        number = self.index.get(value)
+        if number is None:
+            if not self._owned:
+                self.index = dict(self.index)
+                self._owned = True
+            number = self.index[value] = len(self.index)
+            self.fresh.append(value)
+        self._slot(~number)
+
+    def finish(self, count: int) -> "OrbitTemplate":
+        """The base template followed by what was written, as ``count``
+        values in all."""
+        self._fmt += self._literal.replace(b"%", b"%%")
+        base = self._base
+        return OrbitTemplate(
+            count,
+            base._body + self._fmt,
+            base.slots + tuple(self._slots),
+            base.contents + tuple(self.fresh),
+            self.index,
+        )
+
+
+class OrbitTemplate:
+    """A component's canonical encoding with pid and content slots.
+
+    The component is a tuple of values (a journal's entries, a pool
+    entry's key and payload, a remaining script); see *Orbit templates*
+    in the module docstring.  ``fmt`` is the tuple's canonical encoding
+    with each slot written as ``%b`` (literal ``%`` doubled), ``slots``
+    codes the slots in order — ``p`` for pid ``p``, ``~i`` for local
+    content ``i`` — and ``contents`` lists the distinct contents in
+    local first-appearance order.  Templates are immutable:
+    :meth:`extended` returns a new one, so forks share them freely.
+    """
+
+    __slots__ = ("count", "fmt", "slots", "contents", "_body", "_index")
+
+    def __init__(
+        self,
+        count: int = 0,
+        body: bytes = b"",
+        slots: tuple[int, ...] = (),
+        contents: tuple = (),
+        index: dict[Hashable, int] | None = None,
+    ) -> None:
+        self.count = count
+        self.fmt = _tuple_open(count).replace(b"%", b"%%") + body + _CLOSE
+        self.slots = slots
+        self.contents = contents
+        self._body = body
+        self._index = {} if index is None else index
+
+    def extended(self, values: Sequence[Any]) -> "OrbitTemplate | None":
+        """This template with ``values`` appended to its tuple.
+
+        ``None`` when a value holds a set, frozenset or dict: such a
+        component stays on :meth:`PidCanonicalizer.value`.
+        """
+        builder = _TemplateBuilder(self)
+        try:
+            for value in values:
+                builder.value(value)
+        except _Unordered:
+            return None
+        return builder.finish(self.count + len(values))
+
+
+def pool_template(p2p: PointToPointId, payload: Any) -> OrbitTemplate | None:
+    """The template of one in-flight message's canonical pool entry.
+
+    The entry is ``((perm[sender], perm[receiver], seq), image)``: the
+    mapped identity the canonical state sorts its pool by, then the
+    canonical image of ``payload``.  ``None`` when the payload holds an
+    unordered container.
+    """
+    builder = _TemplateBuilder(OrbitTemplate())
+    builder._literal += _tuple_open(3)
+    builder._slot(p2p.sender)
+    builder._slot(p2p.receiver)
+    _encode_into(builder._literal, p2p.seq)
+    builder._literal += _CLOSE
+    try:
+        builder.value(payload)
+    except _Unordered:
+        return None
+    return builder.finish(2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +764,12 @@ def orbit_digest(
     equal digests still certify an admissible permutation, because every
     candidate acts within the declared groups.
 
+    Invariants are grouped by equality and ordered by ``<``, so they
+    must be hashable and mutually comparable; a profile of mixed shapes
+    returns a digest of each (:meth:`~repro.runtime.simulator.SimulationRun.orbit_key`
+    returns ``stable_digest`` of its profile tuple, assembled from
+    cached encodings).
+
     Returns ``(digest, permutation, encodings)``: the orbit-canonical
     digest, the witnessing permutation achieving it, and the number of
     candidate encodings performed (the cost that was previously
@@ -471,9 +778,9 @@ def orbit_digest(
     candidates: list[list[int]] = [list(range(n))]
     for group in groups:
         positions = sorted(set(group))
-        by_invariant: dict[str, list[int]] = {}
+        by_invariant: dict[Any, list[int]] = {}
         for p in positions:
-            by_invariant.setdefault(stable_digest(profile(p)), []).append(p)
+            by_invariant.setdefault(profile(p), []).append(p)
         offset = 0
         for invariant in sorted(by_invariant):
             members = by_invariant[invariant]

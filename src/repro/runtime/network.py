@@ -10,11 +10,12 @@ policy (who receives next) lives in the simulator or the adversary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping
 
 from ..core.actions import PointToPointId
-from .fingerprint import encoding, list_digest
+from .fingerprint import OrbitTemplate, encoding, list_digest, pool_template
 
 __all__ = ["InFlight", "Network"]
 
@@ -36,6 +37,15 @@ class InFlight:
     @property
     def receiver(self) -> int:
         return self.p2p.receiver
+
+    @cached_property
+    def orbit_template(self) -> OrbitTemplate | None:
+        """The template of this message's canonical pool entry.
+
+        Built once, on first use, and shared by every fork whose pool
+        holds this message (see :func:`~repro.runtime.fingerprint.pool_template`).
+        """
+        return pool_template(self.p2p, self.payload)
 
 
 class Network:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..core.actions import PointToPointId
 from ..core.message import Message, MessageFactory, MessageId
-from .fingerprint import encoding, list_digest
+from .fingerprint import OrbitTemplate, encoding, list_digest, tuple_encoding
 from .effects import (
     Deliver,
     DeliverSet,
@@ -193,6 +193,12 @@ RuntimeOutcome = (
     | LocalStep | Blocked | Idle
 )
 
+#: The orbit template of an empty journal (templates are immutable).
+_EMPTY_TEMPLATE = OrbitTemplate()
+
+#: ``encoding(())``: the encoded shape of an empty journal.
+_EMPTY_SHAPE = encoding(())
+
 
 class ProcessRuntime:
     """Drives one :class:`BroadcastProcess` one step at a time."""
@@ -232,8 +238,15 @@ class ProcessRuntime:
         self._journal: list[tuple[Any, ...]] = []
         self._recording = True
         #: Entry tags of a journal prefix, extended on read by
-        #: :attr:`journal_shape` (immutable, so forks share it).
+        #: :attr:`journal_shape` (immutable, so forks share it), with
+        #: the encodings of its tags and of the whole tuple.
         self._shape: tuple[str, ...] = ()
+        self._shape_body = b""
+        self._shape_encoding = _EMPTY_SHAPE
+        #: The orbit template of a journal prefix, extended lazily by
+        #: :meth:`orbit_template`; ``None`` once an entry holds a set or
+        #: dict (see :mod:`repro.runtime.fingerprint`).
+        self._orbit_template: OrbitTemplate | None = _EMPTY_TEMPLATE
         #: Encodings of the first ``_encoded_count`` journal entries,
         #: extended lazily by :meth:`fingerprint` (immutable, so forks
         #: share it), and the digest, cached until the next append.
@@ -313,9 +326,9 @@ class ProcessRuntime:
     def journal_entries(self) -> tuple[tuple[Any, ...], ...]:
         """The driver-call journal, the process's complete input log.
 
-        A read-only snapshot; the symmetry canonicalizer re-encodes it
-        under pid permutations, where :meth:`fingerprint` only needs the
-        digest of the raw entries.
+        A read-only snapshot.  The symmetry reduction reads it through
+        :meth:`orbit_template` instead, and encodes it entry by entry
+        only when an entry holds a set or dict.
         """
         return tuple(self._journal)
 
@@ -328,11 +341,40 @@ class ProcessRuntime:
         Kept incrementally: only entries appended since the last read
         are added.
         """
+        self._extend_shape()
+        return self._shape
+
+    @property
+    def encoded_journal_shape(self) -> bytes:
+        """``encoding(self.journal_shape)``, kept with the shape."""
+        self._extend_shape()
+        return self._shape_encoding
+
+    def _extend_shape(self) -> None:
         if len(self._shape) < len(self._journal):
-            self._shape += tuple(
+            tags = tuple(
                 entry[0] for entry in self._journal[len(self._shape) :]
             )
-        return self._shape
+            self._shape += tags
+            self._shape_body += encoding(*tags)
+            self._shape_encoding = tuple_encoding(
+                len(self._shape), self._shape_body
+            )
+
+    def orbit_template(self) -> OrbitTemplate | None:
+        """The journal's orbit template, or ``None`` on the slow path.
+
+        The template of :meth:`journal_entries` under every pid
+        permutation (see :class:`~repro.runtime.fingerprint.OrbitTemplate`),
+        extended by the entries appended since the last call.  Each
+        extension is a new template, so a fork sharing the old one never
+        sees it change.
+        """
+        template = self._orbit_template
+        if template is not None and template.count < len(self._journal):
+            template = template.extended(self._journal[template.count :])
+            self._orbit_template = template
+        return template
 
     def _log(self, entry: tuple[Any, ...]) -> None:
         """Append one driver call to the journal (unless replaying)."""
@@ -374,6 +416,9 @@ class ProcessRuntime:
         """Give ``clone`` this runtime's journal and its fingerprint caches."""
         clone._journal = list(self._journal)
         clone._shape = self._shape
+        clone._shape_body = self._shape_body
+        clone._shape_encoding = self._shape_encoding
+        clone._orbit_template = self._orbit_template
         clone._encoded_journal = self._encoded_journal
         clone._encoded_count = self._encoded_count
         clone._digest = self._digest

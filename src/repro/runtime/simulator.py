@@ -35,17 +35,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from ..core.execution import Execution
 from ..core.message import Message, MessageFactory
 from .crash import CrashSchedule
 from .fingerprint import (
+    OrbitTemplate,
     PidCanonicalizer,
     encoded_digest,
     encoding,
+    int_encoding,
+    list_encoding,
     orbit_digest,
-    stable_digest,
+    tuple_digest,
 )
 from .independence import Footprint, FootprintDraft
 from .ksa_objects import DecisionPolicy, FirstProposalsPolicy, KsaRegistry
@@ -91,6 +94,9 @@ AlgorithmFactory = Callable[[int, int], BroadcastProcess]
 #: or ``("bcast", pid)``.
 Choice = tuple[str, object]
 
+#: ``encoding(False)`` and ``encoding(True)``, indexed by the flag.
+_FLAGS = (encoding(False), encoding(True))
+
 
 @dataclass(frozen=True)
 class Gated:
@@ -104,6 +110,17 @@ class Gated:
 
     content: Hashable
     after: Hashable
+
+
+class _ScriptOrbit(NamedTuple):
+    """What the orbit key reads of one pid's remaining script."""
+
+    #: The script's orbit template (``None``: it holds a set or dict).
+    template: OrbitTemplate | None
+    #: ``encoding`` of the script's shape, for the pid's profile.
+    shape: bytes
+    #: ``encoding`` of the pid's sync-gate flag, for its profile.
+    synced: bytes
 
 
 @dataclass
@@ -193,6 +210,14 @@ class SimulationRun:
         #: Encoding of the fingerprint's tail — factory counters, sync
         #: gates, remaining scripts — which only broadcast starts change.
         self._tail: bytes | None = None
+        #: The same state, as the orbit key reads it: per pid, its
+        #: remaining script; per permutation, the canonical encoding of
+        #: the counters and sync gates.  Dropped with ``_tail``.  Forks
+        #: share both, and may add permutations to the shared dict: its
+        #: entries are a function of the state the forks share until
+        #: one of them starts a broadcast.
+        self._orbit_scripts: list[_ScriptOrbit] | None = None
+        self._orbit_gates: dict[tuple[int, ...], bytes] = {}
         for p in sorted(self.crashes.initially):
             self.trace.crash(p)
             self.alive.discard(p)
@@ -332,6 +357,8 @@ class SimulationRun:
             message = self.runtimes[p].start_broadcast(content)
             self.last_sync_message[p] = message
             self._tail = None
+            self._orbit_scripts = None
+            self._orbit_gates = {}
             self.trace.broadcast_invoke(p, message)
 
     def fork(self) -> "SimulationRun":
@@ -372,6 +399,8 @@ class SimulationRun:
             None if self._choices is None else list(self._choices)
         )
         clone._tail = self._tail
+        clone._orbit_scripts = self._orbit_scripts
+        clone._orbit_gates = self._orbit_gates
         clone.runtimes = {}
         for p, runtime in self.runtimes.items():
             forked, replayed = runtime.fork(
@@ -495,15 +524,38 @@ class SimulationRun:
         *representative's* guides (with the witnessing permutation
         recorded on the violation) rather than rebasing suffixes onto
         the arrival's own enumeration order.
+
+        The cost is that of filling cached orbit templates (see *Orbit
+        templates* in :mod:`repro.runtime.fingerprint`), not of walking
+        the state: each runtime extends its journal's template by the
+        entries appended since the last call, each in-flight message
+        builds its template once, and the remaining scripts' templates
+        and the per-permutation encoding of the counters and sync gates
+        (which hold no contents) are kept until the next broadcast
+        start.  Only the oracle registry, and a journal, pool entry or
+        script holding a set or dict, go through
+        :meth:`~repro.runtime.fingerprint.PidCanonicalizer.value`.
+        Components are encoded in traversal order — journals in
+        mapped-pid order, then the sorted pool, the registry and the
+        scripts — into one token table, so the digest is byte-identical
+        to ``stable_digest("canon-run", steps, mapped alive, journals,
+        pool, registry, counters, sync gates, remaining)`` over the
+        canonical images.
         """
         canon = PidCanonicalizer(permutation)
         n = self.simulator.n
         # Old pids visited in mapped order, so token numbering (first
         # appearance) is a function of the *relabeled* state alone.
         order = sorted(range(n), key=lambda p: permutation[p])
-        journals = [
-            canon.value(self.runtimes[p].journal_entries()) for p in order
-        ]
+        journals = []
+        for p in order:
+            runtime = self.runtimes[p]
+            template = runtime.orbit_template()
+            journals.append(
+                encoding(canon.value(runtime.journal_entries()))
+                if template is None
+                else canon.fill(template)
+            )
         pool = sorted(
             (
                 (
@@ -515,47 +567,83 @@ class SimulationRun:
             )
             for item in self.network.deliverable(None)
         )
-        pool_encoding = [(key, canon.value(item.payload)) for key, item in pool]
-        registry_encoding = [
-            (
-                name,
-                {
-                    canon.pid(p): canon.value(obj.proposals[p])
-                    for p in sorted(
-                        obj.proposals, key=lambda p: permutation[p]
-                    )
-                },
-                {
-                    canon.pid(p): canon.value(obj.decisions[p])
-                    for p in sorted(
-                        obj.decisions, key=lambda p: permutation[p]
-                    )
-                },
-            )
-            for name, obj in sorted(self.registry.objects.items())
+        pool_encoding = [
+            encoding((key, canon.value(item.payload)))
+            if item.orbit_template is None
+            else canon.fill(item.orbit_template)
+            for key, item in pool
         ]
-        counters = {
-            permutation[p]: c for p, c in self.factory.counters().items()
-        }
-        last_sync = [
-            None
-            if self.last_sync_message[p] is None
-            else canon.value(self.last_sync_message[p].uid)
+        registry_encoding = encoding(
+            [
+                (
+                    name,
+                    {
+                        canon.pid(p): canon.value(obj.proposals[p])
+                        for p in sorted(
+                            obj.proposals, key=lambda p: permutation[p]
+                        )
+                    },
+                    {
+                        canon.pid(p): canon.value(obj.decisions[p])
+                        for p in sorted(
+                            obj.decisions, key=lambda p: permutation[p]
+                        )
+                    },
+                )
+                for name, obj in sorted(self.registry.objects.items())
+            ]
+        )
+        gates = self._orbit_gates.get(tuple(permutation))
+        if gates is None:
+            counters = {
+                permutation[p]: c for p, c in self.factory.counters().items()
+            }
+            last_sync = [
+                None
+                if self.last_sync_message[p] is None
+                else canon.value(self.last_sync_message[p].uid)
+                for p in order
+            ]
+            gates = encoding(counters, last_sync)
+            self._orbit_gates[tuple(permutation)] = gates
+        scripts = self._scripts_for_orbit()
+        remaining = [
+            encoding(canon.value(tuple(self.remaining[p])))
+            if scripts[p].template is None
+            else canon.fill(scripts[p].template)
             for p in order
         ]
-        remaining = [canon.value(tuple(self.remaining[p])) for p in order]
         canon.seal()  # one state per canonicalizer: token table is spent
-        return stable_digest(
-            "canon-run",
-            self.steps,
-            sorted(permutation[p] for p in self.alive),
-            journals,
-            pool_encoding,
+        return encoded_digest(
+            (
+                "canon-run",
+                self.steps,
+                sorted(permutation[p] for p in self.alive),
+            ),
+            list_encoding(n, *journals),
+            list_encoding(len(pool_encoding), *pool_encoding),
             registry_encoding,
-            counters,
-            last_sync,
-            remaining,
+            gates,
+            list_encoding(n, *remaining),
         )
+
+    def _scripts_for_orbit(self) -> list[_ScriptOrbit]:
+        """Per pid, what the orbit key reads of its remaining script."""
+        if self._orbit_scripts is None:
+            self._orbit_scripts = [
+                _ScriptOrbit(
+                    OrbitTemplate().extended(self.remaining[p]),
+                    encoding(
+                        tuple(
+                            "gated" if isinstance(entry, Gated) else "plain"
+                            for entry in self.remaining[p]
+                        )
+                    ),
+                    encoding(self.last_sync_message[p] is not None),
+                )
+                for p in range(self.simulator.n)
+            ]
+        return self._orbit_scripts
 
     def orbit_key(
         self, groups: Sequence[Sequence[int]]
@@ -579,6 +667,10 @@ class SimulationRun:
         the state permutes the profiles with it — the equivariance that
         makes the refined key constant on each orbit.
 
+        Each profile enters the refinement as its ``stable_digest``,
+        assembled from the journal shape's encoding, which each runtime
+        keeps with the shape.
+
         Returns ``(digest, permutation, encodings)`` — the orbit key,
         the witnessing permutation realizing it, and how many candidate
         encodings were paid for it.
@@ -591,17 +683,16 @@ class SimulationRun:
                 in_degree.get(item.p2p.receiver, 0) + 1
             )
 
-        def profile(p: int) -> tuple:
-            return (
-                p in self.alive,
-                self.runtimes[p].journal_shape,
-                tuple(
-                    "gated" if isinstance(entry, Gated) else "plain"
-                    for entry in self.remaining[p]
-                ),
-                self.last_sync_message[p] is not None,
-                in_degree.get(p, 0),
-                out_degree.get(p, 0),
+        scripts = self._scripts_for_orbit()
+
+        def profile(p: int) -> str:
+            return tuple_digest(
+                _FLAGS[p in self.alive],
+                self.runtimes[p].encoded_journal_shape,
+                scripts[p].shape,
+                scripts[p].synced,
+                int_encoding(in_degree.get(p, 0)),
+                int_encoding(out_degree.get(p, 0)),
             )
 
         return orbit_digest(

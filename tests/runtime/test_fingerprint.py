@@ -7,9 +7,12 @@ dict iteration order), and (c) sensitive to everything it keeps (pool
 insertion order, journals, registry state, depth).  The components
 cache their encodings, so (d) every cached digest must equal the
 from-scratch encoding of the same state, and pinned golden digests
-catch any drift of the encoding itself.
+catch any drift of the encoding itself.  The same holds for the orbit
+keys of the symmetry reduction: the templated encoding must equal the
+whole-state oracle of ``canon_oracle`` wherever a search asks for one.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -47,6 +50,7 @@ from repro.runtime.explorer import (
 )
 from repro.specs import KSteppedBroadcastSpec, TotalOrderBroadcastSpec
 
+from . import canon_oracle
 from .test_explorer_checkpoint import Countdown, assert_identical
 
 
@@ -286,6 +290,60 @@ class TestPidCanonicalizerSingleUse:
         assert canon.pid(0) == 1
 
 
+#: A symmetric search whose scripts hold sets: each sender's set shares
+#: one element with its second broadcast, so the tokens the set's
+#: elements take decide how that broadcast encodes.
+HASH_SEED_PROBE = """
+import json
+from repro.broadcasts import SendToAllBroadcast
+from repro.runtime import Simulator
+from repro.runtime.explorer import channels_property, explore_schedules
+
+simulator = Simulator(2, SendToAllBroadcast)
+scripts = {
+    0: [frozenset({"x", "y", "z"}), "y"],
+    1: [frozenset({"u", "v", "w"}), "w"],
+}
+result = explore_schedules(
+    simulator, scripts, channels_property(),
+    dedup=True, sleep_sets=True, symmetry="rename", max_schedules=100,
+)
+run = simulator.begin(scripts)
+run.choices()
+run.advance(0)
+run.choices()
+print(json.dumps([result.to_json(), run.orbit_key(((0, 1),))]))
+"""
+
+
+class TestHashSeedIndependence:
+    """Orbit keys of states holding sets do not depend on ``hash()``.
+
+    Set elements used to take their content tokens in hash-iteration
+    order, so the same search explored a different number of orbits
+    under some ``PYTHONHASHSEED`` values.
+    """
+
+    def test_searches_agree_across_hash_seeds(self):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", HASH_SEED_PROBE],
+                stdout=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            for seed in range(5)
+        ]
+        outputs = []
+        for proc in procs:
+            with proc:
+                outputs.append(proc.communicate()[0])
+            assert proc.returncode == 0
+        first = outputs[0]
+        assert json.loads(first)[0]["orbit_encodings"] > 0
+        assert all(output == first for output in outputs)
+
+
 class TestOrbitDigest:
     """Canonical labelling: one digest per orbit, few encodings."""
 
@@ -460,6 +518,25 @@ def checked_fingerprints(monkeypatch):
     return tally
 
 
+#: The templated implementation, kept before any test wraps it.
+cached_orbit_key = SimulationRun.orbit_key
+
+
+@pytest.fixture
+def checked_orbit_keys(monkeypatch):
+    """Check every ``SimulationRun.orbit_key`` call against the oracle."""
+    tally = {"keys": 0}
+
+    def checked(self, groups):
+        key = cached_orbit_key(self, groups)
+        assert key == canon_oracle.orbit_key(self, groups)
+        tally["keys"] += 1
+        return key
+
+    monkeypatch.setattr(SimulationRun, "orbit_key", checked)
+    return tally
+
+
 #: The three families: send-to-all, uniform reliable broadcast and the
 #: k-stepped broadcast (the latter proposes to k-SA objects, so the
 #: registry changes along the search).
@@ -494,6 +571,23 @@ FAMILIES = {
 #: One crash per family, inside the explored trees.
 CRASHES = {"s2a": {2: 4}, "urb": {0: 3}, "kst": {1: 3}}
 
+#: Crashed symmetric searches: the victim is not a sender, so the two
+#: senders stay interchangeable (urb needs a third process for that,
+#: and a budget to stay small).
+SYMMETRIC_CRASHES = {
+    "s2a": (
+        Simulator(3, SendToAllBroadcast),
+        {"crash_schedule": CrashSchedule(at_step={2: 4})},
+    ),
+    "urb": (
+        Simulator(3, UniformReliableBroadcast),
+        {
+            "crash_schedule": CrashSchedule(at_step={2: 3}),
+            "max_schedules": 300,
+        },
+    ),
+}
+
 
 def family_config(family):
     n, algorithm, options, scripts, prop = FAMILIES[family]
@@ -520,18 +614,60 @@ class TestCachedDigestsMatchScratch:
         assert result.states_seen > 0
         assert checked_fingerprints["runs"] >= result.states_seen
 
-    def test_symmetric_search(self, checked_fingerprints):
-        simulator, scripts, prop = family_config("s2a")
+    def test_symmetric_search(self, checked_fingerprints, checked_orbit_keys):
+        for family, crash in [
+            ("s2a", False),
+            ("s2a", True),
+            ("urb", False),
+            ("urb", True),
+        ]:
+            simulator, scripts, prop = family_config(family)
+            options = {}
+            if crash:
+                # a crash pins its victim: keep two interchangeable senders
+                simulator, options = SYMMETRIC_CRASHES[family]
+            before = checked_orbit_keys["keys"]
+            result = explore_schedules(
+                simulator,
+                scripts,
+                prop,
+                dedup=True,
+                sleep_sets=True,
+                symmetry="rename",
+                **options,
+            )
+            assert result.exhausted or crash
+            assert result.states_merged_symmetry > 0
+            assert checked_orbit_keys["keys"] - before >= result.states_seen
+        assert checked_fingerprints["runs"] > 0
+
+    def test_unordered_contents_take_the_slow_path(self, checked_orbit_keys):
+        # a component holding a set gets no template: it is encoded by
+        # PidCanonicalizer.value, into the token table the templated
+        # components fill from
+        simulator = Simulator(2, SendToAllBroadcast)
+        scripts = {
+            0: [frozenset({"x", "y"}), "y"],
+            1: [frozenset({"u", "v"}), "v"],
+        }
+        run = simulator.begin(scripts)
+        run.advance(0)  # p0 starts broadcasting its set
+        run.advance(0)  # and sends it
+        assert run.runtimes[0].orbit_template() is None
+        assert run.runtimes[1].orbit_template() is not None
+        assert [item.orbit_template for item in run.network.deliverable()] == [
+            None
+        ]
         result = explore_schedules(
             simulator,
             scripts,
-            prop,
+            channels_property(assume_complete=False),
             dedup=True,
             sleep_sets=True,
             symmetry="rename",
+            max_schedules=200,
         )
-        assert result.exhausted
-        assert checked_fingerprints["runs"] > 0
+        assert checked_orbit_keys["keys"] >= result.states_seen > 0
 
     def test_resume_from_checkpoint(self, checked_fingerprints, tmp_path):
         simulator, scripts, prop = family_config("s2a")
@@ -602,6 +738,53 @@ class TestPinnedDigests:
         assert run.fingerprint() == prefix
         assert scratch_run_digest(run) == prefix
 
+    #: ``(n, algorithm, scripts, guide)`` of the pinned orbit keys: all
+    #: pids form one symmetric group, and the guides stop with messages
+    #: in flight and every journal non-empty.
+    ORBIT_RUNS = {
+        "s2a": (
+            3,
+            SendToAllBroadcast,
+            {0: ["a"], 1: ["b"], 2: ["c"]},
+            [2, 0, 1, 1, 3, 0, 2, 1],
+        ),
+        "urb": (
+            2,
+            UniformReliableBroadcast,
+            {0: ["a"], 1: ["b"]},
+            [1, 0, 1, 1, 1, 0, 4, 2, 1, 0],
+        ),
+    }
+
+    #: ``orbit_key`` as ``(digest, permutation, encodings)``, initially
+    #: and after the guide, computed by the whole-state encoder.
+    ORBIT_GOLDEN = {
+        "s2a": (
+            ("c1c4d53a1c0cd978ef2e7c8353c59881", (0, 1, 2), 6),
+            ("9c3c92d74adc293c7832df867812a1e5", (0, 2, 1), 1),
+        ),
+        "urb": (
+            ("f5db6958b635a2de89384fb08030cb4b", (0, 1), 2),
+            ("cfc50feac330001d10474be9474caec0", (1, 0), 1),
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(ORBIT_GOLDEN))
+    def test_orbit_keys(self, family):
+        n, algorithm, scripts, guide = self.ORBIT_RUNS[family]
+        initial, prefix = self.ORBIT_GOLDEN[family]
+        groups = (tuple(range(n)),)
+        run = Simulator(n, algorithm).begin(scripts)
+        run.choices()
+        assert run.orbit_key(groups) == initial
+        for index in guide:
+            run.choices()
+            run.advance(index)
+        run.choices()
+        assert len(run.network) > 0
+        assert run.orbit_key(groups) == prefix
+        assert canon_oracle.orbit_key(run, groups) == prefix
+
     def test_checkpoint_from_the_scratch_encoder_resumes(self, tmp_path):
         """A checkpoint written before the digests were cached resumes.
 
@@ -636,8 +819,9 @@ class FingerprintMachine(RuleBasedStateMachine):
 
     Runs are built without ``atomic_local``, so forks taken while an
     operation is in progress go through journal replay.  Digests are
-    checked only on the ``check`` rule, so several changes accumulate
-    between two cached digests.
+    checked only on the ``check`` rule and orbit keys only on the
+    ``orbit`` rule, so several changes accumulate between two cached
+    digests or two template extensions.
     """
 
     @initialize(
@@ -684,6 +868,15 @@ class FingerprintMachine(RuleBasedStateMachine):
     @rule()
     def check(self):
         assert_cached_digests_match(self.run)
+
+    @rule()
+    def orbit(self):
+        # every pid declared interchangeable: the key must match the
+        # whole-state oracle whatever forks share the templates
+        groups = (tuple(range(self.run.simulator.n)),)
+        assert self.run.orbit_key(groups) == canon_oracle.orbit_key(
+            self.run, groups
+        )
 
     def teardown(self):
         for run in getattr(self, "runs", ()):

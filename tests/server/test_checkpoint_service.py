@@ -296,6 +296,8 @@ class TestRealSignals:
         finally:
             timer.cancel()
             proc.kill()
+            with proc:  # closes the pipes and reaps the child
+                pass
 
     def test_stdio_sigterm_exits_gracefully(self, tmp_path):
         memo_path = os.path.join(tmp_path, "memo.json")
@@ -323,6 +325,8 @@ class TestRealSignals:
         finally:
             timer.cancel()
             proc.kill()
+            with proc:  # closes the pipes and reaps the child
+                pass
 
     def test_stdio_eof_still_shuts_down_cleanly(self, tmp_path):
         memo_path = os.path.join(tmp_path, "memo.json")
@@ -338,3 +342,5 @@ class TestRealSignals:
         finally:
             timer.cancel()
             proc.kill()
+            with proc:  # closes the pipes and reaps the child
+                pass
