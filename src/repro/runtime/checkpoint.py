@@ -28,10 +28,16 @@ Footprint`\\ s, sleep-set/choice keys, and sleep sets themselves.  The
 engine-private structures (subtree summaries, cache entries, DFS
 frames) are encoded by :mod:`repro.runtime.explorer`, which owns their
 types.
+
+A sharded search checkpoints each shard to a side file next to its own
+checkpoint; :func:`shard_checkpoint_path` names them and
+:func:`discard_shard_checkpoints` removes them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
 import os
 from typing import Any, Mapping
@@ -44,11 +50,13 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "config_digest",
+    "discard_shard_checkpoints",
     "footprint_from_json",
     "footprint_to_json",
     "key_from_json",
     "key_to_json",
     "read_checkpoint",
+    "shard_checkpoint_path",
     "sleep_from_json",
     "sleep_to_json",
     "write_checkpoint",
@@ -234,3 +242,27 @@ def read_checkpoint(path: str) -> dict:
             f"reads schema {CHECKPOINT_SCHEMA} — re-run from scratch"
         )
     return body
+
+
+# ---------------------------------------------------------------------------
+# Shard side files
+# ---------------------------------------------------------------------------
+
+
+_SHARD_SUFFIX = ".shard-"
+
+
+def shard_checkpoint_path(path: str, index: int) -> str:
+    """The side file where shard ``index`` of the search checkpointing
+    to ``path`` checkpoints its own subtree."""
+    return f"{path}{_SHARD_SUFFIX}{index}"
+
+
+def discard_shard_checkpoints(path: str) -> None:
+    """Delete every shard side file of the search at ``path``.
+
+    The search's own checkpoint at ``path`` is left alone.
+    """
+    for name in glob.glob(f"{glob.escape(path)}{_SHARD_SUFFIX}*"):
+        with contextlib.suppress(OSError):
+            os.unlink(name)

@@ -99,18 +99,18 @@ the cache off for those.
 ``workers > 1`` shards the top of the schedule tree across a
 ``multiprocessing`` pool (fork start method).  A *frontier pass* of the
 same depth-first loop stops at a cut depth, deepened until enough
-subtrees exist, and lists their roots and the terminals above the cut;
-each worker continues the loop from the run handle the pass left at one
-root, and the per-shard outcomes are merged back *in depth-first
-order*.  An exhaustive sharded run therefore returns the sequential
-result field for field — same counters, same violations in the same
-order; only ``workers`` and the verdict memo's ``memo_hits`` differ.
-On budget-capped runs the merged ``terminal_schedules`` and
-``violations`` still match the sequential engine;
-``schedules_explored``, the event counters and ``exhausted`` reflect the
-work actually performed: every worker receives the full budget, so a
-sharded run may finish the tree (``exhausted=True``) where the
-sequential one stopped at the budget.  Only cache-less searches shard: with
+subtrees exist, and lists their roots; each worker continues the loop
+from the run handle the pass left at one root.  A *merge pass* of the
+loop, cut at the same depth, then replays each shard's outcome at its
+root like a cached subtree summary.  Budget, ``stop_at_first_violation``
+and violation order are therefore applied by the one loop, and
+``terminal_schedules``, ``violations`` and ``aborted`` always equal the
+sequential run's; an exhaustive sharded run equals it field for field,
+apart from ``workers`` and the verdict memo's ``memo_hits``.  On a
+capped or aborted run the work counters add the merge's own nodes
+above the cut, up to where the sequential search stops, to the whole
+work of every shard it replayed: each shard gets the full budget.
+Only cache-less searches shard: with
 ``dedup=True`` (and so with symmetry) a single cache must see every
 state for the result to stay independent of the worker count, so the
 search runs in one process and reports ``workers=1``.  Where the
@@ -158,7 +158,7 @@ written atomically (:mod:`repro.runtime.checkpoint`).  The partial
 result at rest is an :meth:`ExplorationResult.to_json` payload whose
 violations are paired with their ordinals (each violating terminal's
 position in the depth-first terminal sequence), which a sharded merge
-needs to cut the violations at the schedule budget.
+needs to replay the violations under its own schedule budget.
 ``resume_from=path`` restores it: the resume descent replays the
 recorded branch at each checkpointed level *without re-counting it*
 (the restored counters already include that node's expansion), then
@@ -171,25 +171,27 @@ Checkpoints are bound to
 their configuration by a :func:`~repro.runtime.checkpoint.config_digest`
 over everything that shapes the tree; resuming against anything else
 raises :class:`~repro.runtime.checkpoint.CheckpointError`.  Under
-``workers > 1`` the parent writes a parallel checkpoint of merged
-per-shard outcomes and each shard checkpoints its own subtree to
-``<path>.shard-<i>``; a resumed parallel run re-expands the (cheap,
-deterministic) frontier and skips every shard whose outcome was already
-merged.  The shard files are deleted once the run completes.  A cached
-search never shards, so it writes a sequential checkpoint whatever
-``workers`` was requested.  ``cancel`` accepts any object with a ``threading.Event``-style
-``is_set()`` method, is polled at node entry, and makes the search
-return promptly with ``interrupted=True`` (after writing a final
-checkpoint when one was requested).  Forked shard workers see a *fork
-snapshot* of the token: an inherited pre-fork state is honored, and the
-merging parent polls the live token between shard merges either way.
-Once the parent stops merging — cancelled, budget spent or aborted — it
-stops the running shards too, and lets the pool drain.
+``workers > 1`` each shard checkpoints its own subtree to a side file
+(:func:`~repro.runtime.checkpoint.shard_checkpoint_path`), and the
+parent writes just two bodies: an incomplete marker before the pool
+starts and the complete result at the end, after which the side files
+are deleted.  A resumed parallel run re-expands the (cheap,
+deterministic) frontier and runs every shard again; a finished shard
+returns at once from its complete side file.  A cached search never
+shards, so it writes a sequential checkpoint whatever ``workers`` was
+requested.  ``cancel`` accepts any object with a
+``threading.Event``-style ``is_set()`` method, is polled at node entry,
+and makes the search return promptly with ``interrupted=True`` (after
+writing a final checkpoint when one was requested).  Forked shard
+workers see a *fork snapshot* of the token, so while the merge pass
+waits for a shard it polls the live token every 50 ms; once it fires —
+or once the merge stops for the budget or an abort — the parent raises
+a stop flag the shards poll at node entry, so running shards checkpoint
+and stop within one node, and the pool drains.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import multiprocessing
 import os
@@ -204,7 +206,9 @@ from ..core.steps import Step
 from .checkpoint import (
     CheckpointError,
     config_digest,
+    discard_shard_checkpoints,
     read_checkpoint,
+    shard_checkpoint_path,
     sleep_from_json,
     sleep_to_json,
     write_checkpoint,
@@ -1335,6 +1339,29 @@ class _Frame:
         return frame
 
 
+def _absorb(
+    out: ExplorationResult, sub: ExplorationResult, stats: dict[str, int]
+) -> None:
+    """Add a cut subtree's work counters to ``out``.
+
+    Its verdict counts go to ``stats``, the base ``out``'s own counts
+    are flushed onto; terminals and violations merge through replay.
+    """
+    out.schedules_explored += sub.schedules_explored
+    out.events_executed += sub.events_executed
+    out.events_replayed += sub.events_replayed
+    out.states_pruned_sleep += sub.states_pruned_sleep
+    for depth, count in sub.expansions_by_depth.items():
+        out.expansions_by_depth[depth] = (
+            out.expansions_by_depth.get(depth, 0) + count
+        )
+    for source, count in sub.independence_stats.items():
+        stats[source] = stats.get(source, 0) + count
+    out.max_depth_seen = max(out.max_depth_seen, sub.max_depth_seen)
+    if not sub.exhausted:
+        out.exhausted = False
+
+
 def _explore_subtree(
     root: _Cursor,
     prefix: tuple[int, ...],
@@ -1346,7 +1373,7 @@ def _explore_subtree(
     groups: Sequence[tuple[int, ...]] = (),
     root_sleep: _SleepSet | None = None,
     oracle: _IndependenceOracle | None = None,
-    frontier: tuple[int, list[tuple]] | None = None,
+    frontier: tuple[int, Callable] | None = None,
     progress: ProgressCallback | None = None,
     progress_every: int = 1000,
     cancel=None,
@@ -1378,10 +1405,14 @@ def _explore_subtree(
     tuple switches the dedup cache to orbit-canonical keys (see
     :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`).
 
-    ``frontier=(cut, work)`` makes the call a frontier pass: a node at
-    depth ``cut`` is not explored but appended to ``work`` as
-    ``("shard", path, cursor, sleep)``, and each terminal above the cut
-    is also appended as ``("terminal", path, problems)``.
+    ``frontier=(cut, at_cut)`` cuts the search at depth ``cut``: a node
+    there is not expanded, but handed to ``at_cut(path, cursor, sleep)``,
+    which returns the ``(result, ordinals)`` outcome of that subtree's
+    search with absolute guides.  Its work counters are added to this
+    call's and its terminals and violations replayed like a cached
+    summary's, so budget, abort and violation order work as if the
+    subtree had been expanded here.  An interrupted outcome is not
+    merged: the call stops with ``interrupted=True``.
 
     ``cancel``/``checkpoint_to``/``checkpoint_every``/``resume`` are the
     durability hooks (module docstring, *Checkpoint and resume*):
@@ -1394,15 +1425,15 @@ def _explore_subtree(
     Returns ``(result, ordinals)``: the search's result (``workers`` is
     1; the sharded merge sets its own), and for each of its violations
     the position of the violating terminal in the subtree's depth-first
-    terminal sequence, so a merge can cut the violations at a global
-    budget.
+    terminal sequence, so a cut search can replay the violations under
+    its own budget.
     """
     if resume is not None and resume.get("complete"):
         # The interrupted search had already finished (the final
         # checkpoint landed); its outcome is the whole answer.
         return _outcome_from_json(resume["outcome"])
     indep = oracle if oracle is not None else _IndependenceOracle()
-    cut, work = frontier if frontier is not None else (-1, None)
+    cut, at_cut = frontier if frontier is not None else (-1, None)
     if resume is not None:
         out, ordinals = _outcome_from_json(resume["outcome"])
         cache = _cache_from_json(resume["cache"], indep)
@@ -1526,8 +1557,6 @@ def _explore_subtree(
         problems = tuple(
             cursor.tracker.at_terminal(cursor.handle.result())
         )
-        if work is not None:
-            work.append(("terminal", tuple(path), problems))
         if problems:
             out.violations.append(Violation(tuple(path), problems))
             ordinals.append(ordinal)
@@ -1659,9 +1688,6 @@ def _explore_subtree(
         frontier the same way.
         """
         if not resume:
-            if depth == cut:
-                work.append(("shard", tuple(path), cursor, sleep))
-                return _Summary()
             if cancel is not None and cancel.is_set():
                 interrupt()
                 return None
@@ -1670,6 +1696,21 @@ def _explore_subtree(
             if out.terminal_schedules >= max_schedules:
                 out.exhausted = False
                 return None
+            if depth == cut:
+                sub, sub_ordinals = at_cut(tuple(path), cursor, sleep)
+                if sub.interrupted:
+                    interrupt()
+                    return None
+                _absorb(out, sub, stats_base)
+                cut_summary = _Summary(
+                    terminals=sub.terminal_schedules,
+                    violations=[
+                        (ordinal, v.guide, v.problems, v.permutation)
+                        for ordinal, v in zip(sub_ordinals, sub.violations)
+                    ],
+                )
+                # With the cache off, a summary only feeds its parent's.
+                return _Summary() if replay(cut_summary, None) else None
             choices = cursor.handle.choices()  # prelude before fingerprinting
             cursor.sync()
             key = raw = perm = None
@@ -1860,34 +1901,24 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
     left at its root (inherited through the fork, so nothing is replayed
     or re-interned), on its own copy of that pass's oracle, so its
     verdict counts never depend on the shards its worker ran before.  With
-    checkpointing on, each shard owns ``<path>.shard-<index>``: it
-    resumes from it when a valid one exists (a corrupt or
-    mismatched-config file means a cold start for that shard, never an
-    error — the shard's work is self-contained) and checkpoints its own
-    subtree into it.  The forked worker sees a fork-time *snapshot* of
-    the cancel token; the merging parent polls the live token, and
-    raises the shared stop flag once it stops merging.
+    checkpointing on, each shard owns the side file
+    :func:`~repro.runtime.checkpoint.shard_checkpoint_path` names: it
+    resumes from it when a valid one exists (a complete one returns its
+    outcome at once; a corrupt or mismatched-config file means a cold
+    start for that shard, never an error — the shard's work is
+    self-contained) and checkpoints its own subtree into it.  The forked
+    worker sees a fork-time *snapshot* of the cancel token; the parent
+    polls the live token while it waits and raises the shared stop flag
+    to pass a cancel on.
     """
     assert _SHARD_STATE is not None
-    (
-        shard_work,
-        oracle,
-        stop,
-        max_schedules,
-        max_depth,
-        stop_at_first_violation,
-        sleep_sets,
-        cancel,
-        checkpoint_to,
-        checkpoint_every,
-        config,
-    ) = _SHARD_STATE
-    prefix, root, root_sleep = shard_work[index]
+    shards, oracle, stop, cancel, checkpoint_to, config, search = _SHARD_STATE
+    prefix, root, root_sleep = shards[index]
     shard_path = None
     shard_config = ""
     resume_body = None
     if checkpoint_to is not None:
-        shard_path = f"{checkpoint_to}.shard-{index}"
+        shard_path = shard_checkpoint_path(checkpoint_to, index)
         shard_config = stable_digest(
             "repro.checkpoint.shard", config, prefix
         )
@@ -1905,36 +1936,41 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
     return _explore_subtree(
         root,
         prefix,
-        max_schedules,
-        max_depth,
-        stop_at_first_violation,
-        sleep_sets=sleep_sets,
         root_sleep=root_sleep,
         oracle=copy.deepcopy(oracle),
         cancel=_ShardCancel(stop, cancel),
         checkpoint_to=shard_path,
-        checkpoint_every=checkpoint_every,
         resume=resume_body,
         config=shard_config,
+        **search,
     )
 
 
 def _expand_frontier(
     root: _Cursor, max_depth: int, target_shards: int, sleep_sets: bool
-) -> tuple[list[tuple], ExplorationResult, _IndependenceOracle]:
+) -> tuple[int, list[tuple], _IndependenceOracle]:
     """Cut the top of the tree into at least ``target_shards`` subtrees.
 
-    Iterative deepening: frontier passes of :func:`_explore_subtree`
-    cut at depth 1, 2, … 8, each on a fork of ``root`` with a fresh
-    oracle, until one yields enough shards, or none.  Returns that
-    pass's work list, its result (the counters of every node above the
-    cut) and its oracle, which keys the shards' sleep sets.  Shallower
-    passes are discarded uncounted.
+    Iterative deepening: passes of :func:`_explore_subtree` cut at depth
+    1, 2, … 8, each on a fork of ``root`` with a fresh oracle, until one
+    yields enough shards, or none.  A pass records each node at the cut
+    as ``(path, cursor, sleep)`` and stands in an empty outcome for its
+    subtree.  Returns the last pass's cut depth, its shard list and its
+    oracle, which keys the shards' sleep sets.  Every pass is discarded
+    uncounted: the merge pass counts the nodes above the cut.
     """
+    shards: list[tuple] = []
+
+    def record(
+        path: tuple[int, ...], cursor: _Cursor, sleep: _SleepSet
+    ) -> tuple[ExplorationResult, list[int]]:
+        shards.append((path, cursor, sleep))
+        return ExplorationResult(0, 0), []
+
     for cut in range(1, 9):
+        shards.clear()
         oracle = _IndependenceOracle()
-        work: list[tuple] = []
-        result, _ = _explore_subtree(
+        _explore_subtree(
             root.fork(),
             (),
             sys.maxsize,
@@ -1942,12 +1978,11 @@ def _expand_frontier(
             False,
             sleep_sets=sleep_sets,
             oracle=oracle,
-            frontier=(cut, work),
+            frontier=(cut, record),
         )
-        shards = sum(1 for entry in work if entry[0] == "shard")
-        if shards >= target_shards or not shards:
+        if len(shards) >= target_shards or not shards:
             break
-    return work, result, oracle
+    return cut, shards, oracle
 
 
 def _explore_parallel(
@@ -1963,168 +1998,94 @@ def _explore_parallel(
     resume: Mapping | None = None,
     config: str = "",
 ) -> ExplorationResult:
-    """Shard the tree over a worker pool and merge in DFS order.
+    """Shard the tree over a worker pool; merge with a cut DFS pass.
 
-    Only cache-less searches shard.  Each shard continues from the
-    cursor :func:`_expand_frontier` left at its root, under the sleep
-    set that root has in the sequential search, so the merged result
-    equals the sequential one, field for field, apart from ``workers``
-    and the verdict memo's ``memo_hits``.  Every shard gets the full
-    budget, so a capped run merges ``terminal_schedules`` and
-    ``violations`` up to it, while the work counters and ``exhausted``
-    report what the shards did.
+    Only cache-less searches shard.  :func:`_expand_frontier` lists the
+    shard roots, the pool explores every shard from the cursor and
+    sleep set the frontier left at its root, and a *merge pass* — the
+    same DFS, cut at the frontier's depth — replays each shard's
+    outcome at its root in depth-first order.  Budget, abort, violation
+    order and ``cancel`` therefore mean what they mean sequentially:
+    ``terminal_schedules``, ``violations`` and ``aborted`` equal the
+    sequential result's, and an exhaustive run equals it field for
+    field apart from ``workers`` and the verdict memo's ``memo_hits``.
+    Shards the merge replays count their whole subtree's work, at the
+    full budget each.  While it waits for a shard the merge pass polls
+    ``cancel`` and, once it fires, raises the stop flag the shards poll.
 
-    With checkpointing on, the parent owns ``checkpoint_to``: its body
-    maps shard indices to already-merged outcomes, rewritten after each
-    merge, while each shard worker checkpoints its own subtree to
-    ``<path>.shard-<i>`` (see :func:`_explore_shard`).  A resumed run
-    re-expands the frontier — deterministic and cheap, so its counters
-    are recomputed rather than stored — then skips every shard whose
-    outcome the previous run already merged; unfinished shards resume
-    from their own files.  Once the complete checkpoint is written the
-    shard files are deleted; an interrupted run keeps them.
+    With checkpointing on, each shard checkpoints its own subtree to its
+    side file (see :func:`_explore_shard`), and the parent's file at
+    ``checkpoint_to`` only marks the search: an incomplete body is
+    written before the pool starts and the complete result at the end,
+    after which the side files are deleted; an interrupted run keeps
+    them.  A resumed run re-expands the frontier and runs every shard
+    again — a finished shard returns from its complete side file — so
+    an incomplete parent body carries nothing to restore (a legacy
+    ``"shards"`` map of merged outcomes is ignored).
     """
     global _SHARD_STATE
     if resume is not None and resume.get("complete"):
         return ExplorationResult.from_json(resume["result"])
-    stored: dict[str, dict] = (
-        dict(resume["shards"]) if resume is not None else {}
-    )
-    result = ExplorationResult(
-        schedules_explored=0, terminal_schedules=0, workers=workers
-    )
-
-    def absorb(sub: ExplorationResult) -> None:
-        """Add an outcome's work counters; terminals merge separately."""
-        result.schedules_explored += sub.schedules_explored
-        result.events_executed += sub.events_executed
-        result.events_replayed += sub.events_replayed
-        result.progress_errors.extend(sub.progress_errors)
-        result.states_pruned_sleep += sub.states_pruned_sleep
-        for depth, count in sub.expansions_by_depth.items():
-            result.expansions_by_depth[depth] = (
-                result.expansions_by_depth.get(depth, 0) + count
-            )
-        for source, count in sub.independence_stats.items():
-            result.independence_stats[source] = (
-                result.independence_stats.get(source, 0) + count
-            )
-        result.max_depth_seen = max(result.max_depth_seen, sub.max_depth_seen)
-        if not sub.exhausted:
-            result.exhausted = False
-
-    entries, frontier, oracle = _expand_frontier(
+    if checkpoint_to is not None:
+        write_checkpoint(
+            checkpoint_to,
+            {"kind": "parallel", "config": config, "complete": False},
+        )
+    cut, shards, oracle = _expand_frontier(
         root, max_depth, workers * 4, sleep_sets
     )
-    absorb(frontier)
-    shard_work = [e[1:] for e in entries if e[0] == "shard"]
-    pending_indices = [
-        i for i in range(len(shard_work)) if str(i) not in stored
-    ]
     ctx = multiprocessing.get_context("fork")
     # Raised when the merge is over, so the shards stop and the pool
     # drains: terminating it could kill a worker holding the result
     # queue's lock, which hangs the pool's shutdown.
     stop = ctx.RawValue("b", 0)
-    _SHARD_STATE = (
-        shard_work,
-        oracle,
-        stop,
-        max_schedules,
-        max_depth,
-        stop_at_first_violation,
-        sleep_sets,
-        cancel,
-        checkpoint_to,
-        checkpoint_every,
-        config,
+    # The bounds of the merge pass and of every shard.
+    search = dict(
+        max_schedules=max_schedules,
+        max_depth=max_depth,
+        stop_at_first_violation=stop_at_first_violation,
+        sleep_sets=sleep_sets,
+        checkpoint_every=checkpoint_every,
     )
-
-    def parent_snapshot(*, complete: bool) -> None:
-        if checkpoint_to is None:
-            return
-        body: dict = {"kind": "parallel", "config": config,
-                      "complete": complete}
-        if complete:
-            body["result"] = result.to_json()
-        else:
-            body["shards"] = stored
-        write_checkpoint(checkpoint_to, body)
-
+    _SHARD_STATE = (
+        shards, oracle, stop, cancel, checkpoint_to, config, search
+    )
     try:
         with ctx.Pool(processes=workers) as pool:
-            shard_outcomes = pool.imap(_explore_shard, pending_indices)
-            shard_index = -1
-            for entry in entries:
-                if result.terminal_schedules >= max_schedules:
-                    result.exhausted = False
-                    break
-                if entry[0] == "terminal":
-                    _, prefix, problems = entry
-                    result.terminal_schedules += 1
-                    if problems:
-                        result.violations.append(
-                            Violation(tuple(prefix), tuple(problems))
-                        )
-                        if stop_at_first_violation:
-                            result.aborted = True
-                            result.exhausted = False
-                            break
-                    continue
-                shard_index += 1
-                reused = str(shard_index) in stored
-                if reused:
-                    sub, ordinals = _outcome_from_json(
-                        stored[str(shard_index)]
-                    )
-                else:
-                    sub, ordinals = next(shard_outcomes)
-                if sub.interrupted or (
-                    not reused and cancel is not None and cancel.is_set()
-                ):
-                    # A shard hit its (fork-inherited) cancel token, or
-                    # the live token fired parent-side.  A shard that
-                    # *completed* before the cut still counts: store it
-                    # so the resume skips it, but do not merge it — the
-                    # merge order is the construction-identity contract
-                    # and the resumed run will merge it in sequence.
-                    if not sub.interrupted and checkpoint_to is not None:
-                        stored[str(shard_index)] = _outcome_to_json(
-                            sub, ordinals
-                        )
-                    result.interrupted = True
-                    result.exhausted = False
-                    parent_snapshot(complete=False)
-                    break
-                if not reused and checkpoint_to is not None:
-                    stored[str(shard_index)] = _outcome_to_json(
-                        sub, ordinals
-                    )
-                    parent_snapshot(complete=False)
-                absorb(sub)
-                budget_left = max_schedules - result.terminal_schedules
-                take = min(sub.terminal_schedules, budget_left)
-                for ordinal, violation in zip(ordinals, sub.violations):
-                    if ordinal < take:
-                        result.violations.append(violation)
-                result.terminal_schedules += take
-                if take < sub.terminal_schedules:
-                    result.exhausted = False
-                if sub.aborted:
-                    result.aborted = True
-                    result.exhausted = False
-                    break
+            outcomes = pool.imap(_explore_shard, range(len(shards)))
+
+            def at_cut(
+                path: tuple[int, ...], cursor: _Cursor, sleep: _SleepSet
+            ) -> tuple[ExplorationResult, list[int]]:
+                # Shards see a fork-time snapshot of ``cancel``: poll the
+                # live token while waiting, and pass it on as ``stop``.
+                while True:
+                    try:
+                        return outcomes.next(timeout=0.05)
+                    except multiprocessing.TimeoutError:
+                        if cancel is not None and cancel.is_set():
+                            stop.value = 1
+
+            result, _ = _explore_subtree(
+                root, (), frontier=(cut, at_cut), cancel=cancel, **search
+            )
             stop.value = 1
             pool.close()
             pool.join()
     finally:
         _SHARD_STATE = None
-    if not result.interrupted:
-        parent_snapshot(complete=True)
-        if checkpoint_to is not None:
-            for index in range(len(shard_work)):
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(f"{checkpoint_to}.shard-{index}")
+    result.workers = workers
+    if checkpoint_to is not None and not result.interrupted:
+        write_checkpoint(
+            checkpoint_to,
+            {
+                "kind": "parallel",
+                "config": config,
+                "complete": True,
+                "result": result.to_json(),
+            },
+        )
+        discard_shard_checkpoints(checkpoint_to)
     return result
 
 

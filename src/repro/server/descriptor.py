@@ -77,8 +77,10 @@ __all__ = [
 #: results memoized under an older schema must never satisfy a
 #: submission against a newer engine.  Schema 5 is the canonical
 #: encoding v2; schema 6 replaces the engine selector with the ``dedup``
-#: flag.
-ENGINE_SCHEMA = 6
+#: flag; schema 7 merges sharded runs with a pass of the one DFS, which
+#: changes the work counters (and can change ``exhausted``) of
+#: budget-capped or aborted ``workers > 1`` results.
+ENGINE_SCHEMA = 7
 
 #: Algorithm registry: descriptor name → ``factory(pid, n)`` class.
 ALGORITHMS: Mapping[str, Callable[[int, int], Any]] = {

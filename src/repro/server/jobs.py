@@ -48,7 +48,7 @@ job completes (the memo takes over from there).
 from __future__ import annotations
 
 import asyncio
-import glob
+import contextlib
 import heapq
 import multiprocessing
 import os
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from ..runtime.checkpoint import CheckpointError
+from ..runtime.checkpoint import CheckpointError, discard_shard_checkpoints
 from ..runtime.explorer import explore_schedules
 from .descriptor import JobDescriptor, job_digest
 from .memo import MemoStore
@@ -209,11 +209,9 @@ def _discard_checkpoint_files(path: str | None) -> None:
     """Remove a job's checkpoint and any per-shard side files."""
     if path is None:
         return
-    for name in [path, *glob.glob(f"{path}.shard-*")]:
-        try:
-            os.unlink(name)
-        except OSError:
-            pass
+    with contextlib.suppress(OSError):
+        os.unlink(path)
+    discard_shard_checkpoints(path)
 
 
 def _batch_worker(

@@ -18,16 +18,20 @@ a stride, keeping the suite fast while still crossing checkpoint
 boundaries deep in the tree.
 """
 
+import multiprocessing
 import os
 import shutil
+import threading
 
 import pytest
 
+import repro.runtime.explorer as explorer_module
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.checkpoint import (
     CheckpointError,
     read_checkpoint,
+    shard_checkpoint_path,
     write_checkpoint,
 )
 from repro.runtime.explorer import (
@@ -260,6 +264,25 @@ class TestParallelResume:
         )
         assert resumed == reference
 
+    def test_parent_writes_two_bodies(self, tmp_path, monkeypatch):
+        # the shards own their outcomes: the parent writes its marker
+        # and the complete result, never a body per merged shard
+        path = os.path.join(tmp_path, "parent.ckpt")
+        parent_writes = []
+        write = explorer_module.write_checkpoint
+
+        def counting(target, body):
+            if target == path:
+                parent_writes.append(body["complete"])
+            write(target, body)
+
+        monkeypatch.setattr(explorer_module, "write_checkpoint", counting)
+        result = explore_schedules(
+            *self.make_config(), workers=2, checkpoint_to=path
+        )
+        assert parent_writes == [False, True]
+        assert result == explore_schedules(*self.make_config(), workers=2)
+
 
 class TestCompleteCheckpoint:
     """A finished sequential run's checkpoint replays for free."""
@@ -487,9 +510,11 @@ class TestParallelCheckpointFromTheBreadthFirstFrontier:
     still expanded the parallel frontier in a breadth-first loop of its
     own: a plain ``workers=2`` search of the :class:`TestParallelResume`
     configuration, interrupted parent-side after shards 0-2 had merged
-    and shard 3 had completed unmerged.  Its outcomes are keyed by shard
-    index, so the depth-first frontier pass must list the same subtrees
-    in the same order for the resume to reach the uninterrupted result.
+    and shard 3 had completed unmerged.  Its body still carries that
+    explorer's map of merged shard outcomes, keyed by shard index.  The
+    parent checkpoint is now only a marker: the map is no longer read,
+    every shard runs again, and the legacy body must still resume to the
+    uninterrupted result.
     """
 
     FIXTURE = os.path.join(
@@ -532,6 +557,63 @@ class TestCooperativeCancel:
         assert not result.exhausted
         assert result.schedules_explored == 0
         assert os.path.exists(path)
+
+    def test_cancel_stops_the_running_shard(self, tmp_path):
+        """A cancel reaches the shard the merge is waiting for.
+
+        Forked shards see a fork-time snapshot of the token, which this
+        one keeps unset: it fires only in the parent, once a shard is
+        holding at its first terminal.  The merge pass must notice while
+        it waits and stop the shard, so shard 0 ends interrupted rather
+        than running to the end of its subtree.  The shards are let go
+        only well after the parent has had its chance to stop them.
+        """
+        ctx = multiprocessing.get_context("fork")
+        holding, release = ctx.Event(), ctx.Event()
+        parent = os.getpid()
+        held = []
+        let_go = threading.Timer(0.2, release.set)
+
+        def hold_first_terminal(result):
+            if os.getpid() != parent and not held:
+                held.append(True)
+                holding.set()
+                release.wait(5)
+            return []
+
+        class ParentToken:
+            def is_set(self):
+                if os.getpid() != parent or not holding.is_set():
+                    return False
+                if not let_go.is_alive() and not release.is_set():
+                    let_go.start()
+                return True
+
+        path = os.path.join(tmp_path, "search.ckpt")
+        simulator, scripts, _ = TestParallelResume.make_config()
+        first = explore_schedules(
+            simulator,
+            scripts,
+            hold_first_terminal,
+            workers=2,
+            cancel=ParentToken(),
+            checkpoint_to=path,
+        )
+        assert first.interrupted
+        let_go.join()
+        shard_0 = read_checkpoint(shard_checkpoint_path(path, 0))
+        assert shard_0["complete"] is False
+        reference = explore_schedules(
+            *TestParallelResume.make_config(), workers=2
+        )
+        resumed = explore_schedules(
+            *TestParallelResume.make_config(),
+            workers=2,
+            checkpoint_to=path,
+            resume_from=path,
+        )
+        assert_identical(resumed, reference)
+        assert os.listdir(tmp_path) == ["search.ckpt"]
 
     def test_interrupt_without_checkpoint_path(self):
         result = explore_schedules(

@@ -6,10 +6,12 @@ long-running configuration exists only to be cancelled.
 """
 
 import asyncio
+import os
 
 import pytest
 
 import repro.server.jobs as jobs_module
+from repro.runtime.explorer import explore_schedules
 from repro.server.descriptor import JobDescriptor
 from repro.server.jobs import JobManager, JobState
 from repro.server.memo import MemoStore
@@ -49,6 +51,27 @@ def long_running():
             "dedup": False,
         }
     )
+
+
+def sharded(algorithm="send-to-all", n=3):
+    """A cache-less ``workers=2`` search: the job really shards."""
+    return JobDescriptor.from_json(
+        {
+            "algorithm": algorithm,
+            "n": n,
+            "scripts": {"0": ["a"], "1": ["b"]},
+            "dedup": False,
+            "workers": 2,
+        }
+    )
+
+
+def direct(descriptor):
+    """The descriptor's result, explored in this process."""
+    simulator, scripts, prop, crash, kwargs = descriptor.build()
+    return explore_schedules(
+        simulator, scripts, prop, crash_schedule=crash, **kwargs
+    ).to_json()
 
 
 def manager(**kwargs):
@@ -314,3 +337,49 @@ class TestDrainAndBackends:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             JobManager(MemoStore(), backend="carrier-pigeon")
+
+
+class TestShardedJobs:
+    def test_sharded_job_equals_direct_search(self, tmp_path):
+        async def main():
+            mgr = manager(checkpoint_dir=str(tmp_path))
+            record = mgr.submit(sharded())
+            await asyncio.wait_for(record.wait(), 60)
+            await mgr.drain()
+            return record
+
+        record = asyncio.run(main())
+        assert record.state is JobState.DONE
+        assert record.result["workers"] == 2
+        assert record.result == direct(sharded())
+        # the parent checkpoint and every shard side file are gone
+        assert os.listdir(tmp_path) == []
+
+    def test_cancelled_sharded_job_resumes_to_the_cold_result(
+        self, tmp_path
+    ):
+        descriptor = sharded("uniform-reliable", n=2)
+
+        async def main():
+            mgr = manager(backend="thread", checkpoint_dir=str(tmp_path))
+            record = mgr.submit(descriptor)
+            queue = mgr.subscribe(record.job_id)
+            assert (await queue.get())["event"] == "running"
+            assert mgr.cancel(record.job_id) is True
+            await asyncio.wait_for(record.wait(), 60)
+            assert record.state is JobState.CANCELLED
+            resumed = mgr.resume(record.job_id)
+            await asyncio.wait_for(resumed.wait(), 120)
+            await mgr.drain()
+            return resumed
+
+        resumed = asyncio.run(main())
+        assert resumed.state is JobState.DONE
+        assert not resumed.memo_hit
+        # a resume re-pays the replay of checkpointed prefixes
+        exempt = ("events_executed", "events_replayed")
+        cold = direct(descriptor)
+        for name, value in cold.items():
+            if name not in exempt:
+                assert resumed.result[name] == value, name
+        assert os.listdir(tmp_path) == []
