@@ -86,7 +86,6 @@ async def _cmd_serve(args: argparse.Namespace) -> int:
         small_cost=args.small_cost,
         max_entries=args.max_entries,
         max_bytes=args.max_bytes,
-        backend=args.backend,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
     )
@@ -399,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--small-cost", type=int, default=32)
     serve.add_argument("--max-entries", type=int, default=256)
     serve.add_argument("--max-bytes", type=int, default=16 << 20)
-    serve.add_argument("--backend", choices=["process", "thread"])
     serve.add_argument(
         "--checkpoint-dir",
         default=None,

@@ -20,27 +20,24 @@ The :class:`JobManager` owns every submission end to end:
   from the worker into per-job asyncio subscription queues, so any
   number of watchers stream a live exploration.
 
-Two execution backends share the same message protocol
-(``start`` / ``progress`` / ``done`` / ``failed`` / ``skipped`` /
-``cancelled`` tuples):
-
-* ``"process"`` (default where ``fork`` exists) — each batch runs in a
-  forked worker process, streaming messages over a pipe; a bounded
-  number of such workers (``max_workers``) run concurrently, and
-  cancellation of a running job terminates its worker (unfinished
-  batch-mates are requeued, not lost);
-* ``"thread"`` — the degraded mode for fork-less platforms: batches run
-  on executor threads.  A started job is interrupted *cooperatively*: a
-  per-job cancel event is threaded into the engine, which polls it at
-  node entry, writes a checkpoint (when checkpointing is on), and
-  returns promptly with ``interrupted=True`` — reported as
-  ``cancelled``; not-yet-started batch members are skipped.
+Every batch runs through one loop that streams ``start`` /
+``progress`` / ``done`` / ``failed`` / ``cancelled`` tuples back to the
+manager: in a forked worker process, over a pipe, where the ``fork``
+start method exists (at most ``max_workers`` at once), on an executor
+thread elsewhere.  Each dispatched job has one cooperative cancel
+token, a shared byte the worker (and the shard pool of a
+``workers > 1`` descriptor) reads live.  :meth:`JobManager.cancel` sets
+it; the engine polls it at node entry, writes a checkpoint (when
+checkpointing is on) and returns with ``interrupted=True``, reported as
+``cancelled``; a batch member whose token is set before its turn is
+reported ``cancelled`` without running.  Nothing terminates a worker:
+a cancelled job's batch-mates run on.
 
 With ``checkpoint_dir`` set, running explorations checkpoint
 periodically under ``<dir>/<job digest>.ckpt``.  The digest-keyed path
-is the warm-restart contract: a requeued batch-mate, a job whose worker
-died, a cancelled-then-resumed job, or the same descriptor resubmitted
-to a restarted service all find the previous attempt's checkpoint and
+is the warm-restart contract: a job whose worker died, a
+cancelled-then-resumed job, or the same descriptor resubmitted to a
+restarted service all find the previous attempt's checkpoint and
 resume instead of starting cold.  Checkpoints are deleted when their
 job completes (the memo takes over from there).
 """
@@ -50,10 +47,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import heapq
+import mmap
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,6 +68,11 @@ __all__ = ["JobState", "JobRecord", "JobManager"]
 #: died-worker job still fails on the first death — re-running it cold
 #: would repeat whatever killed the worker.
 _REQUEUE_CAP = 3
+
+
+#: Whether batches run in forked worker processes (where the ``fork``
+#: start method exists) or on executor threads.
+_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 class JobState(Enum):
@@ -140,9 +142,9 @@ class JobRecord:
 
 def _run_descriptor(
     descriptor: JobDescriptor,
-    emit: Callable[[dict], None] | None,
+    emit: Callable[[dict], None],
     *,
-    cancel: Any | None = None,
+    cancel: Any,
     checkpoint_to: str | None = None,
     checkpoint_every: int = 256,
 ) -> tuple[dict, str, float]:
@@ -154,31 +156,21 @@ def _run_descriptor(
     execute without it.  A run with a checkpoint path resumes from an
     existing file at that path (the digest-keyed warm restart), falling
     back to a cold run — after discarding the file — when it turns out
-    stale or corrupt.  An interrupted run returns its
+    stale or corrupt.  A run that ``cancel`` stopped returns its
     partial result; the caller inspects ``payload["interrupted"]``.
     """
     simulator, scripts, prop, crash, kwargs = descriptor.build()
-    progress: Callable[[Any], None] | None = None
     one_process = kwargs["workers"] == 1 or kwargs["dedup"]
-    if emit is not None and one_process:
-        callback = emit
-
-        def stream(snapshot: Any) -> None:
-            callback(snapshot.to_json())
-
-        progress = stream
-
-    if cancel is not None:
-        kwargs["cancel"] = cancel
+    progress = (lambda s: emit(s.to_json())) if one_process else None
+    kwargs["cancel"] = cancel
     if checkpoint_to is not None:
         kwargs["checkpoint_to"] = checkpoint_to
         kwargs["checkpoint_every"] = checkpoint_every
         if os.path.exists(checkpoint_to):
             kwargs["resume_from"] = checkpoint_to
 
-    started = time.perf_counter()
-    try:
-        result = explore_schedules(
+    def explore() -> Any:
+        return explore_schedules(
             simulator,
             scripts,
             prop,
@@ -187,20 +179,16 @@ def _run_descriptor(
             progress_every=descriptor.progress_every,
             **kwargs,
         )
+
+    started = time.perf_counter()
+    try:
+        result = explore()
     except CheckpointError:
         if not kwargs.pop("resume_from", None):
             raise
         # stale or corrupt at-rest state: this attempt starts cold
         _discard_checkpoint_files(checkpoint_to)
-        result = explore_schedules(
-            simulator,
-            scripts,
-            prop,
-            crash_schedule=crash,
-            progress=progress,
-            progress_every=descriptor.progress_every,
-            **kwargs,
-        )
+        result = explore()
     elapsed = time.perf_counter() - started
     return result.to_json(), result.violations_digest(), elapsed
 
@@ -214,43 +202,106 @@ def _discard_checkpoint_files(path: str | None) -> None:
     discard_shard_checkpoints(path)
 
 
+class _CancelToken:
+    """A job's cancel token: a shared byte its forked worker reads live."""
+
+    def __init__(self) -> None:
+        # anonymous shared memory, which a fork shares; a
+        # ``multiprocessing.RawValue`` measured slower (EXPERIMENTS.md)
+        self._flag = mmap.mmap(-1, 1)
+
+    def set(self) -> None:
+        self._flag[0] = 1
+
+    def is_set(self) -> bool:
+        return self._flag[0] != 0
+
+
+def _run_batch_jobs(
+    batch: list[tuple[str, JobDescriptor, str | None]],
+    cancels: dict[str, _CancelToken],
+    emit: Callable[[tuple], None],
+    checkpoint_every: int,
+) -> None:
+    """Run a batch's jobs in order, reporting each through ``emit``.
+
+    A job whose token is already set is reported ``cancelled`` without
+    running; any other emits ``start``, its ``progress``, then exactly
+    one of ``done``, ``cancelled`` (stopped on its token) or ``failed``.
+    """
+    for job_id, descriptor, checkpoint_to in batch:
+        cancel = cancels[job_id]
+        if cancel.is_set():
+            emit(("cancelled", job_id))
+            continue
+        emit(("start", job_id))
+        try:
+            payload, vdigest, cost = _run_descriptor(
+                descriptor,
+                lambda snapshot, job_id=job_id: emit(
+                    ("progress", job_id, snapshot)
+                ),
+                cancel=cancel,
+                checkpoint_to=checkpoint_to,
+                checkpoint_every=checkpoint_every,
+            )
+        except Exception as exc:
+            emit(("failed", job_id, f"{type(exc).__name__}: {exc}"))
+            continue
+        if payload.get("interrupted"):
+            emit(("cancelled", job_id))
+        else:
+            emit(("done", job_id, payload, vdigest, cost))
+
+
 def _batch_worker(
     conn: Any,
     batch: list[tuple[str, JobDescriptor, str | None]],
+    cancels: dict[str, _CancelToken],
     checkpoint_every: int,
 ) -> None:
     """Forked-process entry point: run a batch, stream messages back."""
-    # The serving parent installs benign SIGINT/SIGTERM handlers
-    # (checkpoint-first shutdown), and a fork inherits them — which
-    # would turn ``terminate()`` into a no-op and make "cancel" mean
-    # "run to completion anyway".  Workers die on signal, by design:
-    # the periodic checkpoint is what survives them.
+    # The parent's SIGINT/SIGTERM handlers wake its event loop, and a
+    # fork inherits them.  Jobs stop through their tokens, never by
+    # signal: a signal sent to the worker itself kills it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     try:
-        for job_id, descriptor, checkpoint_to in batch:
-            conn.send(("start", job_id))
-
-            def emit(snapshot: dict, job_id: str = job_id) -> None:
-                conn.send(("progress", job_id, snapshot))
-
-            try:
-                payload, vdigest, cost = _run_descriptor(
-                    descriptor,
-                    emit,
-                    checkpoint_to=checkpoint_to,
-                    checkpoint_every=checkpoint_every,
-                )
-                if payload.get("interrupted"):
-                    conn.send(("cancelled", job_id))
-                else:
-                    conn.send(("done", job_id, payload, vdigest, cost))
-            except Exception as exc:
-                conn.send(
-                    ("failed", job_id, f"{type(exc).__name__}: {exc}")
-                )
+        _run_batch_jobs(batch, cancels, conn.send, checkpoint_every)
     finally:
         conn.close()
+
+
+def _fork_batch(
+    batch: list[tuple[str, JobDescriptor, str | None]],
+    cancels: dict[str, _CancelToken],
+    checkpoint_every: int,
+) -> Callable[[Callable[[tuple], None]], int | None]:
+    """Fork a worker that runs ``batch``; returns the worker's relay.
+
+    The relay sends each message to ``emit`` until the pipe closes,
+    then returns the worker's exit code.
+    """
+    ctx = multiprocessing.get_context("fork")
+    recv_conn, send_conn = ctx.Pipe(duplex=False)
+    # not a daemon: descriptors with workers > 1 fork their own shard
+    # pool inside the worker, which daemons are denied
+    process = ctx.Process(
+        target=_batch_worker,
+        args=(send_conn, batch, cancels, checkpoint_every),
+    )
+    process.start()
+    send_conn.close()
+
+    def relay(emit: Callable[[tuple], None]) -> int | None:
+        with recv_conn:
+            with contextlib.suppress(EOFError, OSError):
+                while True:
+                    emit(recv_conn.recv())
+            process.join()
+        return process.exitcode
+
+    return relay
 
 
 @dataclass
@@ -258,12 +309,12 @@ class _BatchHandle:
     """Parent-side bookkeeping for one dispatched batch."""
 
     jobs: list[JobRecord]
-    process: Any | None = None
-    cancel_requested: set[str] = field(default_factory=set)
+    #: One cooperative cancel token per job, made with the handle.
+    cancels: dict[str, _CancelToken] = field(init=False)
     started: set[str] = field(default_factory=set)
-    #: Thread backend only: per-job cooperative cancel events, polled by
-    #: the engine at node entry.
-    cancel_events: dict[str, threading.Event] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.cancels = {r.job_id: _CancelToken() for r in self.jobs}
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +328,12 @@ class JobManager:
     ``max_workers`` bounds concurrent batches (the process-pool width),
     ``batch_max`` the number of small jobs grouped per dispatch, and
     ``small_cost`` the :meth:`~JobDescriptor.estimated_cost` threshold
-    under which jobs are batchable.  ``backend`` is ``"process"``,
-    ``"thread"``, or ``None`` to pick ``"process"`` where the ``fork``
-    start method exists.  ``checkpoint_dir`` enables digest-keyed job
-    checkpoints (module docstring) written every ``checkpoint_every``
-    node expansions; the directory is created on first use.
+    under which jobs are batchable.  Batches run in forked worker
+    processes where the ``fork`` start method exists, on executor
+    threads elsewhere (``runner`` says which).  ``checkpoint_dir``
+    enables digest-keyed job checkpoints (module docstring) written
+    every ``checkpoint_every`` node expansions; the directory is created
+    on first use.
     """
 
     def __init__(
@@ -291,7 +343,6 @@ class JobManager:
         max_workers: int = 2,
         batch_max: int = 4,
         small_cost: int = 32,
-        backend: str | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 256,
     ) -> None:
@@ -303,21 +354,11 @@ class JobManager:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if backend is None:
-            try:
-                multiprocessing.get_context("fork")
-                backend = "process"
-            except ValueError:
-                backend = "thread"
-        if backend not in ("process", "thread"):
-            raise ValueError(
-                f"unknown backend {backend!r}: expected 'process' or 'thread'"
-            )
         self.memo = memo
         self.max_workers = max_workers
         self.batch_max = batch_max
         self.small_cost = small_cost
-        self.backend = backend
+        self.runner = "process" if _FORK else "thread"
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         if checkpoint_dir is not None:
@@ -458,11 +499,17 @@ class JobManager:
             batch = self._pop_batch()
             if not batch:
                 return
+            # Running and cancellable from here on: a cancel before the
+            # task starts sets the job's token, and the loop skips it.
+            handle = _BatchHandle(batch)
+            for record in batch:
+                record.state = JobState.RUNNING
+                self._batches[record.job_id] = handle
             self._busy += 1
             self._batches_dispatched += 1
             if len(batch) > 1:
                 self._batched_jobs += len(batch)
-            task = asyncio.create_task(self._run_batch(batch))
+            task = asyncio.create_task(self._run_batch(handle))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
@@ -494,121 +541,53 @@ class JobManager:
             batch.append(record)
         return batch
 
-    async def _run_batch(self, batch: list[JobRecord]) -> None:
-        handle = _BatchHandle(jobs=batch)
-        for record in batch:
-            record.state = JobState.RUNNING
-            self._batches[record.job_id] = handle
-            self._publish(
-                record, {"event": "running", "job": record.job_id}
-            )
+    async def _run_batch(self, handle: _BatchHandle) -> None:
+        loop = asyncio.get_running_loop()
+        queue: asyncio.Queue = asyncio.Queue()
+
+        def emit(message: tuple | None) -> None:
+            loop.call_soon_threadsafe(queue.put_nowait, message)
+
+        batch = [
+            (r.job_id, r.descriptor, self._checkpoint_path(r.digest))
+            for r in handle.jobs
+        ]
+        every = self.checkpoint_every
+        relay: Callable[[Callable], int | None] | None = None
+
+        def run() -> int | None:
+            """The batch's loop, or its worker's relay; ends with None."""
+            try:
+                if relay is not None:
+                    return relay(emit)
+                _run_batch_jobs(batch, handle.cancels, emit, every)
+                return 0
+            finally:
+                emit(None)
+
         try:
-            if self.backend == "process":
-                await self._run_batch_process(handle)
-            else:
-                await self._run_batch_thread(handle)
+            if self.runner == "process":
+                # fork here, on the loop thread: a fork from an executor
+                # thread could copy a lock the loop thread holds
+                relay = _fork_batch(batch, handle.cancels, every)
+            finished = loop.run_in_executor(None, run)
+            while (message := await queue.get()) is not None:
+                self._handle_message(handle, message)
+            self._finalize_batch(handle, exitcode=await finished)
         finally:
             for record in handle.jobs:
                 self._batches.pop(record.job_id, None)
             self._busy -= 1
             self._maybe_dispatch()
 
-    async def _run_batch_process(self, handle: _BatchHandle) -> None:
-        loop = asyncio.get_running_loop()
-        ctx = multiprocessing.get_context("fork")
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        payload = [
-            (r.job_id, r.descriptor, self._checkpoint_path(r.digest))
-            for r in handle.jobs
-        ]
-        # not a daemon: descriptors with workers > 1 fork their own
-        # shard pool inside the worker, which daemons are denied
-        process = ctx.Process(
-            target=_batch_worker,
-            args=(send_conn, payload, self.checkpoint_every),
-        )
-        process.start()
-        handle.process = process
-        send_conn.close()
-        queue: asyncio.Queue = asyncio.Queue()
-
-        def pump() -> None:
-            """Drain the pipe on a thread; messages hop onto the loop."""
-            while True:
-                try:
-                    message = recv_conn.recv()
-                except (EOFError, OSError):
-                    break
-                loop.call_soon_threadsafe(queue.put_nowait, message)
-            loop.call_soon_threadsafe(queue.put_nowait, None)
-
-        pump_done = loop.run_in_executor(None, pump)
-        while True:
-            message = await queue.get()
-            if message is None:
-                break
-            self._handle_message(handle, message)
-        await pump_done
-        await loop.run_in_executor(None, process.join)
-        recv_conn.close()
-        self._finalize_batch(handle, exitcode=process.exitcode)
-
-    async def _run_batch_thread(self, handle: _BatchHandle) -> None:
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
-        handle.cancel_events = {
-            record.job_id: threading.Event() for record in handle.jobs
-        }
-
-        def emit(message: tuple | None) -> None:
-            loop.call_soon_threadsafe(queue.put_nowait, message)
-
-        def run() -> None:
-            for record in handle.jobs:
-                if record.job_id in handle.cancel_requested:
-                    emit(("skipped", record.job_id))
-                    continue
-                emit(("start", record.job_id))
-                try:
-                    payload, vdigest, cost = _run_descriptor(
-                        record.descriptor,
-                        lambda s, job_id=record.job_id: emit(
-                            ("progress", job_id, s)
-                        ),
-                        cancel=handle.cancel_events[record.job_id],
-                        checkpoint_to=self._checkpoint_path(record.digest),
-                        checkpoint_every=self.checkpoint_every,
-                    )
-                    if payload.get("interrupted"):
-                        emit(("cancelled", record.job_id))
-                    else:
-                        emit(
-                            ("done", record.job_id, payload, vdigest, cost)
-                        )
-                except Exception as exc:
-                    emit(
-                        (
-                            "failed",
-                            record.job_id,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-            emit(None)
-
-        run_done = loop.run_in_executor(None, run)
-        while True:
-            message = await queue.get()
-            if message is None:
-                break
-            self._handle_message(handle, message)
-        await run_done
-        self._finalize_batch(handle, exitcode=0)
-
     def _handle_message(self, handle: _BatchHandle, message: tuple) -> None:
         kind = message[0]
         record = self._jobs[message[1]]
         if kind == "start":
+            # on start, not dispatch: a job cancelled before its turn
+            # goes straight to ``cancelled``
             handle.started.add(record.job_id)
+            self._publish(record, {"event": "running", "job": record.job_id})
         elif kind == "progress":
             self._publish(
                 record,
@@ -623,8 +602,6 @@ class JobManager:
             self._complete(record, payload, vdigest, cost)
         elif kind == "failed":
             self._fail(record, message[2])
-        elif kind == "skipped":
-            self._cancelled(record)
         elif kind == "cancelled":
             self._cancelled(record)
 
@@ -671,19 +648,19 @@ class JobManager:
     ) -> None:
         """Settle batch members the worker never reported a verdict for.
 
-        After a clean batch every job is terminal.  After a terminated
-        or crashed worker: the cancel target becomes ``cancelled``, a
-        job that had *started* (and wasn't the target) died with the
-        worker — with a checkpoint on disk it is requeued to resume warm
-        (at most ``_REQUEUE_CAP`` times: a job that keeps killing its
-        worker is failed, not retried forever), without one it fails
-        loudly — and jobs the worker never reached are requeued;
-        cancellation of a batch-mate must not lose them.
+        After a clean batch every job is terminal.  A worker that died
+        (killed by hand or by the kernel's OOM killer) leaves the rest
+        unsettled: a job whose token was set becomes ``cancelled``; a
+        job that had *started* died with the worker — with a checkpoint
+        on disk it is requeued to resume warm (at most ``_REQUEUE_CAP``
+        times: a job that keeps killing its worker is failed, not
+        retried forever), without one it fails loudly — and jobs the
+        worker never reached are requeued.
         """
         for record in handle.jobs:
             if record.state is not JobState.RUNNING:
                 continue
-            if record.job_id in handle.cancel_requested:
+            if handle.cancels[record.job_id].is_set():
                 self._cancelled(record)
             elif record.job_id in handle.started:
                 path = self._checkpoint_path(record.digest)
@@ -713,59 +690,40 @@ class JobManager:
     # -- cancellation and shutdown ---------------------------------------
 
     def cancel(self, job_id: str) -> bool:
-        """Request cancellation; True when it is assured.
+        """Request cancellation; False once the job ended other than
+        ``cancelled``.
 
-        Queued jobs cancel immediately.  A running job on the process
-        backend has its worker terminated (batch-mates are requeued by
-        :meth:`_finalize_batch`).  On the thread backend a started job
-        is interrupted cooperatively: its cancel event is set and the
-        engine stops at the next node entry (checkpointing first when
-        enabled).  ``False`` means the batch has not set up its cancel
-        events yet; the request is still recorded, so the job is
-        skipped when its batch starts.
+        A queued job cancels at once.  A dispatched job has its token
+        set: the engine stops at its next node entry, checkpointing
+        first when checkpointing is on, and the job reports
+        ``cancelled`` — at once if the loop has not reached it yet.  Its
+        batch-mates run on.  A search that finishes before the engine
+        polls the token still ends ``done``.
         """
         record = self._jobs[job_id]
         if record.state.terminal:
             return record.state is JobState.CANCELLED
         handle = self._batches.get(job_id)
-        if record.state is JobState.QUEUED and handle is None:
-            self._cancelled(record)  # heap entry is lazily skipped
-            return True
         if handle is None:
-            return False
-        handle.cancel_requested.add(job_id)
-        if handle.process is not None:
-            handle.process.terminate()
-            return True
-        event = handle.cancel_events.get(job_id)
-        if event is not None:
-            event.set()
-            return True
-        return False
+            self._cancelled(record)  # heap entry is lazily skipped
+        else:
+            handle.cancels[job_id].set()
+        return True
 
     def stop_running(self) -> int:
-        """Interrupt every running batch (checkpoint-and-stop shutdown).
+        """Set every running job's token (checkpoint-and-stop shutdown).
 
-        Marks all running jobs cancel-requested, then terminates process
-        workers and sets every thread-backend cancel event.  Jobs with
-        checkpointing enabled leave their partial search on disk, so a
-        restarted service resumes them warm.  Returns the number of jobs
+        Jobs with checkpointing enabled leave their partial search on
+        disk, so a restarted service resumes them warm.  Returns the number of jobs
         interrupted.  Unlike :meth:`drain`, this does not wait — callers
-        (the signal path) follow up with :meth:`drain` to let workers
-        finish writing their final checkpoints and settle records.
+        (the signal path) follow up with :meth:`drain` to let the
+        engines write their final checkpoints and settle records.
         """
         stopped = 0
-        for handle in {
-            id(h): h for h in self._batches.values()
-        }.values():
-            for record in handle.jobs:
-                if record.state is JobState.RUNNING:
-                    handle.cancel_requested.add(record.job_id)
-                    stopped += 1
-            if handle.process is not None:
-                handle.process.terminate()
-            for event in handle.cancel_events.values():
-                event.set()
+        for job_id, handle in self._batches.items():
+            if self._jobs[job_id].state is JobState.RUNNING:
+                handle.cancels[job_id].set()
+                stopped += 1
         return stopped
 
     def resume(self, job_id: str) -> JobRecord:
@@ -788,10 +746,7 @@ class JobManager:
         """Refuse new work, cancel the queue, await running batches."""
         self._draining = True
         for record in list(self._jobs.values()):
-            if (
-                record.state is JobState.QUEUED
-                and record.job_id not in self._batches
-            ):
+            if record.state is JobState.QUEUED:
                 self._cancelled(record)
         while self._tasks:
             await asyncio.gather(
@@ -810,7 +765,7 @@ class JobManager:
         for record in self._jobs.values():
             by_state[record.state.value] += 1
         return {
-            "backend": self.backend,
+            "runner": self.runner,
             "max_workers": self.max_workers,
             "batch_max": self.batch_max,
             "small_cost": self.small_cost,

@@ -70,7 +70,6 @@ class VerificationService:
         small_cost: int = 32,
         max_entries: int = 256,
         max_bytes: int = 16 << 20,
-        backend: str | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 256,
     ) -> None:
@@ -86,7 +85,6 @@ class VerificationService:
             max_workers=max_workers,
             batch_max=batch_max,
             small_cost=small_cost,
-            backend=backend,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
         )

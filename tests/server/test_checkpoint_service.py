@@ -2,18 +2,18 @@
 
 Covers the operational half of the checkpoint contract:
 
-* the thread backend interrupts *started* jobs cooperatively (the
-  cancel event reaches the engine, the job reports ``cancelled``, and
-  its partial search is checkpointed);
-* the process backend's terminated workers leave their periodic
-  checkpoints behind, and :meth:`JobManager.resume` completes the job
+* both job runners (forked worker and executor thread) interrupt
+  *started* jobs cooperatively: the cancel token reaches the engine,
+  the job reports ``cancelled``, and its partial search is
+  checkpointed at that moment;
+* :meth:`JobManager.resume` then completes the job
   construction-identically to a cold run;
 * a worker death requeues a checkpointed job (bounded by the requeue
   cap) instead of failing it;
 * the ``resume`` verb round-trips over real TCP;
 * a real SIGTERM to a ``python -m repro.server serve`` subprocess —
-  both TCP and ``--stdio`` — exits cleanly, checkpoints running work,
-  and persists the memo.
+  both TCP and ``--stdio`` — exits cleanly, checkpoints running work
+  (also between periodic checkpoints), and persists the memo.
 """
 
 import asyncio
@@ -89,11 +89,13 @@ async def cold_reference(descriptor: JobDescriptor) -> dict:
 
 
 class TestThreadBackendCancel:
-    def test_started_job_interrupts_cooperatively(self, tmp_path):
+    """Cooperative cancel, on the thread and the forked-worker runner."""
+
+    def test_started_job_interrupts_cooperatively(
+        self, tmp_path, monkeypatch
+    ):
         async def main():
-            mgr = manager(
-                backend="thread", checkpoint_dir=str(tmp_path)
-            )
+            mgr = manager(checkpoint_dir=str(tmp_path / str(fork)))
             record = mgr.submit(long_running())
             queue = mgr.subscribe(record.job_id)
             event = await queue.get()
@@ -106,14 +108,14 @@ class TestThreadBackendCancel:
             assert path is not None and os.path.exists(path)
             await mgr.drain()
 
-        asyncio.run(main())
+        for fork in (True, False):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            asyncio.run(main())
 
-    def test_cancel_then_resume_is_lossless(self, tmp_path):
+    def test_cancel_then_resume_is_lossless(self, tmp_path, monkeypatch):
         async def main():
             reference = await cold_reference(long_running())
-            mgr = manager(
-                backend="thread", checkpoint_dir=str(tmp_path)
-            )
+            mgr = manager(checkpoint_dir=str(tmp_path / str(fork)))
             record = mgr.submit(long_running())
             queue = mgr.subscribe(record.job_id)
             assert (await queue.get())["event"] == "running"
@@ -132,17 +134,22 @@ class TestThreadBackendCancel:
             assert mgr.stats()["resumed"] == 1
             await mgr.drain()
 
-        asyncio.run(main())
+        for fork in (True, False):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            asyncio.run(main())
 
 
 class TestProcessBackendCancel:
     def test_terminated_worker_leaves_checkpoint_and_resumes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        # A cancel in a forked worker stops the engine through its
+        # token; the engine checkpoints before it returns.
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
         async def main():
             reference = await cold_reference(long_running())
             mgr = manager(
-                backend="process",
                 checkpoint_dir=str(tmp_path),
                 checkpoint_every=10,
             )
@@ -211,12 +218,11 @@ class TestRequeueAfterWorkerDeath:
 
 
 class TestResumeVerbOverTcp:
-    def test_cancel_resume_round_trip(self, tmp_path):
+    def test_cancel_resume_round_trip(self, tmp_path, monkeypatch):
         async def main():
             service = VerificationService(
-                backend="thread",
                 max_workers=1,
-                checkpoint_dir=str(tmp_path),
+                checkpoint_dir=str(tmp_path / str(fork)),
             )
             host, port = await service.serve_tcp("127.0.0.1", 0)
             descriptor = long_running().to_json()
@@ -241,7 +247,9 @@ class TestResumeVerbOverTcp:
                 assert not final["result"]["interrupted"]
             await service.shutdown()
 
-        asyncio.run(main())
+        for fork in (True, False):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            asyncio.run(main())
 
 
 def _spawn(argv, **kwargs):
@@ -291,6 +299,45 @@ class TestRealSignals:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=90) == 0
             assert os.path.exists(memo_path)
+            names = os.listdir(ckpt_dir)
+            assert any(name.endswith(".ckpt") for name in names)
+        finally:
+            timer.cancel()
+            proc.kill()
+            with proc:  # closes the pipes and reaps the child
+                pass
+
+    def test_tcp_sigterm_checkpoints_between_periodic_checkpoints(
+        self, tmp_path
+    ):
+        # the cadence is never reached: the .ckpt left behind is the one
+        # the engine wrote when SIGTERM set the job's cancel token
+        memo_path = os.path.join(tmp_path, "memo.json")
+        ckpt_dir = os.path.join(tmp_path, "ckpt")
+        proc, timer = _spawn(
+            [
+                "serve", "--port", "0", "--memo", memo_path,
+                "--checkpoint-dir", ckpt_dir,
+                "--checkpoint-every", "1000000", "--max-workers", "1",
+            ],
+            stdout=subprocess.PIPE,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.strip().rsplit(":", 1)[1])
+
+            async def submit_and_watch():
+                async with ServiceClient("127.0.0.1", port) as client:
+                    job = (
+                        await client.submit(long_running().to_json())
+                    )["job"]
+                    async for event in client.watch(job):
+                        if event["event"] == "progress":
+                            return
+
+            asyncio.run(submit_and_watch())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=90) == 0
             names = os.listdir(ckpt_dir)
             assert any(name.endswith(".ckpt") for name in names)
         finally:

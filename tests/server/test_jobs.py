@@ -11,6 +11,7 @@ import os
 import pytest
 
 import repro.server.jobs as jobs_module
+from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.explorer import explore_schedules
 from repro.server.descriptor import JobDescriptor
 from repro.server.jobs import JobManager, JobState
@@ -255,9 +256,14 @@ class TestCancellation:
 
         asyncio.run(main())
 
-    def test_cancel_running_job_terminates_worker(self):
+    def test_cancel_running_job_terminates_worker(self, monkeypatch):
+        # A cancel stops a job running in a forked worker through its
+        # token (the worker itself is left alone), and the digest stays
+        # usable afterwards.
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
         async def main():
-            mgr = manager(backend="process")
+            mgr = manager()
             record = mgr.submit(long_running())
             queue = mgr.subscribe(record.job_id)
             event = await queue.get()
@@ -271,6 +277,90 @@ class TestCancellation:
             assert mgr.cancel(again.job_id) is True
             await again.wait()
             await mgr.drain()
+
+        asyncio.run(main())
+
+    def test_cancel_before_the_batch_starts(self, monkeypatch):
+        async def main():
+            mgr = manager()
+            record = mgr.submit(tiny())
+            queue = mgr.subscribe(record.job_id)
+            assert mgr.cancel(record.job_id) is True
+            await mgr.drain()
+            assert record.state is JobState.CANCELLED
+            assert mgr.stats()["explorations_run"] == 0
+            assert len(mgr.memo) == 0
+            events = [queue.get_nowait() for _ in range(queue.qsize())]
+            terminal = [
+                e for e in events
+                if e["event"] in ("done", "failed", "cancelled")
+            ]
+            assert [e["event"] for e in terminal] == ["cancelled"]
+
+        for fork in (True, False):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            asyncio.run(main())
+
+    def test_cancel_keeps_the_work_done_so_far(self, tmp_path, monkeypatch):
+        # no periodic checkpoint before the cancel: whatever is on disk
+        # was written when the engine stopped on the token
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
+        async def main():
+            mgr = manager(
+                checkpoint_dir=str(tmp_path), checkpoint_every=10_000
+            )
+            record = mgr.submit(long_running())
+            queue = mgr.subscribe(record.job_id)
+            while True:
+                event = await queue.get()
+                if (
+                    event["event"] == "progress"
+                    and event["snapshot"]["expansions"] >= 300
+                ):
+                    break
+            assert mgr.cancel(record.job_id) is True
+            await asyncio.wait_for(record.wait(), 60)
+            assert record.state is JobState.CANCELLED
+            path = mgr._checkpoint_path(record.digest)
+            assert os.path.exists(path)
+            outcome = read_checkpoint(path)["outcome"]
+            expansions = event["snapshot"]["expansions"]
+            assert outcome["schedules_explored"] >= expansions
+            resumed = mgr.resume(record.job_id)
+            await asyncio.wait_for(resumed.wait(), 120)
+            await mgr.drain()
+            return resumed
+
+        resumed = asyncio.run(main())
+        assert resumed.state is JobState.DONE
+        # a resume re-pays the replay of checkpointed prefixes
+        exempt = ("events_executed", "events_replayed")
+        for name, value in direct(long_running()).items():
+            if name not in exempt:
+                assert resumed.result[name] == value, name
+
+    def test_cancel_spares_the_batch_mates(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
+        async def main():
+            mgr = manager(small_cost=10**9)
+            blocker = mgr.submit(tiny("b"))  # holds the one worker
+            victim = mgr.submit(long_running())
+            mates = [mgr.submit(tiny(letter)) for letter in "pqr"]
+            queue = mgr.subscribe(victim.job_id)
+            while (await queue.get())["event"] != "progress":
+                pass
+            assert mgr.cancel(victim.job_id) is True
+            await asyncio.wait_for(
+                asyncio.gather(*(r.wait() for r in [blocker, *mates])), 60
+            )
+            await mgr.drain()
+            assert victim.state is JobState.CANCELLED
+            assert all(r.state is JobState.DONE for r in mates)
+            # the blocker alone, then the victim and its mates in one
+            # worker that outlives the cancel
+            assert mgr.stats()["batches_dispatched"] == 2
 
         asyncio.run(main())
 
@@ -309,9 +399,11 @@ class TestDrainAndBackends:
 
         asyncio.run(main())
 
-    def test_thread_backend_runs_and_memoizes(self):
+    def test_thread_backend_runs_and_memoizes(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_FORK", False)
+
         async def main():
-            mgr = manager(backend="thread")
+            mgr = manager()
             first = mgr.submit(tiny())
             await first.wait()
             assert first.state is JobState.DONE
@@ -322,21 +414,18 @@ class TestDrainAndBackends:
 
         asyncio.run(main())
 
-    def test_backends_agree_on_results(self):
-        async def run_with(backend):
-            mgr = manager(backend=backend)
+    def test_backends_agree_on_results(self, monkeypatch):
+        async def run_with(fork):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            mgr = manager()
             record = mgr.submit(tiny())
             await record.wait()
             await mgr.drain()
             return record.result
 
-        process_result = asyncio.run(run_with("process"))
-        thread_result = asyncio.run(run_with("thread"))
+        process_result = asyncio.run(run_with(True))
+        thread_result = asyncio.run(run_with(False))
         assert process_result == thread_result
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            JobManager(MemoStore(), backend="carrier-pigeon")
 
 
 class TestShardedJobs:
@@ -356,12 +445,12 @@ class TestShardedJobs:
         assert os.listdir(tmp_path) == []
 
     def test_cancelled_sharded_job_resumes_to_the_cold_result(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         descriptor = sharded("uniform-reliable", n=2)
 
         async def main():
-            mgr = manager(backend="thread", checkpoint_dir=str(tmp_path))
+            mgr = manager(checkpoint_dir=str(tmp_path))
             record = mgr.submit(descriptor)
             queue = mgr.subscribe(record.job_id)
             assert (await queue.get())["event"] == "running"
@@ -373,13 +462,15 @@ class TestShardedJobs:
             await mgr.drain()
             return resumed
 
-        resumed = asyncio.run(main())
-        assert resumed.state is JobState.DONE
-        assert not resumed.memo_hit
-        # a resume re-pays the replay of checkpointed prefixes
-        exempt = ("events_executed", "events_replayed")
         cold = direct(descriptor)
-        for name, value in cold.items():
-            if name not in exempt:
-                assert resumed.result[name] == value, name
-        assert os.listdir(tmp_path) == []
+        for fork in (True, False):
+            monkeypatch.setattr(jobs_module, "_FORK", fork)
+            resumed = asyncio.run(main())
+            assert resumed.state is JobState.DONE
+            assert not resumed.memo_hit
+            # a resume re-pays the replay of checkpointed prefixes
+            exempt = ("events_executed", "events_replayed")
+            for name, value in cold.items():
+                if name not in exempt:
+                    assert resumed.result[name] == value, name
+            assert os.listdir(tmp_path) == []
