@@ -5,15 +5,18 @@ transposition cache, and the partial counters lived only in process
 memory.  This module gives them an at-rest form.  A checkpoint file is
 one JSON envelope::
 
-    {"integrity": "<digest>", "checkpoint": {"schema": 1, ...}}
+    {"integrity": "<digest>", "checkpoint": {"schema": 2, ...}}
 
 where ``integrity`` is :func:`~repro.runtime.fingerprint.payload_digest`
 over the canonical JSON encoding of the body — a truncated or
 bit-flipped file is rejected loudly instead of resuming a corrupted
-search.  Files are written with the same atomic-replace discipline as
-the server's memo store (tmp file + ``os.replace``), so readers never
-observe a half-written checkpoint, and the previous checkpoint survives
-a crash mid-write.
+search.  The body is written in that canonical encoding, so it is
+encoded once per write; the reader re-encodes whatever spacing it
+finds, so files written with other spacing verify too.  Files are
+written with the same atomic-replace discipline as the server's memo
+store (tmp file + ``os.replace``), so readers never observe a
+half-written checkpoint, and the previous checkpoint survives a crash
+mid-write.
 
 The body's ``config`` field is :func:`config_digest` over everything
 that determines the search tree — system size, algorithm, scripts,
@@ -197,10 +200,13 @@ def write_checkpoint(path: str, body: Mapping[str, Any]) -> None:
     stamped = dict(body)
     stamped["schema"] = CHECKPOINT_SCHEMA
     encoded = _canonical_body(stamped)
-    envelope = {"integrity": payload_digest(encoded), "checkpoint": stamped}
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        json.dump(envelope, handle)
+        # the sealed encoding itself, written without a second copy
+        handle.write(f'{{"integrity": "{payload_digest(encoded)}", ')
+        handle.write('"checkpoint": ')
+        handle.write(encoded)
+        handle.write("}")
     os.replace(tmp, path)
 
 

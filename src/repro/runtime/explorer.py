@@ -144,6 +144,14 @@ bound — or aborted by ``stop_at_first_violation`` — reports
 pruned at ``max_depth`` are *not* property-checked, since their runs are
 truncated mid-flight.
 
+Results at rest
+---------------
+
+Results, snapshots and checkpoint bodies encode through the
+field-driven codec of :mod:`repro.runtime.codec`.  Adding a counter is
+one field declaration with a default, ``foo: int = coded(0, merge=SUM)``:
+older payloads decode it to the default, and sharded merges sum it.
+
 Checkpoint and resume
 ---------------------
 
@@ -197,7 +205,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Mapping, Sequence
 
 from ..core.broadcast_spec import BroadcastSpec
@@ -215,6 +223,7 @@ from .checkpoint import (
 )
 from .checkpoint import key_from_json as _key_from_json
 from .checkpoint import key_to_json as _key_to_json
+from .codec import ALL, MAX, SUM, absorb, coded, decode, encode
 from .crash import CrashSchedule
 from .fingerprint import stable_digest
 from .independence import Footprint, choice_key, classify
@@ -354,7 +363,8 @@ def _now() -> float:
 #: :class:`ProgressSnapshot` payloads.  Version 1 payloads predate the
 #: stamp (its absence reads as 1); decoding tolerates older schemas by
 #: defaulting the fields they lack, and rejects newer ones loudly.
-#: Schema 3 adds ``independence_stats``.
+#: Schema 3 adds ``independence_stats``.  A new counter needs no bump:
+#: it is one field with a default (module docstring, *Results at rest*).
 RESULT_SCHEMA = 3
 
 
@@ -401,42 +411,27 @@ class Violation:
 
     def to_json(self) -> dict:
         """A lossless JSON-compatible dict; inverse of :meth:`from_json`."""
-        return {
-            "guide": list(self.guide),
-            "problems": list(self.problems),
-            "permutation": (
-                None if self.permutation is None else list(self.permutation)
-            ),
-        }
+        return encode(self)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Violation":
         """Rebuild a :class:`Violation` from its :meth:`to_json` dict."""
-        permutation = data.get("permutation")
-        return cls(
-            guide=tuple(int(entry) for entry in data["guide"]),
-            problems=tuple(str(problem) for problem in data["problems"]),
-            permutation=(
-                None
-                if permutation is None
-                else tuple(int(p) for p in permutation)
-            ),
-        )
+        return decode(cls, data)
 
 
 @dataclass
 class ExplorationResult:
     """Outcome of one exhaustive (or budget-capped) exploration."""
 
-    schedules_explored: int
+    schedules_explored: int = coded(merge=SUM)
     terminal_schedules: int
-    violations: list[Violation] = field(default_factory=list)
-    exhausted: bool = True
-    max_depth_seen: int = 0
+    violations: list[Violation] = coded(factory=list, required=True)
+    exhausted: bool = coded(True, required=True, merge=ALL)
+    max_depth_seen: int = coded(0, required=True, merge=MAX)
     #: True when ``stop_at_first_violation`` cut the search short.  An
     #: aborted search is never exhaustive: schedules after the first
     #: violation were deliberately not visited.
-    aborted: bool = False
+    aborted: bool = coded(False, required=True)
     #: True when a cooperative ``cancel`` token stopped the search
     #: mid-flight.  An interrupted search is never exhaustive; when
     #: ``checkpoint_to`` was set, a checkpoint capturing the frontier
@@ -447,12 +442,12 @@ class ExplorationResult:
     #: re-execution (a resume re-runs the checkpointed path).  Sharded
     #: runs execute exactly the sequential events: each shard continues
     #: from the run handle the frontier expansion left at its root.
-    events_executed: int = 0
+    events_executed: int = coded(0, required=True, merge=SUM)
     #: The subset of ``events_executed`` that re-executed work already
     #: performed earlier in the search — the quantity forking run
     #: handles exist to eliminate — plus the local steps re-executed by
     #: journal-replay forks.
-    events_replayed: int = 0
+    events_replayed: int = coded(0, required=True, merge=SUM)
     #: Worker processes that actually ran the search.
     workers: int = 1
     #: Distinct states (orbits, under symmetry) expanded with the dedup
@@ -462,32 +457,32 @@ class ExplorationResult:
     #: (the subset-reuse rule; the re-expansion takes over the cache
     #: slot); pruned arrivals are counted in :attr:`states_deduped` /
     #: :attr:`states_merged_symmetry` instead.
-    states_seen: int = 0
+    states_seen: int = coded(0, merge=SUM)
     #: Branches pruned because their post-event state was already
     #: expanded — each one stood in for a whole re-explored subtree.
-    states_deduped: int = 0
+    states_deduped: int = coded(0, merge=SUM)
     #: Enabled branches skipped by the sleep-set reduction
     #: (``sleep_sets=True``): each skipped branch starts an interleaving
     #: of independent events that an already-explored sibling order
     #: covers state-for-state.
-    states_pruned_sleep: int = 0
+    states_pruned_sleep: int = coded(0, merge=SUM)
     #: Dedup-cache hits where the arriving state matched the cached
     #: representative only up to a pid permutation plus an injective
     #: content renaming (``symmetry="rename"``), not verbatim; the
     #: witnessing permutation is recorded on each replayed
     #: :class:`Violation`.
-    states_merged_symmetry: int = 0
+    states_merged_symmetry: int = coded(0, merge=SUM)
     #: Canonical state encodings paid by ``symmetry="rename"``: one per
     #: residual automorphism candidate per fingerprinted node (the
     #: canonical-labelling pass of
     #: :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`; the
     #: enumeration this replaced paid |perms| per node).  0 without
     #: symmetry.
-    orbit_encodings: int = 0
+    orbit_encodings: int = coded(0, merge=SUM)
     #: Node expansions per decision depth.
-    expansions_by_depth: dict[int, int] = field(default_factory=dict)
+    expansions_by_depth: dict[int, int] = coded(factory=dict, merge=SUM)
     #: Dedup-cache hits (identity or symmetry) per decision depth.
-    dedup_hits_by_depth: dict[int, int] = field(default_factory=dict)
+    dedup_hits_by_depth: dict[int, int] = coded(factory=dict, merge=SUM)
     #: Independence-relation telemetry (``sleep_sets=True`` only):
     #: verdicts by the argument that carried them — ``dynamic``
     #: (independent, no pending crash), ``crash_proof`` (independent by
@@ -499,7 +494,7 @@ class ExplorationResult:
     #: re-consults the relation along its restored frontier path, and
     #: ``memo_hits`` depends on ``workers`` (each process memoizes its
     #: own verdicts).
-    independence_stats: dict[str, int] = field(default_factory=dict)
+    independence_stats: dict[str, int] = coded(factory=dict, merge=SUM)
     #: Errors raised by the ``progress`` callback, as
     #: ``"ExceptionType: message"`` strings.  A raising callback is
     #: disabled after its first error and the search continues
@@ -557,37 +552,7 @@ class ExplorationResult:
         original.  This is the wire format of :mod:`repro.server` and
         the at-rest format of its memo store.
         """
-        return {
-            "schema": RESULT_SCHEMA,
-            "schedules_explored": self.schedules_explored,
-            "terminal_schedules": self.terminal_schedules,
-            "violations": [v.to_json() for v in self.violations],
-            "exhausted": self.exhausted,
-            "max_depth_seen": self.max_depth_seen,
-            "aborted": self.aborted,
-            "interrupted": self.interrupted,
-            "events_executed": self.events_executed,
-            "events_replayed": self.events_replayed,
-            "workers": self.workers,
-            "states_seen": self.states_seen,
-            "states_deduped": self.states_deduped,
-            "states_pruned_sleep": self.states_pruned_sleep,
-            "states_merged_symmetry": self.states_merged_symmetry,
-            "orbit_encodings": self.orbit_encodings,
-            "expansions_by_depth": {
-                str(depth): count
-                for depth, count in sorted(self.expansions_by_depth.items())
-            },
-            "dedup_hits_by_depth": {
-                str(depth): count
-                for depth, count in sorted(self.dedup_hits_by_depth.items())
-            },
-            "independence_stats": {
-                source: count
-                for source, count in sorted(self.independence_stats.items())
-            },
-            "progress_errors": list(self.progress_errors),
-        }
+        return {"schema": RESULT_SCHEMA, **encode(self)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ExplorationResult":
@@ -602,54 +567,7 @@ class ExplorationResult:
         reported by name instead of surfacing as a bare ``KeyError``.
         """
         _require_schema(data, "ExplorationResult")
-        try:
-            return cls(
-                schedules_explored=int(data["schedules_explored"]),
-                terminal_schedules=int(data["terminal_schedules"]),
-                violations=[
-                    Violation.from_json(v) for v in data["violations"]
-                ],
-                exhausted=bool(data["exhausted"]),
-                max_depth_seen=int(data["max_depth_seen"]),
-                aborted=bool(data["aborted"]),
-                interrupted=bool(data.get("interrupted", False)),
-                events_executed=int(data["events_executed"]),
-                events_replayed=int(data["events_replayed"]),
-                workers=int(data.get("workers", 1)),
-                states_seen=int(data.get("states_seen", 0)),
-                states_deduped=int(data.get("states_deduped", 0)),
-                states_pruned_sleep=int(data.get("states_pruned_sleep", 0)),
-                states_merged_symmetry=int(
-                    data.get("states_merged_symmetry", 0)
-                ),
-                orbit_encodings=int(data.get("orbit_encodings", 0)),
-                expansions_by_depth={
-                    int(depth): int(count)
-                    for depth, count in data.get(
-                        "expansions_by_depth", {}
-                    ).items()
-                },
-                dedup_hits_by_depth={
-                    int(depth): int(count)
-                    for depth, count in data.get(
-                        "dedup_hits_by_depth", {}
-                    ).items()
-                },
-                independence_stats={
-                    str(source): int(count)
-                    for source, count in data.get(
-                        "independence_stats", {}
-                    ).items()
-                },
-                progress_errors=[
-                    str(e) for e in data.get("progress_errors", [])
-                ],
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"ExplorationResult payload is missing required field "
-                f"{exc.args[0]!r}"
-            ) from exc
+        return decode(cls, data)
 
 
 @dataclass(frozen=True)
@@ -672,15 +590,15 @@ class ProgressSnapshot:
     depth: int
     #: Wall-clock seconds since this call started (a resumed search
     #: restarts the clock).
-    elapsed: float
+    elapsed: float = 0.0
     #: Expansions made since this call started, divided by ``elapsed``
     #: (0.0 while the clock reads 0); restored expansions are not
     #: counted.
-    states_per_second: float
+    states_per_second: float = 0.0
     #: Snapshot of per-depth expansion counts (depth → count).
-    expansions_by_depth: Mapping[int, int]
+    expansions_by_depth: Mapping[int, int] = field(default_factory=dict)
     #: Snapshot of per-depth dedup-cache hit counts (depth → count).
-    dedup_hits_by_depth: Mapping[int, int]
+    dedup_hits_by_depth: Mapping[int, int] = field(default_factory=dict)
     #: Snapshot of independence-verdict counters by source (see
     #: :attr:`ExplorationResult.independence_stats`); empty without the
     #: sleep-set reduction.
@@ -693,26 +611,7 @@ class ProgressSnapshot:
         (:mod:`repro.server`): per-depth counter keys become strings in
         JSON and are restored to ``int`` on the way back.
         """
-        return {
-            "schema": RESULT_SCHEMA,
-            "expansions": self.expansions,
-            "terminals": self.terminals,
-            "depth": self.depth,
-            "elapsed": self.elapsed,
-            "states_per_second": self.states_per_second,
-            "expansions_by_depth": {
-                str(depth): count
-                for depth, count in sorted(self.expansions_by_depth.items())
-            },
-            "dedup_hits_by_depth": {
-                str(depth): count
-                for depth, count in sorted(self.dedup_hits_by_depth.items())
-            },
-            "independence_stats": {
-                source: count
-                for source, count in sorted(self.independence_stats.items())
-            },
-        }
+        return {"schema": RESULT_SCHEMA, **encode(self)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ProgressSnapshot":
@@ -724,37 +623,7 @@ class ProgressSnapshot:
         reported by name rather than as a bare ``KeyError``.
         """
         _require_schema(data, "ProgressSnapshot")
-        try:
-            return cls(
-                expansions=int(data["expansions"]),
-                terminals=int(data["terminals"]),
-                depth=int(data["depth"]),
-                elapsed=float(data.get("elapsed", 0.0)),
-                states_per_second=float(data.get("states_per_second", 0.0)),
-                expansions_by_depth={
-                    int(depth): int(count)
-                    for depth, count in data.get(
-                        "expansions_by_depth", {}
-                    ).items()
-                },
-                dedup_hits_by_depth={
-                    int(depth): int(count)
-                    for depth, count in data.get(
-                        "dedup_hits_by_depth", {}
-                    ).items()
-                },
-                independence_stats={
-                    str(source): int(count)
-                    for source, count in data.get(
-                        "independence_stats", {}
-                    ).items()
-                },
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"ProgressSnapshot payload is missing required field "
-                f"{exc.args[0]!r}"
-            ) from exc
+        return decode(cls, data)
 
 
 ProgressCallback = Callable[[ProgressSnapshot], None]
@@ -970,12 +839,12 @@ class _Summary:
     :func:`_entry_reusable`).
     """
 
-    terminals: int = 0
+    terminals: int = coded(0, required=True)
     violations: list[
         tuple[int, tuple[int, ...], tuple[str, ...], tuple[int, ...] | None]
-    ] = field(default_factory=list)
-    height: int = 0
-    truncated: bool = False
+    ] = coded(factory=list, required=True)
+    height: int = coded(0, required=True)
+    truncated: bool = coded(False, required=True)
 
 
 @dataclass
@@ -1061,12 +930,7 @@ def _transform_summary(summary: _Summary, witness: Sequence[int]) -> _Summary:
         )
         for ordinal, guide, problems, perm in summary.violations
     ]
-    return _Summary(
-        terminals=summary.terminals,
-        violations=violations,
-        height=summary.height,
-        truncated=summary.truncated,
-    )
+    return replace(summary, violations=violations)
 
 
 def _renaming_groups(
@@ -1142,51 +1006,9 @@ def _entry_reusable(
 #
 # The leaf codecs (footprints, keys, sleep sets) live in
 # repro.runtime.checkpoint; the structures below are private to this
-# engine, so their JSON forms are too.
-
-
-def _summary_to_json(summary: _Summary) -> dict:
-    return {
-        "terminals": summary.terminals,
-        "violations": [
-            [
-                ordinal,
-                list(guide),
-                list(problems),
-                None if perm is None else list(perm),
-            ]
-            for ordinal, guide, problems, perm in summary.violations
-        ],
-        "height": summary.height,
-        "truncated": summary.truncated,
-    }
-
-
-def _summary_from_json(data: Mapping) -> _Summary:
-    return _Summary(
-        terminals=int(data["terminals"]),
-        violations=[
-            (
-                int(ordinal),
-                tuple(int(b) for b in guide),
-                tuple(str(p) for p in problems),
-                None if perm is None else tuple(int(p) for p in perm),
-            )
-            for ordinal, guide, problems, perm in data["violations"]
-        ],
-        height=int(data["height"]),
-        truncated=bool(data["truncated"]),
-    )
-
-
-def _mask_to_keys(mask: int, oracle: _IndependenceOracle) -> list[tuple]:
-    """The key tuples behind a sleep-key bitmask (codec boundary)."""
-    keys: list[tuple] = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        keys.append(oracle.key_tuple(bit.bit_length() - 1))
-    return keys
+# engine, so their JSON forms are too.  Summaries and cache entries go
+# through repro.runtime.codec; only the interned sleep keys are
+# converted by hand.
 
 
 def _cache_to_json(
@@ -1194,24 +1016,16 @@ def _cache_to_json(
 ) -> list:
     # Interned ids are per-exploration, so the at-rest form carries the
     # key tuples behind each entry's sleep-key bitmask; resume re-interns.
+    def keys(mask: int) -> list:
+        out = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            out.append(_key_to_json(oracle.key_tuple(bit.bit_length() - 1)))
+        return sorted(out, key=repr)
+
     return [
-        [
-            key,
-            {
-                "depth": entry.depth,
-                "summary": _summary_to_json(entry.summary),
-                "base": list(entry.base),
-                "raw": entry.raw,
-                "sleep_keys": sorted(
-                    (
-                        _key_to_json(k)
-                        for k in _mask_to_keys(entry.sleep_keys, oracle)
-                    ),
-                    key=repr,
-                ),
-                "perm": None if entry.perm is None else list(entry.perm),
-            },
-        ]
+        [key, {**encode(entry), "sleep_keys": keys(entry.sleep_keys)}]
         for key, entry in sorted(cache.items())
     ]
 
@@ -1219,33 +1033,23 @@ def _cache_to_json(
 def _cache_from_json(
     data: list, oracle: _IndependenceOracle
 ) -> dict[str, _CacheEntry]:
-    cache: dict[str, _CacheEntry] = {}
-    for key, entry in data:
-        cache[str(key)] = _CacheEntry(
-            depth=int(entry["depth"]),
-            summary=_summary_from_json(entry["summary"]),
-            base=tuple(int(b) for b in entry["base"]),
-            raw=str(entry["raw"]),
-            sleep_keys=oracle.mask_of(
-                oracle.intern_key(_key_from_json(k))
-                for k in entry["sleep_keys"]
-            ),
-            perm=(
-                None
-                if entry["perm"] is None
-                else tuple(int(p) for p in entry["perm"])
-            ),
+    def mask(keys: list) -> int:
+        return oracle.mask_of(
+            oracle.intern_key(_key_from_json(k)) for k in keys
         )
-    return cache
+
+    return {
+        str(key): decode(
+            _CacheEntry, {**entry, "sleep_keys": mask(entry["sleep_keys"])}
+        )
+        for key, entry in data
+    }
 
 
 def _outcome_to_json(result: ExplorationResult, ordinals: list[int]) -> dict:
     """A partial result at rest: each violation paired with its ordinal."""
     data = result.to_json()
-    data["violations"] = [
-        [ordinal, violation]
-        for ordinal, violation in zip(ordinals, data["violations"])
-    ]
+    data["violations"] = [list(p) for p in zip(ordinals, data["violations"])]
     return data
 
 
@@ -1258,39 +1062,32 @@ def _outcome_from_json(data: Mapping) -> tuple[ExplorationResult, list[int]]:
     return result, [int(ordinal) for ordinal, _ in pairs]
 
 
+@dataclass
+class _FrameDedup:
+    """A cached node's identity and its live, partial summary."""
+
+    key: str
+    raw: str
+    perm: tuple[int, ...] | None
+    summary: _Summary
+
+
+@dataclass(slots=True)
 class _Frame:
     """One in-progress DFS level: written by checkpoints, read by resume.
 
     A live frame holds *references* to the level's sleep/explored dicts
-    and its partial summary: frames are only serialized at a
-    descendant's node entry, where those objects' current contents are
-    exactly the level's state as of the recorded branch.  The summary is
-    written only under dedup (``key`` set), where the cache reads it.
-    Sleep sets are keyed by interned ids in memory and by key tuples at
-    rest; :meth:`from_json` re-interns them into the resuming oracle.
+    and, under dedup, its partial summary: frames are only serialized at
+    a descendant's node entry, where those objects' current contents are
+    exactly the level's state as of the recorded branch.  Sleep sets are
+    keyed by interned ids in memory and by key tuples at rest;
+    :meth:`from_json` re-interns them into the resuming oracle.
     """
 
-    __slots__ = (
-        "branch", "sleep", "explored", "key", "raw", "perm", "summary"
-    )
-
-    def __init__(
-        self,
-        branch: int,
-        sleep: _SleepSet,
-        explored: _SleepSet,
-        key: str | None = None,
-        raw: str | None = None,
-        perm: tuple[int, ...] | None = None,
-        summary: _Summary | None = None,
-    ) -> None:
-        self.branch = branch
-        self.sleep = sleep
-        self.explored = explored
-        self.key = key
-        self.raw = raw
-        self.perm = perm
-        self.summary = summary
+    branch: int
+    sleep: _SleepSet
+    explored: _SleepSet
+    dedup: _FrameDedup | None
 
     def to_json(self, oracle: _IndependenceOracle) -> dict:
         level: dict = {
@@ -1302,13 +1099,8 @@ class _Frame:
                 {oracle.key_tuple(k): fp for k, fp in self.explored.items()}
             ),
         }
-        if self.key is not None:
-            level["dedup"] = {
-                "key": self.key,
-                "raw": self.raw,
-                "perm": None if self.perm is None else list(self.perm),
-                "summary": _summary_to_json(self.summary),
-            }
+        if self.dedup is not None:
+            level["dedup"] = encode(self.dedup)
         return level
 
     @classmethod
@@ -1321,45 +1113,13 @@ class _Frame:
                 for key, fp in sleep_from_json(pairs).items()
             }
 
-        frame = cls(
+        dedup = data.get("dedup")
+        return cls(
             int(data["branch"]),
             interned(data["sleep"]),
             interned(data["explored"]),
+            None if dedup is None else decode(_FrameDedup, dedup),
         )
-        dedup = data.get("dedup")
-        if dedup is not None:
-            frame.key = str(dedup["key"])
-            frame.raw = str(dedup["raw"])
-            frame.perm = (
-                None
-                if dedup["perm"] is None
-                else tuple(int(p) for p in dedup["perm"])
-            )
-            frame.summary = _summary_from_json(dedup["summary"])
-        return frame
-
-
-def _absorb(
-    out: ExplorationResult, sub: ExplorationResult, stats: dict[str, int]
-) -> None:
-    """Add a cut subtree's work counters to ``out``.
-
-    Its verdict counts go to ``stats``, the base ``out``'s own counts
-    are flushed onto; terminals and violations merge through replay.
-    """
-    out.schedules_explored += sub.schedules_explored
-    out.events_executed += sub.events_executed
-    out.events_replayed += sub.events_replayed
-    out.states_pruned_sleep += sub.states_pruned_sleep
-    for depth, count in sub.expansions_by_depth.items():
-        out.expansions_by_depth[depth] = (
-            out.expansions_by_depth.get(depth, 0) + count
-        )
-    for source, count in sub.independence_stats.items():
-        stats[source] = stats.get(source, 0) + count
-    out.max_depth_seen = max(out.max_depth_seen, sub.max_depth_seen)
-    if not sub.exhausted:
-        out.exhausted = False
 
 
 def _explore_subtree(
@@ -1444,18 +1204,17 @@ def _explore_subtree(
         out, ordinals = ExplorationResult(0, 0), []
         cache = {}
         resume_stack = []
-    # Verdict counters accumulated before a resume; the oracle's own
-    # counters since this call started are merged on top at every flush.
-    stats_base = dict(out.independence_stats)
-    stats_start = dict(indep.stats)
+    # The oracle's verdict counters at the last flush: each flush adds
+    # what it counted since onto the restored and absorbed counts.
+    stats_mark = dict(indep.stats)
 
     def flush_stats() -> None:
-        merged = dict(stats_base)
+        counts = out.independence_stats
         for source, count in indep.stats.items():
-            count -= stats_start[source]
+            count -= stats_mark[source]
             if count:
-                merged[source] = merged.get(source, 0) + count
-        out.independence_stats = merged
+                counts[source] = counts.get(source, 0) + count
+        stats_mark.update(indep.stats)
 
     path = list(prefix)
     # Progress rates count this call's own expansions, not restored ones.
@@ -1701,7 +1460,9 @@ def _explore_subtree(
                 if sub.interrupted:
                     interrupt()
                     return None
-                _absorb(out, sub, stats_base)
+                # Work counters add up (per field ``merge``); terminals
+                # and violations merge through the replay below.
+                absorb(out, sub)
                 cut_summary = _Summary(
                     terminals=sub.terminal_schedules,
                     violations=[
@@ -1803,6 +1564,7 @@ def _explore_subtree(
                     remember(key, raw, perm, depth, sleep, summary)
                 return summary
             summary = _Summary()
+            node = _FrameDedup(key, raw, perm, summary) if dedup else None
             active, keys = branches(choices, sleep)
             out.states_pruned_sleep += len(choices) - len(active)
             explored: _SleepSet = {}
@@ -1821,10 +1583,15 @@ def _explore_subtree(
                     f"configuration"
                 )
             pending = active[active.index(frame.branch):]
-            key, raw, perm = frame.key, frame.raw, frame.perm
-            # Cache-off frames store no summary: with the cache off,
-            # summaries only feed their parents' and are never read.
-            summary = frame.summary or _Summary()
+            node = frame.dedup
+            if node is None:
+                # Cache-off frames store no summary: with the cache off,
+                # summaries only feed their parents' and are never read.
+                key = raw = perm = None
+                summary = _Summary()
+            else:
+                key, raw, perm = node.key, node.raw, node.perm
+                summary = node.summary
         last = active[-1] if active else None
         descend = resume[1:]
         for branch in pending:
@@ -1840,9 +1607,7 @@ def _explore_subtree(
             else:
                 child_sleep, taken = sleep, None
             path.append(branch)
-            frames.append(
-                _Frame(branch, sleep, explored, key, raw, perm, summary)
-            )
+            frames.append(_Frame(branch, sleep, explored, node))
             child_summary = dfs(child, depth + 1, child_sleep, descend)
             descend = ()  # only the recorded branch resumes a frame
             frames.pop()

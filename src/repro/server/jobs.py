@@ -263,9 +263,11 @@ def _batch_worker(
     """Forked-process entry point: run a batch, stream messages back."""
     # The parent's SIGINT/SIGTERM handlers wake its event loop, and a
     # fork inherits them.  Jobs stop through their tokens, never by
-    # signal: a signal sent to the worker itself kills it.
+    # signal.  A terminal's Ctrl-C reaches the whole process group, so
+    # the worker ignores SIGINT and the parent's stop checkpoints it; a
+    # SIGTERM sent to the worker itself still kills it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         _run_batch_jobs(batch, cancels, conn.send, checkpoint_every)
     finally:

@@ -186,9 +186,11 @@ class MemoStore:
                 for entry in self._entries.values()
             ],
         }
+        # one C-encoded string: json.dump would stream through Python
+        encoded = json.dumps(data)
         tmp = f"{path}.tmp"
         with open(tmp, "w") as handle:
-            json.dump(data, handle)
+            handle.write(encoded)
         os.replace(tmp, path)
 
     @classmethod

@@ -13,10 +13,13 @@ Covers the operational half of the checkpoint contract:
 * the ``resume`` verb round-trips over real TCP;
 * a real SIGTERM to a ``python -m repro.server serve`` subprocess —
   both TCP and ``--stdio`` — exits cleanly, checkpoints running work
-  (also between periodic checkpoints), and persists the memo.
+  (also between periodic checkpoints), and persists the memo; so does
+  a SIGINT sent to the server's whole process group, as a terminal's
+  Ctrl-C is.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -343,6 +346,46 @@ class TestRealSignals:
         finally:
             timer.cancel()
             proc.kill()
+            with proc:  # closes the pipes and reaps the child
+                pass
+
+    def test_tcp_sigint_to_process_group_checkpoints(self, tmp_path):
+        # a terminal's Ctrl-C reaches the whole foreground group: the
+        # forked worker must leave the stop to the serving parent, which
+        # checkpoints it through the job's cancel token
+        memo_path = os.path.join(tmp_path, "memo.json")
+        ckpt_dir = os.path.join(tmp_path, "ckpt")
+        proc, timer = _spawn(
+            [
+                "serve", "--port", "0", "--memo", memo_path,
+                "--checkpoint-dir", ckpt_dir,
+                "--checkpoint-every", "1000000", "--max-workers", "1",
+            ],
+            stdout=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.strip().rsplit(":", 1)[1])
+
+            async def submit_and_watch():
+                async with ServiceClient("127.0.0.1", port) as client:
+                    job = (
+                        await client.submit(long_running().to_json())
+                    )["job"]
+                    async for event in client.watch(job):
+                        if event["event"] == "progress":
+                            return
+
+            asyncio.run(submit_and_watch())
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=90) == 0
+            names = os.listdir(ckpt_dir)
+            assert any(name.endswith(".ckpt") for name in names)
+        finally:
+            timer.cancel()
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             with proc:  # closes the pipes and reaps the child
                 pass
 
