@@ -9,7 +9,7 @@ execution ``α_{k,N,B,B}`` of Definition 4:
 * each process repeatedly ``sync-broadcast``\\ s the constant message
   ``SYNCH`` until it has B-delivered N of its own messages;
 * point-to-point messages to *other* processes are withheld by the
-  scheduler (``sent`` buffer); self-sends are received immediately
+  scheduler (they stay in flight); self-sends are received immediately
   (line 11);
 * k-SA proposals are decided adversarially: every process decides its own
   value (line 19), except that the last process is forced to copy
@@ -22,6 +22,13 @@ execution ``α_{k,N,B,B}`` of Definition 4:
 * finally all withheld messages are released (line 26) and the execution
   halts — only safety matters beyond this point (Section 4.2).
 
+The scheduler is a driver of one
+:class:`~repro.runtime.simulator.SimulationRun`: it names each event it
+takes among the run's ``choices()`` and commits it with ``advance()``.
+The run's network holds the withheld messages, its k-SA registry decides
+lines 16–20 under :class:`~repro.runtime.ksa_objects.OwnValuePolicy`, and
+its trace is α.
+
 The result object packages α, its broadcast projection β, the Definition 5
 witness (the counted messages), the Definition 4 sub-executions γ_i, and
 the bookkeeping (reset positions, flush events) that the lemma verifiers
@@ -30,26 +37,24 @@ in :mod:`repro.adversary.lemmas` need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from ..core.actions import PointToPointId
-from ..core.execution import Execution
-from ..core.message import Message, MessageFactory
-from ..core.nsolo import NSoloWitness
-from ..runtime.process import (
-    Blocked,
-    BroadcastProcess,
-    DeliverSetStep,
-    DeliverStep,
-    Idle,
-    LocalStep,
-    ProcessRuntime,
-    ProposeStep,
-    ReturnStep,
-    SendStep,
+from ..core.actions import (
+    CrashAction,
+    DecideAction,
+    DeliverAction,
+    DeliverSetAction,
+    SendAction,
 )
-from ..runtime.trace import TraceRecorder
+from ..core.execution import Execution
+from ..core.message import Message
+from ..core.nsolo import NSoloWitness
+from ..core.steps import Step
+from ..runtime.ksa_objects import OwnValuePolicy
+from ..runtime.network import InFlight
+from ..runtime.process import BroadcastProcess
+from ..runtime.simulator import Choice, SimulationRun, Simulator
 
 __all__ = ["SYNCH", "AdversaryStalled", "AdversaryResult", "adversarial_scheduler"]
 
@@ -86,8 +91,6 @@ class AdversaryResult:
     witness: NSoloWitness
     #: The adversary's decided[ksa][process] table.
     decided: Mapping[str, Mapping[int, Hashable]]
-    #: Steps each process took (for diagnostics).
-    steps_per_process: Mapping[int, int]
     #: Trace index where the post-Algorithm-1 continuation begins, or
     #: ``None`` when the run halted at line 26 as the paper's does.
     continuation_mark: int | None = None
@@ -124,9 +127,6 @@ class AdversaryResult:
                     anchor_last_kept_position = len(kept) - 1
                 else:
                     anchor_has_excluded_steps = True
-        from ..core.actions import CrashAction
-        from ..core.steps import Step
-
         if i != anchor and anchor_has_excluded_steps:
             crash = Step(anchor, CrashAction())
             kept.insert(anchor_last_kept_position + 1, crash)
@@ -171,18 +171,19 @@ def adversarial_scheduler(
         Algorithm 1 halts right after releasing the withheld messages
         (line 26); their ``upon receive`` processing never runs, because
         only safety matters for the proof (Section 4.2).  With this flag
-        the scheduler additionally lets every process run to quiescence
-        afterwards — a legal fair extension of the schedule in which the
-        deferred deliveries happen, materializing the ordering violations
-        the paper's grey boxes allude to (used by the corollary
-        experiment C1).  k-SA proposals made during the continuation are
-        decided benignly within the agreement envelope.
+        the simulator's own loop then runs the system to quiescence,
+        always taking the newest event — a legal fair extension of the
+        schedule in which the deferred deliveries happen, materializing
+        the ordering violations the paper's grey boxes allude to (used by
+        the corollary experiment C1).  Its k-SA proposals are decided by
+        the same ``OwnValuePolicy``, within the agreement envelope.
 
     Raises
     ------
     AdversaryStalled
-        If B blocks in a solo configuration (B is then not a correct
-        broadcast implementation — see Lemma 7's argument).
+        If B blocks in a solo configuration, or proposes twice on one
+        k-SA object (B is then not a correct broadcast implementation —
+        see Lemma 7's argument).
     """
     if k <= 1:
         raise ValueError(f"the construction requires k > 1, got k={k}")
@@ -192,22 +193,17 @@ def adversarial_scheduler(
     n = k + 1
     anchor = k - 1  # the paper's p_k
     last = k  # the paper's p_{k+1}
-    factory = MessageFactory()
-    runtimes = {
-        p: ProcessRuntime(algorithm_factory(p, n), message_factory=factory)
-        for p in range(n)
-    }
-    trace = TraceRecorder(n)
-    sent: list[tuple[PointToPointId, Hashable]] = []
-    decided: dict[str, dict[int, Hashable]] = {}
+    policy = OwnValuePolicy()  # lines 16-20
+    run = Simulator(
+        n, algorithm_factory, k=k, ksa_policy=policy, sync_broadcasts=True
+    ).begin({})
+    trace = run.trace
     reset_marks: list[int] = []
     counted: dict[int, list[Message]] = {p: [] for p in range(n)}
-    steps_per_process: dict[int, int] = {p: 0 for p in range(n)}
 
     for i in range(n):
-        runtime = runtimes[i]
+        runtime = run.runtimes[i]
         local_del = 0
-        current: Message | None = None
         budget = max_steps_per_process
         while local_del < n_value:
             budget -= 1
@@ -217,178 +213,105 @@ def adversarial_scheduler(
                     f"counting {n_value} own deliveries — B does not "
                     f"terminate under the adversarial schedule"
                 )
-            steps_per_process[i] += 1
-            sync_done = (
-                current is not None
-                and current.uid in runtime.returned_uids
+            current = run.last_sync_message[i]
+            if current is None or (
+                current.uid in runtime.returned_uids
                 and runtime.has_delivered(current.uid)
-            )
-            if current is None or sync_done:
+            ):
                 # Lines 6-7: start a new B.sync-broadcast(SYNCH).
                 if current is not None:
                     trace.local(i, "return B.sync-broadcast(SYNCH)")
-                current = runtime.start_broadcast(SYNCH)
-                trace.broadcast_invoke(i, current)
+                run.append_script(i, SYNCH)
+                _take(run, ("bcast", i))
                 continue
             # Line 8: p_i's next local step in C(α), according to B.
-            outcome = runtime.next_step()
-            if isinstance(outcome, (Blocked, Idle)):
+            if ("local", i) not in run.choices():
                 raise AdversaryStalled(
-                    f"p{i} is stalled ({outcome!r}) inside "
-                    f"B.sync-broadcast — B violates its termination "
+                    f"p{i} is stalled ({runtime.waiting_reason or 'idle'}) "
+                    f"inside B.sync-broadcast — B violates its termination "
                     f"properties in the solo execution γ_{i}"
                 )
-            if isinstance(outcome, SendStep):
-                trace.send(i, outcome.p2p, outcome.payload)
-                if outcome.p2p.receiver == i:
-                    # Lines 10-11: self-sends are received immediately.
-                    trace.receive(i, outcome.p2p, outcome.payload)
-                    runtime.inject_receive(outcome.p2p, outcome.payload)
-                else:
-                    # Lines 12-13: withhold the message.
-                    sent.append((outcome.p2p, outcome.payload))
-            elif isinstance(outcome, DeliverStep):
-                # Lines 14-15.
-                trace.deliver(i, outcome.message)
-                if outcome.message.sender == i:
-                    if local_del >= 0:
-                        counted[i].append(outcome.message)
-                    local_del += 1
-            elif isinstance(outcome, DeliverSetStep):
-                # Lines 14-15, generalized to set-constrained delivery
-                # (the paper's Remark on Expressiveness): each own message
-                # in the delivered set counts.
-                trace.deliver_set(i, outcome.messages)
-                for message in outcome.messages:
-                    if message.sender == i:
-                        if local_del >= 0:
-                            counted[i].append(message)
-                        local_del += 1
-            elif isinstance(outcome, ProposeStep):
-                # Lines 16-20.
-                ksa = outcome.ksa
-                per_object = decided.setdefault(ksa, {})
-                if i in per_object:
-                    raise AdversaryStalled(
-                        f"p{i} proposes twice on {ksa} — B violates the "
-                        f"one-shot usage of k-SA objects"
+            mark = trace.mark()
+            _take(run, ("local", i))
+            for step in trace.since(mark):
+                action = step.action
+                if isinstance(action, SendAction):
+                    if action.p2p.receiver == i:
+                        # Lines 10-11: self-sends are received immediately;
+                        # lines 12-13: other sends stay in flight.
+                        item = InFlight(action.p2p, action.payload)
+                        _take(run, ("recv", item))
+                elif isinstance(action, (DeliverAction, DeliverSetAction)):
+                    # Lines 14-15, generalized to set-constrained delivery
+                    # (the paper's Remark on Expressiveness): each own
+                    # message in the delivered set counts.
+                    delivered = (
+                        action.messages
+                        if isinstance(action, DeliverSetAction)
+                        else (action.message,)
                     )
-                first_k_decided = all(
-                    j in per_object for j in range(k)
-                )
-                if i == last and first_k_decided:
-                    per_object[i] = per_object[anchor]  # line 18
-                else:
-                    per_object[i] = outcome.value  # line 19
-                trace.propose(i, ksa, outcome.value)
-                trace.decide(i, ksa, per_object[i])
-                runtime.resume_decide(per_object[i])
-                # Lines 21-25: the unavoidable-communication escape hatch.
-                if i == anchor and all(
-                    j in per_object for j in range(k)
+                    for message in delivered:
+                        if message.sender == i:
+                            if local_del >= 0:
+                                counted[i].append(message)
+                            local_del += 1
+                elif (
+                    isinstance(action, DecideAction)
+                    and i == anchor
+                    and all(
+                        j in run.registry.objects[action.ksa].decisions
+                        for j in range(k)
+                    )
                 ):
-                    remaining: list[tuple[PointToPointId, Hashable]] = []
-                    for p2p, payload in sent:
-                        if p2p.sender == anchor and p2p.receiver == last:
-                            trace.receive(last, p2p, payload)
-                            runtimes[last].inject_receive(p2p, payload)
-                        else:
-                            remaining.append((p2p, payload))
-                    sent[:] = remaining
+                    # Lines 21-25: the unavoidable-communication escape
+                    # hatch.
+                    for item in run.network.pending_between(anchor, last):
+                        _take(run, ("recv", item))
                     local_del = -1
                     counted[i].clear()
                     reset_marks.append(trace.mark())
-            elif isinstance(outcome, ReturnStep):
-                trace.broadcast_return(i, outcome.message)
-            elif isinstance(outcome, LocalStep):
-                trace.local(i, outcome.label)
-            else:  # pragma: no cover - exhaustive
-                raise AssertionError(f"unexpected outcome {outcome!r}")
 
     # Line 26: release every withheld message.
     line26_mark = trace.mark()
-    for p2p, payload in sent:
-        trace.receive(p2p.receiver, p2p, payload)
-        runtimes[p2p.receiver].inject_receive(p2p, payload)
-    sent.clear()
+    for item in run.network.deliverable(None):
+        _take(run, ("recv", item))
 
     continuation_mark: int | None = None
     if continue_after_flush:
         continuation_mark = trace.mark()
-        _run_continuation(
-            k, runtimes, trace, decided, max_steps_per_process
-        )
+        limit = run.steps + max_steps_per_process
+        while run.steps < limit and (choices := run.choices()):
+            _take(run, choices[-1])  # the newest event
 
-    witness = NSoloWitness(
-        n_value,
-        {p: tuple(m.uid for m in counted[p]) for p in range(n)},
-    )
     return AdversaryResult(
         k=k,
         n_value=n_value,
         execution=trace.execution(),
         line26_mark=line26_mark,
         reset_marks=tuple(reset_marks),
-        witness=witness,
-        decided={ksa: dict(v) for ksa, v in decided.items()},
-        steps_per_process=steps_per_process,
+        witness=NSoloWitness(
+            n_value,
+            {p: tuple(m.uid for m in counted[p]) for p in range(n)},
+        ),
+        decided={
+            name: dict(obj.decisions)
+            for name, obj in run.registry.objects.items()
+        },
         continuation_mark=continuation_mark,
     )
 
 
-def _run_continuation(
-    k: int,
-    runtimes: Mapping[int, ProcessRuntime],
-    trace: TraceRecorder,
-    decided: dict[str, dict[int, Hashable]],
-    budget: int,
-) -> None:
-    """Fairly run every process to quiescence after the line-26 flush.
+def _take(run: SimulationRun, choice: Choice) -> None:
+    """Commit the enabled event ``choice``; a misused k-SA object stalls.
 
-    Round-robin over the processes; sends are received immediately (a
-    synchronous tail keeps the extension finite); proposals are decided
-    benignly: own value while fewer than k distinct values are decided on
-    the object, else adopt the most recent decided value.
+    :meth:`~repro.runtime.ksa_objects.KsaObject.propose` enforces the
+    one-shot rule with a :class:`ValueError`; callers of the adversary
+    get one exception type for "B is not a correct implementation".
     """
-    n = k + 1
-    progress = True
-    while progress and budget > 0:
-        progress = False
-        for i in range(n):
-            runtime = runtimes[i]
-            while runtime.has_enabled_step() and budget > 0:
-                budget -= 1
-                progress = True
-                outcome = runtime.next_step()
-                if isinstance(outcome, SendStep):
-                    trace.send(i, outcome.p2p, outcome.payload)
-                    trace.receive(
-                        outcome.p2p.receiver, outcome.p2p, outcome.payload
-                    )
-                    runtimes[outcome.p2p.receiver].inject_receive(
-                        outcome.p2p, outcome.payload
-                    )
-                elif isinstance(outcome, DeliverStep):
-                    trace.deliver(i, outcome.message)
-                elif isinstance(outcome, DeliverSetStep):
-                    trace.deliver_set(i, outcome.messages)
-                elif isinstance(outcome, ProposeStep):
-                    per_object = decided.setdefault(outcome.ksa, {})
-                    distinct = list(dict.fromkeys(per_object.values()))
-                    if (
-                        outcome.value in distinct
-                        or len(distinct) < k
-                    ):
-                        choice = outcome.value
-                    else:
-                        choice = distinct[-1]
-                    per_object[i] = choice
-                    trace.propose(i, outcome.ksa, outcome.value)
-                    trace.decide(i, outcome.ksa, choice)
-                    runtime.resume_decide(choice)
-                elif isinstance(outcome, ReturnStep):
-                    trace.broadcast_return(i, outcome.message)
-                elif isinstance(outcome, LocalStep):
-                    trace.local(i, outcome.label)
-                else:
-                    break
+    index = run.choices().index(choice)
+    try:
+        run.advance(index)
+    except ValueError as error:
+        raise AdversaryStalled(
+            f"{error} — B violates the one-shot usage of k-SA objects"
+        ) from error

@@ -88,7 +88,9 @@ class OwnValuePolicy(DecisionPolicy):
 
     This is the behaviour Algorithm 1 schedules (line 19), with later
     proposers adopting the most recently decided value once k distinct
-    values exist (the analogue of line 18).
+    values exist (the analogue of line 18).  The adversarial scheduler
+    runs under it; on every implementation in the experiment harness, for
+    k ∈ {2,3,4,5} and N ∈ {1,2,4,8}, it decided what lines 16–20 decide.
     """
 
     pid_uniform = True  # decisions read proposal order, never proposer ids

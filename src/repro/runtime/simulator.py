@@ -1,9 +1,8 @@
-"""The free scheduler: seeded, fair, replayable runs of CAMP_n[H].
+"""The one scheduler: seeded, fair, replayable runs of CAMP_n[H].
 
-Where Algorithm 1 drives processes with a hand-crafted hostile schedule,
-the :class:`Simulator` explores *typical* asynchronous schedules: at each
-point it chooses uniformly at random (from an explicit seed) among all
-enabled events —
+Left to itself, the :class:`Simulator` explores *typical* asynchronous
+schedules: at each point it chooses uniformly at random (from an explicit
+seed) among all enabled events —
 
 * an enabled local step of some live process,
 * the reception of some in-flight message by a live process,
@@ -28,7 +27,8 @@ Runs come in two shapes:
   (:meth:`SimulationRun.fork`).  This is the primitive underneath the
   incremental schedule explorer (:mod:`repro.runtime.explorer`), which
   extends a DFS prefix by *one* event instead of re-running it from
-  scratch.
+  scratch, and of Algorithm 1 (:mod:`repro.adversary.scheduler`), whose
+  hostile schedule names each event it takes.
 """
 
 from __future__ import annotations
@@ -360,6 +360,14 @@ class SimulationRun:
             self._orbit_scripts = None
             self._orbit_gates = {}
             self.trace.broadcast_invoke(p, message)
+
+    def append_script(self, p: int, entry: Hashable) -> None:
+        """Append ``entry`` to the script process ``p`` still broadcasts."""
+        self.remaining[p].append(entry)
+        self._choices = None
+        self._tail = None
+        self._orbit_scripts = None
+        self._orbit_gates = {}
 
     def fork(self) -> "SimulationRun":
         """An independent handle in the same state, ready to diverge.

@@ -1,8 +1,10 @@
 """Trace recording: from driver events to :class:`~repro.core.Execution`.
 
-Both drivers (the free simulator and the adversarial scheduler) append
-steps through a :class:`TraceRecorder`, which provides one well-named
-method per step kind and guards the step vocabulary in a single place.
+The simulator appends every step of a run through a :class:`TraceRecorder`,
+which provides one well-named method per step kind and guards the step
+vocabulary in a single place.  The adversarial scheduler, which drives a
+simulator run, reads the run's recorder and adds Algorithm 1's
+``return B.sync-broadcast(SYNCH)`` local steps.
 """
 
 from __future__ import annotations

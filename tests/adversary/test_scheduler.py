@@ -14,7 +14,7 @@ from repro.broadcasts import (
     TrivialKsaBroadcast,
 )
 from repro.core import check_channels, check_ksa, verify_witness
-from repro.runtime import BroadcastProcess, Send, Wait
+from repro.runtime import BroadcastProcess, Deliver, Propose, Send, Wait
 
 ALGORITHMS = {
     "trivial": TrivialKsaBroadcast,
@@ -180,6 +180,24 @@ class TestStallingCandidates:
             adversarial_scheduler(
                 2, 1, lambda pid, n: Chatty(pid, n),
                 max_steps_per_process=500,
+            )
+
+    def test_second_proposal_on_one_object_is_diagnosed(self):
+        class ProposesTwice(BroadcastProcess):
+            """Reuses one k-SA object, which is one-shot."""
+
+            def on_broadcast(self, message):
+                yield Propose("shared", self.pid)
+                yield Propose("shared", self.pid)
+                yield Deliver(message)
+
+            def on_receive(self, payload, sender):
+                return
+                yield
+
+        with pytest.raises(AdversaryStalled, match="one-shot"):
+            adversarial_scheduler(
+                2, 1, lambda pid, n: ProposesTwice(pid, n)
             )
 
 

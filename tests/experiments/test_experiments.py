@@ -63,7 +63,11 @@ class TestTheoremPipeline:
         assert "compositionality" in stepped[-1]
 
     def test_corollary_clique_always_exceeds_k(self):
-        for row in theorem_pipeline.corollary_rows(ks=(2, 3), ns=(1, 2)):
+        rows = theorem_pipeline.corollary_rows()  # C1's k x N grid
+        assert [(row[1], row[2]) for row in rows] == [
+            (k, n_value) for k in (2, 3, 4) for n_value in (1, 2, 4)
+        ]
+        for row in rows:
             _, k, _, _, clique, verdict = row
             assert clique == k + 1
             assert verdict == "VIOLATED"
@@ -102,8 +106,8 @@ class TestSymmetryMatrix:
 
 class TestRegisterPower:
     def test_every_register_spec_rejects_every_adversarial_beta(self):
-        rows = register_power.rejection_rows(ks=(2,), ns=(1,))
-        assert len(rows) == 15  # 5 implementations x 3 specs
+        rows = register_power.rejection_rows()
+        assert len(rows) == 60  # 5 implementations x 2 k x 2 N x 3 specs
         for row in rows:
             assert row[-1] == "NO (rejected)"
 
