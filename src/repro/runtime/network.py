@@ -127,7 +127,7 @@ class Network:
         return [
             item
             for item in self._in_flight.values()
-            if item.receiver in destinations
+            if item.p2p.receiver in destinations
         ]
 
     def receive(self, p2p: PointToPointId) -> InFlight:
@@ -144,7 +144,7 @@ class Network:
         return [
             item
             for item in self._in_flight.values()
-            if item.receiver == receiver
+            if item.p2p.receiver == receiver
         ]
 
     def pending_between(self, sender: int, receiver: int) -> list[InFlight]:
@@ -152,5 +152,5 @@ class Network:
         return [
             item
             for item in self._in_flight.values()
-            if item.sender == sender and item.receiver == receiver
+            if item.p2p.sender == sender and item.p2p.receiver == receiver
         ]

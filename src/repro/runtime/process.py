@@ -26,6 +26,8 @@ no enabled local step and reports :class:`Blocked`.
 from __future__ import annotations
 
 import copy
+import copyreg
+import functools
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -198,6 +200,87 @@ _EMPTY_TEMPLATE = OrbitTemplate()
 
 #: ``encoding(())``: the encoded shape of an empty journal.
 _EMPTY_SHAPE = encoding(())
+
+#: Types ``copy.deepcopy`` returns as they are: immutable scalars, and
+#: messages and their identities (see ``Message.__deepcopy__``).
+_SHARED = frozenset(
+    {type(None), bool, int, float, str, bytes, Message, MessageId}
+)
+
+#: The hooks through which a class customizes ``copy.deepcopy``.
+_COPY_HOOKS = (
+    "__deepcopy__", "__reduce_ex__", "__reduce__", "__getstate__",
+    "__setstate__", "__getnewargs_ex__", "__getnewargs__",
+)
+
+
+@functools.cache
+def _copies_plainly(cls: type) -> bool:
+    """Is ``cls`` deep-copied as a new instance plus a copied ``__dict__``?
+
+    True when the class overrides none of :data:`_COPY_HOOKS`, declares
+    no non-empty ``__slots__`` (``ABC`` declares empty ones) and has no
+    ``copyreg`` reducer.
+    """
+    return (
+        cls not in copyreg.dispatch_table
+        and not any(vars(k).get("__slots__") for k in cls.__mro__)
+        and all(
+            getattr(cls, name, None) is getattr(object, name, None)
+            for name in _COPY_HOOKS
+        )
+    )
+
+
+def _copy_algorithm(algorithm: BroadcastProcess) -> BroadcastProcess:
+    """``copy.deepcopy(algorithm)``, without its ``__reduce_ex__`` path.
+
+    The instance's ``__dict__`` is copied field by field under one
+    memo, so aliased containers stay aliased.  Lists, dicts, sets and
+    tuples are rebuilt element by element, :data:`_SHARED` values are
+    shared, and anything else goes to ``copy.deepcopy`` with the same
+    memo — a generator there raises ``TypeError``, as it does from
+    ``copy.deepcopy(algorithm)``.  A class that customizes its copy
+    (see :func:`_copies_plainly`) is handed to ``copy.deepcopy`` whole.
+    """
+    cls = type(algorithm)
+    if not _copies_plainly(cls):
+        return copy.deepcopy(algorithm)
+    clone = cls.__new__(cls)
+    memo: dict[int, Any] = {id(algorithm): clone}
+    state = clone.__dict__
+    for name, value in algorithm.__dict__.items():
+        state[name] = (
+            value if type(value) in _SHARED else _copy_value(value, memo)
+        )
+    return clone
+
+
+def _copy_value(value: Any, memo: dict[int, Any]) -> Any:
+    """One field of :func:`_copy_algorithm`, deep-copied under ``memo``."""
+    cls = type(value)
+    if cls in _SHARED:
+        return value
+    copied = memo.get(id(value))
+    if copied is not None:
+        return copied
+    if cls is list:
+        copied = memo[id(value)] = []
+        copied.extend(_copy_value(item, memo) for item in value)
+    elif cls is dict:
+        copied = memo[id(value)] = {}
+        for key, item in value.items():
+            copied[_copy_value(key, memo)] = _copy_value(item, memo)
+    elif cls is set:
+        copied = memo[id(value)] = {_copy_value(item, memo) for item in value}
+    elif cls is tuple:
+        items = tuple(_copy_value(item, memo) for item in value)
+        if all(a is b for a, b in zip(items, value)):
+            return value  # deepcopy shares a tuple of shared values
+        copied = memo[id(value)] = items
+    else:
+        return copy.deepcopy(value, memo)
+    return copied
 
 
 class ProcessRuntime:
@@ -441,15 +524,17 @@ class ProcessRuntime:
 
         * **structural copy** — when no generator is live (no operation in
           progress, no queued handlers), the runtime's state is plain
-          data; the algorithm instance is deep-copied (messages are
-          shared, they are immutable) and bookkeeping is copied.  Cost:
-          O(local state), zero re-executed steps.
+          data; the algorithm instance is copied field by field with
+          ``copy.deepcopy``'s result (see :func:`_copy_algorithm`:
+          messages are shared, they are immutable) and bookkeeping is
+          copied.  Cost: O(local state), zero re-executed steps.
         * **journal replay** — a live generator (an operation suspended on
-          a ``Wait`` guard, or pending handlers) cannot be copied; the
-          clone is rebuilt by replaying the recorded driver-call journal
-          into a fresh algorithm instance (``algorithm_factory`` is
-          required in this case).  Determinism of the algorithm makes the
-          replayed state identical.
+          a ``Wait`` guard, pending handlers, or a generator the instance
+          keeps in a field) cannot be copied; the clone is rebuilt by
+          replaying the recorded driver-call journal into a fresh
+          algorithm instance (``algorithm_factory`` is required in this
+          case).  Determinism of the algorithm makes the replayed state
+          identical.
 
         Forking while a ``propose`` awaits its decision is a protocol
         error — drivers resolve decisions atomically with the propose
@@ -465,7 +550,7 @@ class ProcessRuntime:
             and not self._resume_values
         ):
             try:
-                algorithm = copy.deepcopy(self.algorithm)
+                algorithm = _copy_algorithm(self.algorithm)
             except TypeError:
                 algorithm = None  # instance holds a generator; replay below
             if algorithm is not None:

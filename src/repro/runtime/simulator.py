@@ -229,7 +229,8 @@ class SimulationRun:
 
         Computing the choice set performs the per-decision prelude of the
         scheduling loop: due crashes are injected and, under
-        ``atomic_local``, enabled local computation is drained.  The
+        ``atomic_local``, enabled local computation is drained (after an
+        event, at its origin only; see :meth:`_drain_local`).  The
         result is cached until :meth:`advance` commits an event, so
         repeated calls (and calls after :meth:`fork`) are idempotent.
         """
@@ -372,11 +373,14 @@ class SimulationRun:
     def fork(self) -> "SimulationRun":
         """An independent handle in the same state, ready to diverge.
 
-        No scheduled event is re-executed; per-process runtimes are
-        snapshotted structurally when possible and rebuilt by journal
-        replay otherwise (see :meth:`ProcessRuntime.fork`), with the
-        re-executed local steps accounted in
-        :attr:`SimulationRun.replayed_steps` of the clone.
+        No scheduled event is re-executed; every per-process runtime is
+        copied field by field when it is idle and rebuilt by journal
+        replay when a generator is live (see :meth:`ProcessRuntime.fork`),
+        with the re-executed local steps accounted in
+        :attr:`SimulationRun.replayed_steps` of the clone.  Every runtime
+        is copied, touched or not: a forked handle continues down to a
+        leaf and writes to nearly every pid on the way, so sharing
+        untouched runtimes until their first write saves little.
         """
         clone = object.__new__(SimulationRun)
         clone.simulator = self.simulator
@@ -710,7 +714,22 @@ class SimulationRun:
     # -- internals --------------------------------------------------------
 
     def _drain_local(self) -> None:
-        """Run every enabled local step, in pid order, to quiescence."""
+        """Run every enabled local step, in pid order, to quiescence.
+
+        Every decision point ends drained, and processes share no
+        state, so after an event only its origin can have work: the
+        drain steps that one process.  At the root, and under
+        ``validate_footprints``, it sweeps every alive pid instead, so
+        the sanitizer sees a step at a process the event should not
+        have touched.
+        """
+        draft = self._pending_footprint
+        if draft is not None and not self.simulator.validate_footprints:
+            if draft.origin in self.alive:
+                runtime = self.runtimes[draft.origin]
+                while runtime.has_enabled_step():
+                    self._take_local_step(draft.origin, runtime)
+            return
         progress = True
         while progress:
             progress = False
@@ -732,7 +751,8 @@ class SimulationRun:
                 runtime, self.last_sync_message[p], self.remaining[p][0]
             ):
                 choices.append(("bcast", p))
-        for item in self.network.deliverable(self.alive):
+        receivers = None if len(self.alive) == self.simulator.n else self.alive
+        for item in self.network.deliverable(receivers):
             choices.append(("recv", item))
         return choices
 

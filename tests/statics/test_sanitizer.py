@@ -15,8 +15,13 @@ import dataclasses
 
 import pytest
 
-from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
-from repro.runtime import CrashSchedule, Simulator
+from repro.broadcasts import (
+    KSteppedKsaBroadcast,
+    SendToAllBroadcast,
+    UniformReliableBroadcast,
+)
+from repro.runtime import BroadcastProcess, CrashSchedule, Simulator
+from repro.runtime.effects import Deliver, Wait
 from repro.runtime.explorer import explore_schedules
 from repro.runtime.simulator import FootprintViolationError
 from repro.statics import (
@@ -190,3 +195,83 @@ class TestFootprintSanitizer:
         with pytest.raises(FootprintViolationError):
             handle.advance(0)
             handle.choices()
+
+    @pytest.mark.parametrize(
+        "algorithm, n, crashes",
+        [
+            pytest.param(SendToAllBroadcast, 3, {0: 4}, id="s2a-n3-p0@4"),
+            pytest.param(
+                UniformReliableBroadcast, 2, {0: 3}, id="urb-n2-p0@3"
+            ),
+            pytest.param(KSteppedKsaBroadcast, 2, {1: 3}, id="kst-n2-p1@3"),
+        ],
+    )
+    def test_plain_dfs_over_the_crash_catalog(self, algorithm, n, crashes):
+        # the catalog's three families, each with a mid-run crash: under
+        # validation every pid is drained, so a step at a process the
+        # event did not name would raise here; without it only the
+        # event's origin is, and the two searches must agree
+        scripts = {0: ["a"], 1: ["b"]}
+        crash_schedule = CrashSchedule(at_step=crashes)
+        seen, result = observations_of(
+            Simulator(n, algorithm, validate_footprints=True), scripts,
+            crash_schedule=crash_schedule, max_depth=7,
+        )
+        plain_seen, plain = observations_of(
+            Simulator(n, algorithm), scripts,
+            crash_schedule=crash_schedule, max_depth=7,
+        )
+        assert seen == plain_seen
+        assert result.schedules_explored == plain.schedules_explored
+        assert result.terminal_schedules == plain.terminal_schedules
+
+
+class SharedBoard(BroadcastProcess):
+    """Processes that release each other through one class-level dict.
+
+    A broadcast at ``p`` marks ``p + 1`` released, and every process but
+    p0 waits for its own mark.  So p0's broadcast enables a step at p1:
+    the cross-process coupling the model forbids.  ``board`` is bound on
+    the class outside its body, where neither the linter nor the static
+    analyzer looks, so the summary comes out closed and only the
+    recorded footprint shows the coupling.
+    """
+
+    board: dict[int, bool]
+
+    def on_broadcast(self, message):
+        self.board[self.pid + 1] = True
+        yield Wait(lambda: self.board.get(self.pid, self.pid == 0))
+        yield Deliver(message)
+
+    def on_receive(self, payload, sender):
+        return
+        yield
+
+
+@pytest.fixture
+def shared_board():
+    # repro-lint: disable-next-line=REP004,REP007 -- shared on purpose
+    SharedBoard.board = {}
+    yield SharedBoard
+    del SharedBoard.board
+
+
+class TestCrossProcessState:
+    """The sanitizer catches a coupling the static summary misses."""
+
+    def test_release_of_another_process_raises(self, shared_board):
+        # the analyzer misses the shared dict; an open summary would
+        # leave the sanitizer nothing to check against
+        assert summarize_algorithm(SharedBoard).closed
+        run = Simulator(
+            2, shared_board, atomic_local=True, validate_footprints=True
+        ).begin({0: ["a"], 1: ["b"]})
+        run.advance(run.choices().index(("bcast", 1)))
+        assert run.choices() == [("bcast", 0)]
+        assert run.runtimes[1].busy  # p1 waits for its mark
+        run.advance(0)
+        with pytest.raises(
+            FootprintViolationError, match=r"foreign processes \[1\]"
+        ):
+            run.choices()
