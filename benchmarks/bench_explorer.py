@@ -18,6 +18,7 @@ from repro.specs import (
     TotalOrderBroadcastSpec,
     UniformReliableBroadcastSpec,
 )
+from tests.runtime import canon_oracle
 
 
 def test_exhaustive_urb_single_broadcast(benchmark):
@@ -289,3 +290,55 @@ def test_fingerprint_after_one_event(benchmark, digest):
     run, _ = one_event()
     assert result == type(base).fingerprint(run[0])
     assert result == from_scratch_fingerprint(run[0])
+
+
+#: Every process of the symmetric send-to-all state is interchangeable.
+SYMMETRIC_GROUPS = [(0, 1, 2)]
+
+
+def symmetric_s2a_state():
+    """Send-to-all n=3 with three senders, 6 decisions deep, keyed.
+
+    The state the ``orbit-checkpoint`` search explores: every process
+    broadcasts once, so symmetric states abound.  Taking the first
+    enabled event starts all three broadcasts and leaves their copies
+    in flight.  Its orbit key is already taken, so every template is
+    built.
+    """
+    simulator = Simulator(3, SendToAllBroadcast)
+    run = simulator.begin({0: ["a"], 1: ["b"], 2: ["c"]})
+    for _ in range(6):
+        run.choices()
+        run.advance(0)
+    run.choices()
+    run.orbit_key(SYMMETRIC_GROUPS)
+    return run
+
+
+def test_orbit_key_after_one_event(benchmark):
+    """The symmetry reduction's cache key after one reception.
+
+    Each round forks the symmetric state, commits one reception and
+    runs its prelude — untimed — then times one ``orbit_key``: the
+    receiver's journal template is extended by the new entries and
+    every other component fills its cached template.  The key must
+    equal the from-scratch canonical encoding of
+    ``tests/runtime/canon_oracle.py``.
+    """
+    base = symmetric_s2a_state()
+
+    def one_event():
+        run = base.fork()
+        receptions = [
+            i for i, (kind, _) in enumerate(run.choices()) if kind == "recv"
+        ]
+        run.advance(receptions[0])
+        run.choices()
+        return (run, SYMMETRIC_GROUPS), {}
+
+    result = benchmark.pedantic(
+        type(base).orbit_key, setup=one_event, rounds=300, warmup_rounds=10
+    )
+    (run, groups), _ = one_event()
+    assert result == type(base).orbit_key(run, groups)
+    assert result == canon_oracle.orbit_key(run, groups)

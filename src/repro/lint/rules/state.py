@@ -7,7 +7,9 @@ instances:
 
 * mutable default arguments (one list/dict/set shared by every call);
 * mutable class-level attributes on process classes (one object shared
-  by every process in the system — shared memory by accident);
+  by every process in the system — shared memory by accident), whether
+  bound in the class body or later, by ``Cls.attr = []`` on a process
+  class defined in the same file;
 * stateful iterators (``itertools.count()``, ``itertools.cycle(...)``)
   bound at class or module level: one shared cursor advances across
   every call site, so two identically-seeded runs in the same process
@@ -78,7 +80,14 @@ class MutableStateRule(Rule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         yield from self._check_module_iterators(module)
+        processes = {
+            stmt.name
+            for stmt in module.tree.body
+            if isinstance(stmt, ast.ClassDef) and is_process_class(stmt)
+        }
         for node in ast.walk(module.tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                yield from self._check_bound_later(module, node, processes)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_defaults(module, node)
             elif isinstance(node, ast.ClassDef):
@@ -140,6 +149,33 @@ class MutableStateRule(Rule):
                     f"shared cursor advances across every instance and "
                     f"call, so identically-seeded runs diverge; mint it "
                     f"per call or per instance (in __init__)",
+                )
+
+    def _check_bound_later(
+        self,
+        module: ModuleContext,
+        stmt: ast.Assign | ast.AnnAssign,
+        processes: set[str],
+    ) -> Iterator[Finding]:
+        if stmt.value is None or not _is_mutable_value(stmt.value):
+            return
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        )
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id in processes
+            ):
+                yield module.finding(
+                    self,
+                    stmt,
+                    f"class-level mutable bound on process class "
+                    f"{target.value.id} outside its body: every process "
+                    f"instance aliases one object — shared memory the "
+                    f"message-passing model forbids; move it into "
+                    f"__init__",
                 )
 
     def _check_class_attributes(

@@ -37,10 +37,35 @@ canonical encoding — stable across processes and interpreter runs
 
 The encoder is on the hot path of every dedup lookup, so it builds the
 canonical byte stream into a reusable ``bytearray`` (one hash
-finalization per digest, no per-value sub-hasher objects) and memoizes
-dataclass field lists per type.  Unordered containers are canonicalized
-by sorting the raw element *encodings* — self-delimiting byte strings,
-so concatenating them cannot alias.
+finalization per digest, no per-value sub-hasher objects) and spends
+about one table lookup per value:
+
+* it dispatches on the value's **exact** type.  ``None``, ``bool``,
+  ``int`` (the first 256 pre-encoded), ``float``, ``str``, ``bytes``,
+  tuples, lists, sets and dicts have direct encoders, and each
+  dataclass type gets one on first use, with its ``D`` header, its
+  field names and its ``d`` trailer precomputed;
+* a value whose exact type has no entry — a subclass, or a type the run
+  state never holds — takes the ordered ``isinstance`` chain, so it
+  encodes as the first base it matches, through its own methods: an
+  ``IntEnum`` member as the int its ``str`` spells, a namedtuple as a
+  tuple.  Only dataclass types enter the table from there;
+* :class:`~repro.core.message.Message`,
+  :class:`~repro.core.message.MessageId` and
+  :class:`~repro.core.actions.PointToPointId` are immutable and
+  reappear in every journal, pool entry and digest that holds them, so
+  each *object* is encoded once and keeps its bytes in an instance
+  attribute outside its dataclass fields (fields, equality, hashing and
+  ``repr`` never see it).  The cache is keyed by the object and never
+  by equality: ``Message(uid, 1) == Message(uid, True)`` and the two
+  hash alike, yet one holds an int and the other a bool, so they encode
+  differently.
+
+The bytes are those of the plain ``isinstance`` chain over every value
+(the differential oracle in ``tests/runtime/encoding_oracle.py``), so
+no digest depends on which path or cache produced it.  Unordered
+containers are canonicalized by sorting the raw element *encodings* —
+self-delimiting byte strings, so concatenating them cannot alias.
 
 Incremental digests
 -------------------
@@ -95,7 +120,9 @@ global first-appearance token through the one token table of the state
 encoding, then joins the literal chunks with the cached encodings of
 ``perm[p]`` and of the tokens: linear in the slots, with no recursion.
 The result is byte-identical to encoding the canonical image
-(:meth:`PidCanonicalizer.value`) from scratch.  Token numbering agrees
+(:meth:`PidCanonicalizer.value`) from scratch.  Both walkers dispatch
+on exact types like the encoder, and send a subclass through the same
+ordered ``isinstance`` chain.  Token numbering agrees
 because a content's first appearance in the state is its local first
 appearance in the first component that holds it, and components are
 filled in traversal order.  Containers are delimited by count and
@@ -146,12 +173,8 @@ __all__ = [
 _DIGEST_SIZE = 16
 
 #: Memoized ``dataclasses.fields`` name tuples — ``fields()`` rebuilds
-#: its result list per call, and every message/identity encode pays it.
+#: its result list per call.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-#: ``encoding(i)`` for ``i`` in ``range(len(_INT_ENCODINGS))``, grown on
-#: demand by :func:`int_encoding` (pids, degrees, small counters).
-_INT_ENCODINGS: list[bytes] = []
 
 #: Small pool of reusable encoding buffers.  Encoding is re-entrant in
 #: principle (a ``repr`` fallback could digest something itself), so
@@ -185,21 +208,32 @@ def _put(buf: bytearray, tag: bytes, payload: bytes) -> None:
     buf += payload
 
 
+def _tagged(tag: bytes, payload: bytes) -> bytes:
+    """``_put(buf, tag, payload)``'s bytes, for encodings kept as constants."""
+    return tag + len(payload).to_bytes(8, "big") + payload
+
+
+@functools.lru_cache(maxsize=1024)
 def _list_open(count: int) -> bytes:
     """The opening of a ``count``-element list encoding (see ``_CLOSE``)."""
-    size = str(count).encode()
-    return b"l" + len(size).to_bytes(8, "big") + size
+    return _tagged(b"l", str(count).encode())
 
 
 @functools.lru_cache(maxsize=1024)
 def _tuple_open(count: int) -> bytes:
     """The opening of a ``count``-element tuple encoding."""
-    size = str(count).encode()
-    return b"(" + len(size).to_bytes(8, "big") + size
+    return _tagged(b"(", str(count).encode())
 
 
 #: The terminator of every tuple and list encoding (an empty ``")"``).
-_CLOSE = b")" + (0).to_bytes(8, "big")
+_CLOSE = _tagged(b")", b"")
+#: The terminator of every dataclass encoding.
+_RECORD_CLOSE = _tagged(b"d", b"")
+_NONE = _tagged(b"N", b"")
+#: ``encoding(False)`` and ``encoding(True)``, indexed by the flag.
+_BOOLS = (_tagged(b"B", b"0"), _tagged(b"B", b"1"))
+#: ``encoding(i)`` for ``0 <= i < 256``: pids, degrees, small counters.
+_SMALL_INTS = tuple(_tagged(b"i", str(i).encode()) for i in range(256))
 
 
 def _encode_into(buf: bytearray, value: Any) -> None:
@@ -208,13 +242,125 @@ def _encode_into(buf: bytearray, value: Any) -> None:
     The encoding is tagged and length-prefixed (containers carry an
     element count plus a terminator), so it is self-delimiting: no two
     structurally distinct values share an encoding, and container
-    encodings can be concatenated and sorted without aliasing.
+    encodings can be concatenated and sorted without aliasing.  The
+    encoder is one lookup of ``type(value)`` in ``_ENCODERS``; a type
+    without an entry takes :func:`_encode_other`.
     """
-    if value is None:
-        _put(buf, b"N", b"")
-    elif isinstance(value, bool):
-        _put(buf, b"B", b"1" if value else b"0")
-    elif isinstance(value, int):
+    _ENCODERS.get(type(value), _encode_other)(buf, value)
+
+
+def _encode_none(buf: bytearray, value: None) -> None:
+    buf += _NONE
+
+
+def _encode_bool(buf: bytearray, value: bool) -> None:
+    buf += _BOOLS[value]
+
+
+def _encode_int(buf: bytearray, value: int) -> None:
+    if 0 <= value < 256:
+        buf += _SMALL_INTS[value]
+    else:
+        _put(buf, b"i", str(value).encode())
+
+
+def _encode_float(buf: bytearray, value: float) -> None:
+    _put(buf, b"f", repr(value).encode())
+
+
+def _encode_str(buf: bytearray, value: str) -> None:
+    data = value.encode()
+    buf += b"s"
+    buf += len(data).to_bytes(8, "big")
+    buf += data
+
+
+def _encode_bytes(buf: bytearray, value: bytes) -> None:
+    _put(buf, b"y", value)
+
+
+def _encode_tuple(buf: bytearray, value: tuple) -> None:
+    buf += _tuple_open(len(value))
+    encoders = _ENCODERS
+    for item in value:
+        encoders.get(type(item), _encode_other)(buf, item)
+    buf += _CLOSE
+
+
+def _encode_list(buf: bytearray, value: list) -> None:
+    # Lists carry their own tag: ``["a"]`` and ``("a",)`` are
+    # structurally distinct and must not collide (they used to share
+    # the tuple tag — see the regression tests).
+    buf += _list_open(len(value))
+    encoders = _ENCODERS
+    for item in value:
+        encoders.get(type(item), _encode_other)(buf, item)
+    buf += _CLOSE
+
+
+def _encode_set(buf: bytearray, value: set | frozenset) -> None:
+    _put(buf, b"{", _sorted_encodings(buf, value))
+
+
+def _encode_dict(buf: bytearray, value: dict) -> None:
+    _put(buf, b"m", _sorted_encodings(buf, value.items()))
+
+
+def _record_encoder(cls: type) -> Callable[[bytearray, Any], None]:
+    """The encoder of dataclass ``cls``: its class name, then its fields."""
+    head = _tagged(b"D", cls.__qualname__.encode())
+    names = _field_names(cls)
+
+    def encode(buf: bytearray, value: Any) -> None:
+        buf += head
+        encoders = _ENCODERS
+        for name in names:
+            item = getattr(value, name)
+            encoders.get(type(item), _encode_other)(buf, item)
+        buf += _RECORD_CLOSE
+
+    return encode
+
+
+#: The instance attribute in which a message or identity keeps its own
+#: encoding (outside the dataclass fields, so equality, hashing and
+#: ``repr`` never see it).
+_ENCODED = "_canonical_encoding"
+
+
+def _once_encoder(cls: type) -> Callable[[bytearray, Any], None]:
+    """The encoder of immutable dataclass ``cls``, run once per object.
+
+    The first encode of an instance stores the bytes on the instance
+    itself; every later one appends them.  The cache is keyed by the
+    object, never by equality: ``Message(uid, 1)`` and
+    ``Message(uid, True)`` are equal and hash alike, yet encode
+    differently.
+    """
+    encode = _record_encoder(cls)
+
+    def encode_once(buf: bytearray, value: Any) -> None:
+        try:
+            buf += value._canonical_encoding  # the attribute ``_ENCODED``
+        except AttributeError:
+            start = len(buf)
+            encode(buf, value)
+            object.__setattr__(value, _ENCODED, bytes(buf[start:]))
+
+    return encode_once
+
+
+def _encode_other(buf: bytearray, value: Any) -> None:
+    """Encode a value whose exact type has no entry in ``_ENCODERS``.
+
+    The ordered ``isinstance`` chain: a subclass encodes as the first
+    base it matches, through its own methods (an ``IntEnum`` member as
+    the int its ``str`` spells, a namedtuple as a tuple, a subclass of
+    a dataclass as a dataclass under its own name).  A dataclass type
+    that reaches its branch gets an entry, so its next instance takes
+    the table.
+    """
+    if isinstance(value, int):  # ``None`` and ``bool`` admit no subclass
         _put(buf, b"i", str(value).encode())
     elif isinstance(value, float):
         _put(buf, b"f", repr(value).encode())
@@ -223,33 +369,43 @@ def _encode_into(buf: bytearray, value: Any) -> None:
     elif isinstance(value, bytes):
         _put(buf, b"y", value)
     elif isinstance(value, tuple):
-        _put(buf, b"(", str(len(value)).encode())
-        for item in value:
-            _encode_into(buf, item)
-        buf += _CLOSE
+        _encode_tuple(buf, value)
     elif isinstance(value, list):
-        # Lists carry their own tag: ``["a"]`` and ``("a",)`` are
-        # structurally distinct and must not collide (they used to share
-        # the tuple tag — see the regression tests).
-        buf += _list_open(len(value))
-        for item in value:
-            _encode_into(buf, item)
-        buf += _CLOSE
+        _encode_list(buf, value)
     elif isinstance(value, (set, frozenset)):
-        _put(buf, b"{", _sorted_encodings(buf, value))
+        _encode_set(buf, value)
     elif isinstance(value, dict):
-        _put(buf, b"m", _sorted_encodings(buf, value.items()))
+        _encode_dict(buf, value)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _put(buf, b"D", type(value).__qualname__.encode())
-        for name in _field_names(type(value)):
-            _encode_into(buf, getattr(value, name))
-        _put(buf, b"d", b"")
+        encode = _ENCODERS[type(value)] = _record_encoder(type(value))
+        encode(buf, value)
     else:
         _put(
             buf,
             b"r",
             type(value).__qualname__.encode() + b":" + repr(value).encode(),
         )
+
+
+#: The encoder of each exact type: the built-in types the run state is
+#: made of, the immutable identities (encoded once per object), and
+#: every dataclass the chain has met.
+_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): _encode_none,
+    bool: _encode_bool,
+    int: _encode_int,
+    float: _encode_float,
+    str: _encode_str,
+    bytes: _encode_bytes,
+    tuple: _encode_tuple,
+    list: _encode_list,
+    set: _encode_set,
+    frozenset: _encode_set,
+    dict: _encode_dict,
+    Message: _once_encoder(Message),
+    MessageId: _once_encoder(MessageId),
+    PointToPointId: _once_encoder(PointToPointId),
+}
 
 
 def _sorted_encodings(buf: bytearray, items: Any) -> bytes:
@@ -383,11 +539,9 @@ def tuple_digest(*items: bytes) -> str:
 
 def int_encoding(value: int) -> bytes:
     """``encoding(value)`` for an int (not a bool), cached for small ones."""
-    if not 0 <= value < 256:
-        return encoding(value)
-    while len(_INT_ENCODINGS) <= value:
-        _INT_ENCODINGS.append(encoding(len(_INT_ENCODINGS)))
-    return _INT_ENCODINGS[value]
+    if 0 <= value < 256:
+        return _SMALL_INTS[value]
+    return encoding(value)
 
 
 def payload_digest(text: str) -> str:
@@ -494,38 +648,48 @@ class PidCanonicalizer:
     def value(self, value: Any) -> Any:
         """The canonical (permuted, tokenized) image of ``value``."""
         self._check_usable()
-        if isinstance(value, Message):
-            return ("M", self.value(value.uid), self.value(value.content))
-        if isinstance(value, MessageId):
-            return ("U", self._perm[value.sender], value.seq)
-        if isinstance(value, PointToPointId):
-            return (
-                "P",
-                self._perm[value.sender],
-                self._perm[value.receiver],
-                value.seq,
-            )
-        if isinstance(value, (tuple, list)):
-            return tuple(self.value(item) for item in value)
-        if isinstance(value, (set, frozenset)):
-            images = [self.value(item) for item in sorted(value, key=encoding)]
-            return ("S", tuple(sorted(encoding(image) for image in images)))
-        if isinstance(value, dict):
-            images = [
-                (self.value(k), self.value(v))
-                for k, v in sorted(value.items(), key=encoding)
-            ]
-            return ("D", tuple(sorted(encoding(image) for image in images)))
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return (
-                "C",
-                type(value).__qualname__,
-                tuple(
-                    self.value(getattr(value, name))
-                    for name in _field_names(type(value))
-                ),
-            )
-        return self.token(value)
+        return self._image(value)
+
+    def _image(self, value: Any) -> Any:
+        image = _IMAGES.get(type(value))
+        if image is None:
+            image = _image_other(value)
+        return image(self, value)
+
+    def _message(self, value: Message) -> tuple:
+        return ("M", self._image(value.uid), self._image(value.content))
+
+    def _uid(self, value: MessageId) -> tuple:
+        return ("U", self._perm[value.sender], value.seq)
+
+    def _p2p(self, value: PointToPointId) -> tuple:
+        perm = self._perm
+        return ("P", perm[value.sender], perm[value.receiver], value.seq)
+
+    def _sequence(self, value: tuple | list) -> tuple:
+        return tuple(self._image(item) for item in value)
+
+    def _set(self, value: set | frozenset) -> tuple:
+        images = [self._image(item) for item in sorted(value, key=encoding)]
+        return ("S", tuple(sorted(encoding(image) for image in images)))
+
+    def _mapping(self, value: dict) -> tuple:
+        images = [
+            (self._image(k), self._image(v))
+            for k, v in sorted(value.items(), key=encoding)
+        ]
+        return ("D", tuple(sorted(encoding(image) for image in images)))
+
+    def _record(self, value: Any) -> tuple:
+        cls = type(value)
+        return (
+            "C",
+            cls.__qualname__,
+            tuple(
+                self._image(getattr(value, name))
+                for name in _field_names(cls)
+            ),
+        )
 
     def fill(self, template: "OrbitTemplate") -> bytes:
         """The canonical encoding of the component ``template`` caches.
@@ -553,13 +717,50 @@ class PidCanonicalizer:
         return template.fmt % tuple(map(table.__getitem__, template.slots))
 
 
-class _Unordered(Exception):
-    """A value holds a set, frozenset or dict: it gets no template."""
+def _image_other(value: Any) -> Callable[[PidCanonicalizer, Any], Any]:
+    """The image rule of a value whose exact type has no entry in
+    ``_IMAGES``: the ordered ``isinstance`` chain (a subclass takes the
+    rule of the first base it matches, anything else is a content).  A
+    dataclass type that reaches its branch gets an entry."""
+    if isinstance(value, Message):
+        return PidCanonicalizer._message
+    if isinstance(value, MessageId):
+        return PidCanonicalizer._uid
+    if isinstance(value, PointToPointId):
+        return PidCanonicalizer._p2p
+    if isinstance(value, (tuple, list)):
+        return PidCanonicalizer._sequence
+    if isinstance(value, (set, frozenset)):
+        return PidCanonicalizer._set
+    if isinstance(value, dict):
+        return PidCanonicalizer._mapping
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _IMAGES[type(value)] = PidCanonicalizer._record
+        return PidCanonicalizer._record
+    return PidCanonicalizer.token
 
 
 #: Types whose values are always content leaves (exact types only:
 #: a subclass takes the general path).
 _LEAF_TYPES = frozenset({str, int, bool, float, bytes, type(None)})
+
+#: The image rule of each exact type (see :func:`_image_other`).
+_IMAGES: dict[type, Callable[[PidCanonicalizer, Any], Any]] = {
+    **dict.fromkeys(_LEAF_TYPES, PidCanonicalizer.token),
+    Message: PidCanonicalizer._message,
+    MessageId: PidCanonicalizer._uid,
+    PointToPointId: PidCanonicalizer._p2p,
+    tuple: PidCanonicalizer._sequence,
+    list: PidCanonicalizer._sequence,
+    set: PidCanonicalizer._set,
+    frozenset: PidCanonicalizer._set,
+    dict: PidCanonicalizer._mapping,
+}
+
+
+class _Unordered(Exception):
+    """A value holds a set, frozenset or dict: it gets no template."""
+
 
 #: Literal openings of the canonical images the builder writes.
 _MESSAGE_OPEN = _tuple_open(3) + encoding("M")
@@ -599,43 +800,50 @@ class _TemplateBuilder:
         self._slots.append(code)
 
     def value(self, value: Any) -> None:
+        write = _WRITERS.get(type(value))
+        if write is None:
+            write = _writer_other(value)
+        write(self, value)
+
+    def _message(self, value: Message) -> None:
+        self._literal += _MESSAGE_OPEN
+        self.value(value.uid)
+        self.value(value.content)
+        self._literal += _CLOSE
+
+    def _uid(self, value: MessageId) -> None:
+        self._literal += _UID_OPEN
+        self._slot(value.sender)
+        _encode_into(self._literal, value.seq)
+        self._literal += _CLOSE
+
+    def _p2p(self, value: PointToPointId) -> None:
+        self._literal += _P2P_OPEN
+        self._slot(value.sender)
+        self._slot(value.receiver)
+        _encode_into(self._literal, value.seq)
+        self._literal += _CLOSE
+
+    def _sequence(self, value: tuple | list) -> None:
+        self._literal += _tuple_open(len(value))
+        for item in value:
+            self.value(item)
+        self._literal += _CLOSE
+
+    def _unordered(self, value: Any) -> None:
+        raise _Unordered
+
+    def _record(self, value: Any) -> None:
+        cls = type(value)
+        names = _field_names(cls)
         literal = self._literal
-        if type(value) in _LEAF_TYPES:
-            self._content(value)
-        elif isinstance(value, Message):
-            literal += _MESSAGE_OPEN
-            self.value(value.uid)
-            self.value(value.content)
-            literal += _CLOSE
-        elif isinstance(value, MessageId):
-            literal += _UID_OPEN
-            self._slot(value.sender)
-            _encode_into(literal, value.seq)
-            literal += _CLOSE
-        elif isinstance(value, PointToPointId):
-            literal += _P2P_OPEN
-            self._slot(value.sender)
-            self._slot(value.receiver)
-            _encode_into(literal, value.seq)
-            literal += _CLOSE
-        elif isinstance(value, (tuple, list)):
-            literal += _tuple_open(len(value))
-            for item in value:
-                self.value(item)
-            literal += _CLOSE
-        elif isinstance(value, (set, frozenset, dict)):
-            raise _Unordered
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            names = _field_names(type(value))
-            literal += _RECORD_OPEN
-            _encode_into(literal, type(value).__qualname__)
-            literal += _tuple_open(len(names))
-            for name in names:
-                self.value(getattr(value, name))
-            literal += _CLOSE
-            literal += _CLOSE
-        else:
-            self._content(value)
+        literal += _RECORD_OPEN
+        _encode_into(literal, cls.__qualname__)
+        literal += _tuple_open(len(names))
+        for name in names:
+            self.value(getattr(value, name))
+        literal += _CLOSE
+        literal += _CLOSE
 
     def _content(self, value: Hashable) -> None:
         number = self.index.get(value)
@@ -659,6 +867,39 @@ class _TemplateBuilder:
             base.contents + tuple(self.fresh),
             self.index,
         )
+
+
+def _writer_other(value: Any) -> Callable[[_TemplateBuilder, Any], None]:
+    """The write rule of a value whose exact type has no entry in
+    ``_WRITERS``: the chain of :func:`_image_other`, rule for rule."""
+    if isinstance(value, Message):
+        return _TemplateBuilder._message
+    if isinstance(value, MessageId):
+        return _TemplateBuilder._uid
+    if isinstance(value, PointToPointId):
+        return _TemplateBuilder._p2p
+    if isinstance(value, (tuple, list)):
+        return _TemplateBuilder._sequence
+    if isinstance(value, (set, frozenset, dict)):
+        return _TemplateBuilder._unordered
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _WRITERS[type(value)] = _TemplateBuilder._record
+        return _TemplateBuilder._record
+    return _TemplateBuilder._content
+
+
+#: The write rule of each exact type (see :func:`_writer_other`).
+_WRITERS: dict[type, Callable[[_TemplateBuilder, Any], None]] = {
+    **dict.fromkeys(_LEAF_TYPES, _TemplateBuilder._content),
+    Message: _TemplateBuilder._message,
+    MessageId: _TemplateBuilder._uid,
+    PointToPointId: _TemplateBuilder._p2p,
+    tuple: _TemplateBuilder._sequence,
+    list: _TemplateBuilder._sequence,
+    set: _TemplateBuilder._unordered,
+    frozenset: _TemplateBuilder._unordered,
+    dict: _TemplateBuilder._unordered,
+}
 
 
 class OrbitTemplate:

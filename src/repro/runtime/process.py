@@ -313,13 +313,13 @@ class ProcessRuntime:
         self._delivered_uids: set[MessageId] = set()
         #: Messages whose broadcast invocation has returned.
         self.returned_uids: set[MessageId] = set()
+        self._recording = True
         #: Journal of driver calls, the process's *input log*.  The local
         #: state of a deterministic algorithm is a function of this log,
         #: which is what makes a runtime with a live (suspended) operation
         #: generator forkable: generators cannot be copied, but the log
         #: can be replayed into a fresh instance (see :meth:`fork`).
         self._journal: list[tuple[Any, ...]] = []
-        self._recording = True
         #: Entry tags of a journal prefix, extended on read by
         #: :attr:`journal_shape` (immutable, so forks share it), with
         #: the encodings of its tags and of the whole tuple.
@@ -508,6 +508,37 @@ class ProcessRuntime:
 
     # -- snapshot / fork -------------------------------------------------
 
+    def _copy(
+        self, algorithm: BroadcastProcess, message_factory: MessageFactory
+    ) -> "ProcessRuntime":
+        """An idle clone driving ``algorithm``, each field assigned once.
+
+        No generator is live (see :meth:`fork`), so the clone's
+        operation slots are empty and its bookkeeping is copied.  Fields
+        are assigned in ``__init__``'s order: an instance whose
+        attributes arrive in another order does not share its class's
+        dict layout, and every attribute read on it is slower.
+        """
+        clone = ProcessRuntime.__new__(ProcessRuntime)
+        clone.algorithm = algorithm
+        clone.pid = self.pid
+        clone.n = self.n
+        clone._factory = message_factory
+        clone._p2p_seq = dict(self._p2p_seq)
+        clone._handlers = deque()
+        clone._operation = None
+        clone._operation_message = None
+        clone._waiting = None
+        clone._awaiting_decide = None
+        clone._resume_values = {}
+        clone._suspended = set()
+        clone.delivered = list(self.delivered)
+        clone._delivered_uids = set(self._delivered_uids)
+        clone.returned_uids = set(self.returned_uids)
+        clone._recording = True
+        self._share_journal(clone)
+        return clone
+
     def fork(
         self,
         *,
@@ -527,7 +558,9 @@ class ProcessRuntime:
           data; the algorithm instance is copied field by field with
           ``copy.deepcopy``'s result (see :func:`_copy_algorithm`:
           messages are shared, they are immutable) and bookkeeping is
-          copied.  Cost: O(local state), zero re-executed steps.
+          copied into a clone built field by field, not through
+          ``__init__`` (:meth:`_copy`).  Cost: O(local state), zero
+          re-executed steps.
         * **journal replay** — a live generator (an operation suspended on
           a ``Wait`` guard, pending handlers, or a generator the instance
           keeps in a field) cannot be copied; the clone is rebuilt by
@@ -554,15 +587,7 @@ class ProcessRuntime:
             except TypeError:
                 algorithm = None  # instance holds a generator; replay below
             if algorithm is not None:
-                clone = ProcessRuntime(
-                    algorithm, message_factory=message_factory
-                )
-                clone._p2p_seq = dict(self._p2p_seq)
-                clone.delivered = list(self.delivered)
-                clone._delivered_uids = set(self._delivered_uids)
-                clone.returned_uids = set(self.returned_uids)
-                self._share_journal(clone)
-                return clone, 0
+                return self._copy(algorithm, message_factory), 0
         if algorithm_factory is None:
             raise ProtocolError(
                 f"p{self.pid}: fork mid-operation requires an "

@@ -39,6 +39,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from collections import deque
 from typing import Iterator, Mapping, Sequence
 
 from .model import OPAQUE, RACE, AlgorithmSummary, EffectSummary, OpenReason
@@ -789,6 +790,27 @@ def _class_mutable_attrs(node: ast.ClassDef) -> dict[str, int]:
     return attrs
 
 
+#: Live values :func:`summarize_algorithm` treats as shared mutable
+#: state when a class holds one (the types ``_is_mutable_literal``
+#: builds; ``defaultdict`` is a ``dict``).
+_MUTABLE_TYPES = (dict, list, set, deque)
+
+
+def _live_mutable_attrs(klass: type, line: int) -> dict[str, int]:
+    """Names in ``klass.__dict__`` bound to mutable containers → ``line``.
+
+    Catches what a class body does not show: ``Cls.board = {}`` run
+    after the class statement binds one object every instance shares.
+    Dunder entries (``__annotations__``, ...) are the interpreter's.
+    """
+    return {
+        name: line
+        for name, value in vars(klass).items()
+        if isinstance(value, _MUTABLE_TYPES)
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
 def _case_split(
     fdef: ast.FunctionDef,
 ) -> tuple[list[ast.stmt], list[tuple[str, list[ast.stmt]]], list[ast.stmt]]:
@@ -1056,7 +1078,10 @@ def summarize_algorithm(cls: type) -> AlgorithmSummary:
 
     Framework base classes (anything under ``repro.runtime``) contribute
     intrinsics only; every other ancestor's source is parsed so
-    inherited handlers and helpers resolve interprocedurally.  Raises
+    inherited handlers and helpers resolve interprocedurally.  Class
+    attributes are read from the source *and* from each ancestor's live
+    ``__dict__``, so a mutable container bound after the class body
+    (``Cls.board = {}``) is shared state too.  Raises
     ``OSError``/``TypeError`` when a class's source is unavailable
     (dynamically built classes) — callers wanting best-effort behavior
     catch those.
@@ -1085,6 +1110,7 @@ def summarize_algorithm(cls: type) -> AlgorithmSummary:
                     if isinstance(stmt, ast.FunctionDef)
                 }
             )
+        class_attrs.update(_live_mutable_attrs(klass, node.lineno))
         class_attrs.update(_class_mutable_attrs(node))
         for stmt in node.body:
             if isinstance(stmt, ast.FunctionDef):

@@ -124,6 +124,26 @@ def test_rep004_flags_process_class_even_outside_scoped_dirs():
     assert [f.rule for f in findings] == ["REP004"]
 
 
+def test_rep004_flags_process_class_state_bound_after_the_body():
+    findings = LintEngine().lint_source(
+        "class P(BroadcastProcess):\n"
+        "    pass\n"
+        "P.shared = []\n"
+        "P.count = 0\n"
+        "def install():\n"
+        "    P.board: dict = {}\n"
+        "class Policy:\n"
+        "    pass\n"
+        "Policy.table = {}\n",
+        "anywhere/algo.py",
+    )
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP004", 3),
+        ("REP004", 6),
+    ]
+    assert "outside its body" in findings[0].message
+
+
 def test_rep004_names_each_stateful_iterator_pattern():
     findings = LintEngine().lint_file(FIXTURES / "state" / "bad_state.py")
     messages = " ".join(f.message for f in findings)

@@ -23,7 +23,11 @@ from repro.broadcasts import SendToAllBroadcast
 from repro.core.message import MessageFactory
 from repro.runtime import CrashSchedule, Simulator, SimulationRun
 from repro.runtime.effects import Deliver, Wait
-from repro.runtime.process import BroadcastProcess, _copy_algorithm
+from repro.runtime.process import (
+    BroadcastProcess,
+    ProcessRuntime,
+    _copy_algorithm,
+)
 from repro.server.descriptor import ALGORITHMS
 
 #: Every registered algorithm, by descriptor name.
@@ -261,3 +265,71 @@ class TestOriginDrain:
             patch.setattr(SimulationRun, "_drain_local", full_drain)
             swept = decision_points(simulator, scripts, crash, schedule)
         assert narrowed == swept
+
+
+def fresh_runtime(runtime, factory):
+    """A runtime built by ``__init__`` in ``runtime``'s place."""
+    return ProcessRuntime(
+        factory(runtime.pid, runtime.n), message_factory=MessageFactory()
+    )
+
+
+class TestStructuralClone:
+    """The structural fork builds its clone without ``__init__``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(NAMES), schedule=schedules)
+    def test_clone_has_every_field_of_a_fresh_runtime(self, name, schedule):
+        # A field added to ``__init__`` and not to the clone shows here,
+        # and so does one assigned out of order (which costs every
+        # attribute read on the clone its shared dict layout).
+        factory = ALGORITHMS[name]
+        run = Simulator(3, factory, atomic_local=True).begin(SCRIPTS)
+        for index, _ in schedule:
+            choices = run.choices()
+            if not choices:
+                break
+            run.advance(index % len(choices))
+        for runtime in run.runtimes.values():
+            clone, _ = runtime.fork(
+                message_factory=MessageFactory(), algorithm_factory=factory
+            )
+            fresh = fresh_runtime(runtime, factory)
+            assert list(vars(clone)) == list(vars(fresh))
+            assert clone.fingerprint() == runtime.fingerprint()
+            assert clone.delivered == runtime.delivered
+            assert clone.delivered is not runtime.delivered
+            assert clone.returned_uids == runtime.returned_uids
+
+    def test_journal_replay_rebuilds_the_same_runtime(self):
+        run = Simulator(2, WaitsForTwo, atomic_local=True).begin(
+            {0: ["a"]}
+        )
+        run.advance(0)
+        run.choices()
+        runtime = run.runtimes[0]
+        assert runtime.busy
+        clone, replayed = runtime.fork(
+            message_factory=MessageFactory(),
+            algorithm_factory=WaitsForTwo,
+        )
+        assert replayed > 0
+        fresh = fresh_runtime(runtime, WaitsForTwo)
+        assert list(vars(clone)) == list(vars(fresh))
+        assert clone.busy and clone.waiting_reason == runtime.waiting_reason
+        assert vars(clone.algorithm) == vars(runtime.algorithm)
+        assert clone.journal_entries() == runtime.journal_entries()
+        assert clone.fingerprint() == runtime.fingerprint()
+        assert clone._p2p_seq == runtime._p2p_seq
+        # Both continue alike: the two copies come back, the operation
+        # returns.
+        for item in run.network.deliverable({0}):
+            for side in (runtime, clone):
+                side.inject_receive(item.p2p, item.payload)
+        outcomes = [[], []]
+        for side, log in zip((runtime, clone), outcomes):
+            while side.has_enabled_step():
+                log.append(side.next_step())
+        assert outcomes[0] == outcomes[1] and outcomes[0]
+        assert clone.fingerprint() == runtime.fingerprint()
+        assert clone.returned_uids == runtime.returned_uids

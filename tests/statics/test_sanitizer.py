@@ -20,6 +20,7 @@ from repro.broadcasts import (
     SendToAllBroadcast,
     UniformReliableBroadcast,
 )
+from repro.lint import LintEngine
 from repro.runtime import BroadcastProcess, CrashSchedule, Simulator
 from repro.runtime.effects import Deliver, Wait
 from repro.runtime.explorer import explore_schedules
@@ -226,18 +227,21 @@ class TestFootprintSanitizer:
         assert result.terminal_schedules == plain.terminal_schedules
 
 
-class SharedBoard(BroadcastProcess):
-    """Processes that release each other through one class-level dict.
+class HandedBoard(BroadcastProcess):
+    """Processes that release each other through one dict handed in.
 
     A broadcast at ``p`` marks ``p + 1`` released, and every process but
     p0 waits for its own mark.  So p0's broadcast enables a step at p1:
-    the cross-process coupling the model forbids.  ``board`` is bound on
-    the class outside its body, where neither the linter nor the static
-    analyzer looks, so the summary comes out closed and only the
+    the cross-process coupling the model forbids.  The factory hands
+    every instance the same dict, which each keeps as an attribute set
+    in ``__init__``: to the linter and the static analyzer that is
+    per-instance state, so the summary comes out closed and only the
     recorded footprint shows the coupling.
     """
 
-    board: dict[int, bool]
+    def __init__(self, pid, n, board):
+        super().__init__(pid, n)
+        self.board = board
 
     def on_broadcast(self, message):
         self.board[self.pid + 1] = True
@@ -249,23 +253,21 @@ class SharedBoard(BroadcastProcess):
         yield
 
 
-@pytest.fixture
-def shared_board():
-    # repro-lint: disable-next-line=REP004,REP007 -- shared on purpose
-    SharedBoard.board = {}
-    yield SharedBoard
-    del SharedBoard.board
+def handed_boards():
+    """A factory that hands every instance one and the same dict."""
+    board: dict[int, bool] = {}
+    return lambda pid, n: HandedBoard(pid, n, board)
 
 
 class TestCrossProcessState:
     """The sanitizer catches a coupling the static summary misses."""
 
-    def test_release_of_another_process_raises(self, shared_board):
-        # the analyzer misses the shared dict; an open summary would
-        # leave the sanitizer nothing to check against
-        assert summarize_algorithm(SharedBoard).closed
+    def test_release_of_another_process_raises(self):
+        # the analyzer sees only an instance attribute; an open summary
+        # would leave the sanitizer nothing to check against
+        assert summarize_algorithm(HandedBoard).closed
         run = Simulator(
-            2, shared_board, atomic_local=True, validate_footprints=True
+            2, handed_boards(), atomic_local=True, validate_footprints=True
         ).begin({0: ["a"], 1: ["b"]})
         run.advance(run.choices().index(("bcast", 1)))
         assert run.choices() == [("bcast", 0)]
@@ -275,3 +277,57 @@ class TestCrossProcessState:
             FootprintViolationError, match=r"foreign processes \[1\]"
         ):
             run.choices()
+
+
+class SharedBoard(BroadcastProcess):
+    """``board`` is bound on the class after its body (see the fixture)."""
+
+    board: dict[int, bool]
+
+    def on_broadcast(self, message):
+        self.board[self.pid + 1] = True
+        yield Deliver(message)
+
+    def on_receive(self, payload, sender):
+        return
+        yield
+
+
+@pytest.fixture
+def shared_board():
+    # repro-lint: disable-next-line=REP004 -- shared on purpose
+    SharedBoard.board = {}
+    yield SharedBoard
+    del SharedBoard.board
+
+
+class TestBindingAfterTheBody:
+    """A class-level dict bound outside the class body is shared state."""
+
+    def test_summary_is_open(self, shared_board):
+        summary = summarize_algorithm(SharedBoard)
+        assert not summary.closed
+        (on_broadcast,) = [
+            effects
+            for name, effects in summary.handlers
+            if name == "on_broadcast"
+        ]
+        assert any(
+            "'board'" in reason.message
+            for reason in on_broadcast.open_reasons
+        )
+
+    def test_summary_is_closed_without_the_binding(self):
+        assert summarize_algorithm(SharedBoard).closed
+
+    def test_rep004_flags_the_binding(self):
+        source = (
+            "class Board(BroadcastProcess):\n"
+            "    def on_broadcast(self, message):\n"
+            "        self.board[self.pid + 1] = True\n"
+            "        yield Deliver(message)\n"
+            "\n"
+            "Board.board = {}\n"
+        )
+        findings = LintEngine().lint_source(source, "anywhere/algo.py")
+        assert [(f.rule, f.line) for f in findings] == [("REP004", 6)]
