@@ -8,7 +8,10 @@ behaviour changed and the baseline must be regenerated deliberately.
 In particular a drift in ``states_seen`` under a symmetry variant means
 the canonical-labelling search stopped landing on the orbit floor, and
 a drift in ``orbit_encodings`` means the invariant profiles stopped
-separating pids.  Wall-clock timings are the one machine-dependent
+separating pids.  That counter sums, over keyed nodes, the residual
+candidates of each node's canonical-labelling pass; a search runs the
+pass once per distinct raw state and a repeat adds the stored count, so
+it counts candidates per node, not encodings computed.  Wall-clock timings are the one machine-dependent
 quantity: regressions beyond the tolerance only *warn*, they never fail
 CI.
 

@@ -22,10 +22,11 @@ digest of the violation set) so a regression in *what* is explored
 fails loudly — in particular, every engine variant of one configuration
 must report the same violation digest, the reduction-soundness check.
 
-Schema 5 additions: the ``orbit_encodings`` per-run counter (canonical
-encodings computed by the orbit-key search — ~1 per cache lookup under
-canonical labelling, versus ``|group|!`` per state under the old
-permutation enumeration), a ``dedup-rename`` variant isolating the
+Schema 5 additions: the ``orbit_encodings`` per-run counter (residual
+candidates of the orbit-key search per keyed node, summed — ~1 per
+cache lookup under canonical labelling, versus ``|group|!`` per state
+under the old permutation enumeration; a repeated raw state adds its
+stored count without encoding again), a ``dedup-rename`` variant isolating the
 symmetry reduction, and an ``encoder_microbench`` entry timing the
 buffer-reusing canonical encoder against the naive one-hasher-per-node
 reference implementation it replaced (since dropped with that

@@ -12,7 +12,12 @@ over the canonical JSON encoding of the body — a truncated or
 bit-flipped file is rejected loudly instead of resuming a corrupted
 search.  The body is written in that canonical encoding, so it is
 encoded once per write; the reader re-encodes whatever spacing it
-finds, so files written with other spacing verify too.  Files are
+finds, so files written with other spacing verify too.  A writer may
+hand over a top-level value already encoded (:class:`CanonicalJSON`):
+the explorer encodes each transposition-cache entry once per search,
+at the first checkpoint after the entry is stored or taken over, and
+each checkpoint joins the kept texts in key order.  The bytes on disk
+are the same either way, so the format is unchanged.  Files are
 written with the same atomic-replace discipline as the server's memo
 store (tmp file + ``os.replace``), so readers never observe a
 half-written checkpoint, and the previous checkpoint survives a crash
@@ -51,7 +56,9 @@ from .independence import Footprint
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
+    "CanonicalJSON",
     "CheckpointError",
+    "canonical_json",
     "config_digest",
     "discard_shard_checkpoints",
     "footprint_from_json",
@@ -185,8 +192,40 @@ def config_digest(**facets: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
+def canonical_json(value: Any) -> str:
+    """The canonical JSON encoding a checkpoint body is sealed over."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+class CanonicalJSON:
+    """A body value handed over already in its canonical encoding.
+
+    :func:`write_checkpoint` splices ``text`` into the body verbatim, so
+    a writer that keeps the encodings of a large value's parts (the
+    explorer keeps one per cache entry) pays only for joining them.
+    ``text`` must be what :func:`canonical_json` gives for the value.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def _canonical_body(body: Mapping[str, Any]) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    if not any(isinstance(value, CanonicalJSON) for value in body.values()):
+        return canonical_json(body)
+    # byte-identical to ``canonical_json(body)`` with each
+    # ``CanonicalJSON`` replaced by the value it encodes
+    return "{" + ",".join(
+        f"{canonical_json(key)}:"
+        + (
+            value.text
+            if isinstance(value, CanonicalJSON)
+            else canonical_json(value)
+        )
+        for key, value in sorted(body.items())
+    ) + "}"
 
 
 def write_checkpoint(path: str, body: Mapping[str, Any]) -> None:
@@ -195,7 +234,9 @@ def write_checkpoint(path: str, body: Mapping[str, Any]) -> None:
     The schema version is stamped into the body, the integrity digest
     is computed over the canonical encoding, and the file is replaced
     in one ``os.replace`` — a crash mid-write leaves the previous
-    checkpoint intact, never a torn one.
+    checkpoint intact, never a torn one.  A top-level value given as
+    :class:`CanonicalJSON` is written as its text: the file is the
+    same as for the value it encodes.
     """
     stamped = dict(body)
     stamped["schema"] = CHECKPOINT_SCHEMA

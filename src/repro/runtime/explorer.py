@@ -66,7 +66,9 @@ composing with (and multiplying) the dedup cache's savings:
   invariants, then search only the residual automorphism candidates)
   rather than minimization over every admissible permutation, so a
   state usually costs a single canonical encoding
-  (:attr:`ExplorationResult.orbit_encodings` counts them).  Gated on
+  (:attr:`ExplorationResult.orbit_encodings` counts the candidates per
+  keyed node).  A search computes each key once per raw fingerprint
+  and remembers it: a state reached again costs no encoding.  Gated on
   the algorithm's ``symmetric_processes()`` declaration and a
   pid-uniform oracle policy; merged arrivals are counted in
   :attr:`ExplorationResult.states_merged_symmetry` and replay the
@@ -162,7 +164,10 @@ state — the DFS frontier as a stack of per-level frames (taken branch,
 sleep set, explored-sibling footprints, and under dedup the level's
 partial summary and cache key), the transposition cache, and the
 partial result — into a versioned, integrity-sealed checkpoint file
-written atomically (:mod:`repro.runtime.checkpoint`).  The partial
+written atomically (:mod:`repro.runtime.checkpoint`).  Each cache
+entry's at-rest text is encoded once, at the first checkpoint after the
+entry is stored or taken over; later checkpoints join the kept texts,
+so a write costs the cache's new entries plus the bytes.  The partial
 result at rest is an :meth:`ExplorationResult.to_json` payload whose
 violations are paired with their ordinals (each violating terminal's
 position in the depth-first terminal sequence), which a sharded merge
@@ -212,7 +217,9 @@ from ..core.broadcast_spec import BroadcastSpec
 from ..core.model import ChannelTracker, check_channels
 from ..core.steps import Step
 from .checkpoint import (
+    CanonicalJSON,
     CheckpointError,
+    canonical_json,
     config_digest,
     discard_shard_checkpoints,
     read_checkpoint,
@@ -472,12 +479,15 @@ class ExplorationResult:
     #: witnessing permutation is recorded on each replayed
     #: :class:`Violation`.
     states_merged_symmetry: int = coded(0, merge=SUM)
-    #: Canonical state encodings paid by ``symmetry="rename"``: one per
-    #: residual automorphism candidate per fingerprinted node (the
-    #: canonical-labelling pass of
-    #: :meth:`~repro.runtime.simulator.SimulationRun.orbit_key`; the
-    #: enumeration this replaced paid |perms| per node).  0 without
-    #: symmetry.
+    #: Residual automorphism candidates of ``symmetry="rename"``, summed
+    #: over fingerprinted nodes: each node adds the candidate count of
+    #: its state's canonical-labelling pass
+    #: (:meth:`~repro.runtime.simulator.SimulationRun.orbit_key`; the
+    #: enumeration this replaced paid |perms| per node).  The pass runs
+    #: once per distinct raw state and a repeat adds the count stored
+    #: with its key, so this counts candidates per keyed node, not
+    #: encodings computed, and does not depend on a resume point.  0
+    #: without symmetry.
     orbit_encodings: int = coded(0, merge=SUM)
     #: Node expansions per decision depth.
     expansions_by_depth: dict[int, int] = coded(factory=dict, merge=SUM)
@@ -1011,21 +1021,25 @@ def _entry_reusable(
 # converted by hand.
 
 
-def _cache_to_json(
-    cache: Mapping[str, _CacheEntry], oracle: _IndependenceOracle
+def _entry_to_json(
+    key: str, entry: _CacheEntry, oracle: _IndependenceOracle
 ) -> list:
     # Interned ids are per-exploration, so the at-rest form carries the
     # key tuples behind each entry's sleep-key bitmask; resume re-interns.
-    def keys(mask: int) -> list:
-        out = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out.append(_key_to_json(oracle.key_tuple(bit.bit_length() - 1)))
-        return sorted(out, key=repr)
+    keys = []
+    mask = entry.sleep_keys
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        keys.append(_key_to_json(oracle.key_tuple(bit.bit_length() - 1)))
+    return [key, {**encode(entry), "sleep_keys": sorted(keys, key=repr)}]
 
+
+def _cache_to_json(
+    cache: Mapping[str, _CacheEntry], oracle: _IndependenceOracle
+) -> list:
     return [
-        [key, {**encode(entry), "sleep_keys": keys(entry.sleep_keys)}]
+        _entry_to_json(key, entry, oracle)
         for key, entry in sorted(cache.items())
     ]
 
@@ -1222,6 +1236,26 @@ def _explore_subtree(
     expanded_before = out.schedules_explored
     frames: list[_Frame] = []
     ckpt_mark = out.schedules_explored
+    # Per-search caches of pure functions, empty again on resume: the
+    # orbit key of each raw fingerprint seen, and the at-rest text of
+    # each cache entry object, encoded at the first checkpoint after the
+    # entry was stored (a take-over stores a new object).
+    orbits: dict[str, tuple[str, tuple[int, ...], int]] = {}
+    texts: dict[str, tuple[_CacheEntry, str]] = {}
+
+    def cache_text() -> CanonicalJSON:
+        """:func:`_cache_to_json`'s canonical encoding, from kept texts."""
+        parts = []
+        for key in sorted(cache):
+            entry = cache[key]
+            kept = texts.get(key)
+            if kept is None or kept[0] is not entry:
+                kept = texts[key] = (
+                    entry,
+                    canonical_json(_entry_to_json(key, entry, indep)),
+                )
+            parts.append(kept[1])
+        return CanonicalJSON("[" + ",".join(parts) + "]")
 
     def snapshot(*, complete: bool) -> None:
         """Write the current search state to the checkpoint file.
@@ -1242,11 +1276,7 @@ def _explore_subtree(
             "frames": (
                 [] if complete else [f.to_json(indep) for f in frames]
             ),
-            "cache": (
-                _cache_to_json(cache, indep)
-                if dedup and not complete
-                else []
-            ),
+            "cache": cache_text() if dedup and not complete else [],
         }
         write_checkpoint(checkpoint_to, body)
 
@@ -1478,7 +1508,12 @@ def _explore_subtree(
             if dedup:
                 raw = cursor.handle.fingerprint()
                 if groups:
-                    key, perm, encodings = cursor.handle.orbit_key(groups)
+                    # the orbit key is a function of the state ``raw``
+                    # digests; a repeat adds the candidates it cost once
+                    orbit = orbits.get(raw)
+                    if orbit is None:
+                        orbit = orbits[raw] = cursor.handle.orbit_key(groups)
+                    key, perm, encodings = orbit
                     out.orbit_encodings += encodings
                 else:
                     key = raw

@@ -18,6 +18,7 @@ a stride, keeping the suite fast while still crossing checkpoint
 boundaries deep in the tree.
 """
 
+import inspect
 import multiprocessing
 import os
 import shutil
@@ -29,12 +30,15 @@ import repro.runtime.explorer as explorer_module
 from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.checkpoint import (
+    CanonicalJSON,
     CheckpointError,
+    canonical_json,
     read_checkpoint,
     shard_checkpoint_path,
     write_checkpoint,
 )
 from repro.runtime.explorer import (
+    _cache_to_json,
     channels_property,
     combine_properties,
     explore_schedules,
@@ -282,6 +286,122 @@ class TestParallelResume:
         )
         assert parent_writes == [False, True]
         assert result == explore_schedules(*self.make_config(), workers=2)
+
+
+class TestCheckpointBodyBytes:
+    """Kept per-entry texts write the file the whole cache would.
+
+    A search keeps each cache entry's at-rest text from the checkpoint
+    after the entry was stored.  Between two writes of a symmetric
+    sleep-set search, entries are added, arrivals merge into orbits and
+    less-slept arrivals take slots over; every file must still equal
+    the one written from ``_cache_to_json`` over the live cache.
+    """
+
+    def test_pre_encoded_value_writes_the_same_file(self, tmp_path):
+        value = [["k\u00e9y", {"b": [1, None], "a": "\"q\""}], [2.5, True]]
+        body = {"kind": "subtree", "z": {"y": 1, "x": 2}, "cache": value}
+        files = []
+        for cache in (value, CanonicalJSON(canonical_json(value))):
+            files.append(os.path.join(tmp_path, f"{len(files)}.ckpt"))
+            write_checkpoint(files[-1], {**body, "cache": cache})
+        with open(files[0]) as plain, open(files[1]) as spliced:
+            assert plain.read() == spliced.read()
+        assert read_checkpoint(files[1])["cache"] == value
+
+    def test_every_write_equals_the_whole_cache_encoding(
+        self, tmp_path, monkeypatch
+    ):
+        path = os.path.join(tmp_path, "search.ckpt")
+        reference = os.path.join(tmp_path, "reference.ckpt")
+        write = explorer_module.write_checkpoint
+        tally = {"writes": 0, "reencoded": 0}
+        previous = {}  # cache key → (entry, text) kept at the last write
+
+        def compared(target, body):
+            write(target, body)
+            # the writing search's live cache and the texts it kept
+            cache_text = inspect.currentframe().f_back.f_locals["cache_text"]
+            scope = dict(
+                zip(
+                    cache_text.__code__.co_freevars,
+                    (cell.cell_contents for cell in cache_text.__closure__),
+                )
+            )
+            cache, texts = scope["cache"], scope["texts"]
+            old_way = dict(body)
+            if not body["complete"]:
+                old_way["cache"] = _cache_to_json(cache, scope["indep"])
+            write(reference, old_way)
+            with open(target) as got, open(reference) as expected:
+                assert got.read() == expected.read()
+            for key, (entry, text) in texts.items():
+                kept = previous.get(key)
+                if kept is not None and kept[0] is not entry:
+                    # taken over since the last write: a new text
+                    assert entry is cache[key]
+                    tally["reencoded"] += text != kept[1]
+            previous.clear()
+            previous.update(texts)
+            tally["writes"] += 1
+
+        monkeypatch.setattr(explorer_module, "write_checkpoint", compared)
+        result = explore_schedules(
+            s2a_simulator(3),
+            {0: ["a"], 1: ["b"]},
+            clean_property(),
+            checkpoint_to=path,
+            checkpoint_every=7,
+            **VARIANTS["composed"],
+        )
+        assert result.states_merged_symmetry > 0
+        assert tally["writes"] > 10
+        assert tally["reencoded"] > 0
+        assert result == explore_schedules(
+            s2a_simulator(3),
+            {0: ["a"], 1: ["b"]},
+            clean_property(),
+            **VARIANTS["composed"],
+        )
+
+
+class TestSymmetricResume:
+    """A resumed symmetric search reports what an uninterrupted one does.
+
+    The resumed search starts with no remembered orbit keys, so it
+    computes keys the interrupted one had already computed; the result,
+    ``orbit_encodings`` included, must not show it.  Only what the
+    prefix replay of the resume pays again differs: the event counters,
+    and the oracle verdicts of the replayed path's sleep sets.
+    """
+
+    REPLAY = ("events_executed", "events_replayed", "independence_stats")
+
+    @staticmethod
+    def make_config():
+        return s2a_simulator(3), {0: ["a"], 1: ["b"]}, clean_property()
+
+    def test_resumed_payload_equals_uninterrupted(self, tmp_path):
+        kwargs = VARIANTS["composed"]
+        polls = PollCounter()
+        simulator, scripts, prop = self.make_config()
+        reference = explore_schedules(
+            simulator, scripts, prop, cancel=polls, **kwargs
+        ).to_json()
+        assert reference["orbit_encodings"] > 0
+        path = os.path.join(tmp_path, "search.ckpt")
+        for cut in range(1, polls.count, max(1, polls.count // 7)):
+            resumed = interrupt_and_resume(
+                self.make_config, path, cut, **kwargs
+            ).to_json()
+            for name in self.REPLAY:
+                del resumed[name]
+            assert resumed == {
+                name: value
+                for name, value in reference.items()
+                if name not in self.REPLAY
+            }
+            os.unlink(path)
 
 
 class TestCompleteCheckpoint:

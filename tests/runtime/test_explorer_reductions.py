@@ -24,7 +24,8 @@ from repro.runtime.explorer import (
     spec_property,
 )
 from repro.runtime.ksa_objects import ScriptedPolicy
-from repro.specs import TotalOrderBroadcastSpec
+from repro.runtime.simulator import SimulationRun
+from repro.specs import SendToAllSpec, TotalOrderBroadcastSpec
 
 from .test_explorer_engines import worker_independent
 
@@ -338,6 +339,94 @@ class TestRenamingSymmetry:
         ):
             assert getattr(runs[0], field) == getattr(runs[1], field)
         assert runs[0].violations == runs[1].violations
+
+
+#: The ``symmetry="rename"`` rows of ``benchmarks/run_explorer_bench.py``
+#: (name → simulator, scripts, property, the rows' ``sleep_sets``
+#: values) and the end-to-end benchmark's 3-sender orbit search.
+MEMO_CONFIGS = {
+    "s2a-2senders-n3-depth8": (
+        s2a,
+        {0: ["a"], 1: ["b"]},
+        lambda: channels_property(assume_complete=False),
+        (False, True),
+    ),
+    "s2a-totalorder-n2": (
+        lambda: s2a(2),
+        {0: ["x"], 1: ["y"]},
+        lambda: spec_property(
+            TotalOrderBroadcastSpec(), assume_complete=False
+        ),
+        (True,),
+    ),
+    "orbit-s2a-n3-3senders": (
+        s2a,
+        {0: ["a"], 1: ["b"], 2: ["c"]},
+        lambda: spec_property(SendToAllSpec()),
+        (True,),
+    ),
+}
+
+
+class TestOrbitKeyMemo:
+    """A search computes each orbit key once per raw fingerprint.
+
+    The key it remembers must be the key a fresh
+    :meth:`~repro.runtime.simulator.SimulationRun.orbit_key` gives at
+    every later node with that fingerprint, and ``orbit_encodings``
+    must count every keyed node's candidates, repeats included.
+    """
+
+    @pytest.mark.parametrize(
+        "name, sleep_sets",
+        [
+            (name, sleep)
+            for name, (*_, sleeps) in MEMO_CONFIGS.items()
+            for sleep in sleeps
+        ],
+    )
+    def test_remembered_key_is_fresh(self, name, sleep_sets, monkeypatch):
+        make_simulator, scripts, make_property, _ = MEMO_CONFIGS[name]
+        simulator = make_simulator()
+        groups = explorer._renaming_groups(simulator, scripts, None)
+        assert groups
+        fingerprint = SimulationRun.fingerprint
+        orbit_key = SimulationRun.orbit_key
+        remembered = {}  # raw fingerprint → the explorer's orbit_key result
+        tally = {"nodes": 0, "repeats": 0, "candidates": 0}
+
+        def keyed_node(self):
+            # the explorer fingerprints each keyed node once, first
+            raw = fingerprint(self)
+            fresh = orbit_key(self, groups)
+            if raw in remembered:
+                tally["repeats"] += 1
+                assert remembered[raw] == fresh
+            tally["nodes"] += 1
+            tally["candidates"] += fresh[2]
+            return raw
+
+        def computed(self, groups_):
+            raw = fingerprint(self)
+            assert raw not in remembered, "orbit key computed twice"
+            remembered[raw] = orbit_key(self, groups_)
+            return remembered[raw]
+
+        monkeypatch.setattr(SimulationRun, "fingerprint", keyed_node)
+        monkeypatch.setattr(SimulationRun, "orbit_key", computed)
+        result = explore_schedules(
+            simulator,
+            scripts,
+            make_property(),
+            dedup=True,
+            sleep_sets=sleep_sets,
+            symmetry="rename",
+            max_schedules=10**12,
+        )
+        assert result.exhausted
+        assert tally["repeats"] > 0
+        assert len(remembered) == tally["nodes"] - tally["repeats"]
+        assert result.orbit_encodings == tally["candidates"]
 
 
 class TestProgressReporting:
