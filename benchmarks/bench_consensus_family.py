@@ -12,8 +12,7 @@ import pytest
 
 from repro.agreement import BenOrProcess, FloodSetProcess
 from repro.detectors import Clock, PerfectDetector
-from repro.registers import ServiceSimulator
-from repro.runtime import CrashSchedule
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -23,15 +22,15 @@ def test_floodset_latency(benchmark, n):
         crash = CrashSchedule.none()
         clock = Clock()
         detector = PerfectDetector(n, crash, clock, lag=0)
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             n,
             lambda pid, size: FloodSetProcess(pid, size, detector),
             seed=1,
-            clock=clock,
         )
         outcome = simulator.run(
             {p: [Invocation("propose", "c", f"v{p}")] for p in range(n)},
             max_steps=120_000,
+            clock=clock,
         )
         decisions = {
             r.process: r.result for r in outcome.history.complete()
@@ -48,16 +47,16 @@ def test_floodset_with_cascading_crashes(benchmark):
         crash = CrashSchedule({1: 10, 2: 25, 3: 45})
         clock = Clock()
         detector = PerfectDetector(4, crash, clock, lag=0)
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             4,
             lambda pid, size: FloodSetProcess(pid, size, detector),
             seed=1,
-            clock=clock,
         )
         outcome = simulator.run(
             {p: [Invocation("propose", "c", f"v{p}")] for p in range(4)},
             crash_schedule=crash,
             max_steps=120_000,
+            clock=clock,
         )
         assert not outcome.blocked
         return outcome
@@ -68,7 +67,7 @@ def test_floodset_with_cascading_crashes(benchmark):
 @pytest.mark.parametrize("n", [3, 5])
 def test_benor_latency(benchmark, n):
     def run():
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             n,
             lambda pid, size: BenOrProcess(pid, size),
             seed=2,

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.registers import (
-    AbdRegisterProcess,
-    ServiceSimulator,
-    check_linearizable,
-)
-from repro.runtime import CrashSchedule
+from repro.registers import AbdRegisterProcess, check_linearizable
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -25,7 +21,7 @@ def workload(n, ops_per_process):
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_abd_throughput(benchmark, n):
     def run():
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             n, lambda pid, size: AbdRegisterProcess(pid, size), seed=1
         )
         result = simulator.run(workload(n, 2))
@@ -38,7 +34,7 @@ def test_abd_throughput(benchmark, n):
 
 def test_abd_with_minority_crash(benchmark):
     def run():
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             5, lambda pid, size: AbdRegisterProcess(pid, size), seed=2
         )
         result = simulator.run(
@@ -52,7 +48,7 @@ def test_abd_with_minority_crash(benchmark):
 
 @pytest.mark.parametrize("ops", [6, 10])
 def test_linearizability_checker_scaling(benchmark, ops):
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         5, lambda pid, size: AbdRegisterProcess(pid, size), seed=3
     )
     result = simulator.run(workload(5, ops // 2))

@@ -19,8 +19,7 @@ Run: ``python examples/consensus_with_omega.py``
 
 from repro.agreement import PaxosProcess
 from repro.detectors import Clock, OmegaOracle
-from repro.registers import ServiceSimulator
-from repro.runtime import CrashSchedule
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -28,16 +27,16 @@ def run_consensus(*, n=5, seed=0, crash=None, stabilize_at=0):
     crash = crash or CrashSchedule.none()
     clock = Clock()
     omega = OmegaOracle(n, crash, clock, stabilize_at=stabilize_at)
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         n,
         lambda pid, size: PaxosProcess(pid, size, omega),
         seed=seed,
-        clock=clock,
     )
     outcome = simulator.run(
         {p: [Invocation("propose", "slot-0", f"v{p}")] for p in range(n)},
         crash_schedule=crash,
         max_steps=60_000,
+        clock=clock,
     )
     decisions = {
         record.process: record.result

@@ -35,11 +35,7 @@ Run: ``python examples/register_emulation_gap.py``
 
 from repro.adversary import adversarial_scheduler
 from repro.broadcasts import TotalOrderBroadcast, TrivialKsaBroadcast
-from repro.registers import (
-    AbdRegisterProcess,
-    ServiceSimulator,
-    check_linearizable,
-)
+from repro.registers import AbdRegisterProcess, check_linearizable
 from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
@@ -109,7 +105,7 @@ def main() -> None:
         "\nThe same litmus over ABD quorum registers (no agreement "
         "objects, t < n/2):"
     )
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         5, lambda pid, size: AbdRegisterProcess(pid, size), seed=7
     )
     run = simulator.run(
@@ -124,7 +120,7 @@ def main() -> None:
     print(f"  {len(run.history.complete())} operations, {report}")
     assert report.ok
 
-    run = ServiceSimulator(
+    run = Simulator(
         5, lambda pid, size: AbdRegisterProcess(pid, size), seed=7
     ).run(
         {0: [Invocation("write", "R", 1)]},

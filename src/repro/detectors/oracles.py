@@ -28,7 +28,11 @@ __all__ = ["Clock", "OmegaOracle", "PerfectDetector"]
 
 @dataclass
 class Clock:
-    """Mutable scheduler time shared between a simulator and oracles."""
+    """Mutable scheduler time shared between a simulator and oracles.
+
+    Pass it to :meth:`repro.runtime.Simulator.run` (``clock=``), which
+    ticks it with the decision count before each decision.
+    """
 
     now: int = 0
 
@@ -44,8 +48,8 @@ class OmegaOracle:
     n, crash_schedule:
         The system and its failure pattern.
     clock:
-        The scheduler clock (see
-        :meth:`repro.registers.simulator.ServiceSimulator`'s ``clock``).
+        The scheduler clock, ticked by
+        :meth:`repro.runtime.Simulator.run` (its ``clock`` argument).
     stabilize_at:
         The (unknown to the algorithms!) time after which the output is
         the least-index correct process, everywhere and forever.

@@ -105,7 +105,7 @@ def paxos_rows(
     """
     from ..agreement.paxos import PaxosProcess
     from ..detectors import Clock, OmegaOracle
-    from ..registers import ServiceSimulator
+    from ..runtime import Simulator
     from ..runtime.service import Invocation
 
     table: list[tuple] = []
@@ -117,11 +117,10 @@ def paxos_rows(
                 omega = OmegaOracle(
                     n, crashes, clock, stabilize_at=stabilize
                 )
-                simulator = ServiceSimulator(
+                simulator = Simulator(
                     n,
                     lambda pid, size: PaxosProcess(pid, size, omega),
                     seed=seed,
-                    clock=clock,
                 )
                 outcome = simulator.run(
                     {
@@ -130,6 +129,7 @@ def paxos_rows(
                     },
                     crash_schedule=crashes,
                     max_steps=80_000,
+                    clock=clock,
                 )
                 decisions = {
                     record.process: record.result

@@ -10,15 +10,17 @@ register side:
   a majority, which is why the paper's wait-free model has no registers);
 * :mod:`repro.registers.history` / :mod:`repro.registers.linearizability`
   — operation histories with real-time precedence and an exact
-  linearizability checker;
-* :mod:`repro.registers.simulator` — the request/response counterpart of
-  the broadcast simulator.
+  linearizability checker.
+
+Emulations run on the one simulator: a script of
+:class:`~repro.runtime.service.Invocation` s given to
+:meth:`repro.runtime.Simulator.run` yields the execution and the
+:class:`History` (``SimulationResult.history``).
 """
 
 from .abd import AbdRegisterProcess, RegularRegisterProcess, Timestamp
 from .history import History, OperationRecord
 from .linearizability import LinearizabilityReport, check_linearizable
-from .simulator import ServiceRun, ServiceSimulator
 
 __all__ = [
     "AbdRegisterProcess",
@@ -26,7 +28,5 @@ __all__ = [
     "History",
     "LinearizabilityReport",
     "OperationRecord",
-    "ServiceRun",
-    "ServiceSimulator",
     "Timestamp",
 ]

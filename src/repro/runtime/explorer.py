@@ -177,10 +177,10 @@ recorded branch at each checkpointed level *without re-counting it*
 (the restored counters already include that node's expansion), then
 re-enters normal DFS at the interruption point, so the resumed search
 reaches a result construction-identical to an uninterrupted run — same
-violations digest, same state counters, same per-depth maps.  The only
-honest exceptions are ``events_executed``/``events_replayed``, which
-additionally count the prefix replay the resume itself pays.
-Checkpoints are bound to
+violations digest, same state counters, same per-depth maps.  The
+replayed prefix adds no event and no independence verdict to the
+counters either; only the verdict memo's ``memo_hits`` can differ, as
+the memo starts empty on resume.  Checkpoints are bound to
 their configuration by a :func:`~repro.runtime.checkpoint.config_digest`
 over everything that shapes the tree; resuming against anything else
 raises :class:`~repro.runtime.checkpoint.CheckpointError`.  Under
@@ -445,10 +445,11 @@ class ExplorationResult:
     #: was written just before the cut, so ``resume_from`` can finish
     #: the remainder construction-identically.
     interrupted: bool = False
-    #: Scheduled events committed over the whole search, including any
-    #: re-execution (a resume re-runs the checkpointed path).  Sharded
-    #: runs execute exactly the sequential events: each shard continues
-    #: from the run handle the frontier expansion left at its root.
+    #: Scheduled events committed over the whole search.  A resume
+    #: re-runs the checkpointed path without counting it: the restored
+    #: counters already hold those events.  Sharded runs execute
+    #: exactly the sequential events: each shard continues from the run
+    #: handle the frontier expansion left at its root.
     events_executed: int = coded(0, required=True, merge=SUM)
     #: The subset of ``events_executed`` that re-executed work already
     #: performed earlier in the search — the quantity forking run
@@ -500,10 +501,10 @@ class ExplorationResult:
     #: (dependent, branch kept) — plus the memoization counters
     #: ``memo_queries``/``memo_hits`` of the interned-footprint verdict
     #: cache.  Like :attr:`events_executed`, these are telemetry, not
-    #: part of the construction-identity contract: a resumed run
-    #: re-consults the relation along its restored frontier path, and
-    #: ``memo_hits`` depends on ``workers`` (each process memoizes its
-    #: own verdicts).
+    #: part of the construction-identity contract: a resumed run starts
+    #: with an empty verdict memo, and each worker process memoizes its
+    #: own verdicts, so ``memo_hits`` depends on the resume point and on
+    #: ``workers``.
     independence_stats: dict[str, int] = coded(factory=dict, merge=SUM)
     #: Errors raised by the ``progress`` callback, as
     #: ``"ExceptionType: message"`` strings.  A raising callback is
@@ -1629,6 +1630,9 @@ def _explore_subtree(
                 summary = node.summary
         last = active[-1] if active else None
         descend = resume[1:]
+        if resume:
+            flush_stats()
+            counted = out.events_executed, out.events_replayed
         for branch in pending:
             if branch != last:
                 child = cursor.fork()
@@ -1641,6 +1645,13 @@ def _explore_subtree(
                 child_sleep, taken = child_sleep_set(child, sleep, explored)
             else:
                 child_sleep, taken = sleep, None
+            if resume:
+                # The recorded branch was taken before the checkpoint:
+                # its fork, event and verdicts are in the restored
+                # counters, so re-taking it counts none of them.
+                out.events_executed, out.events_replayed = counted
+                stats_mark.update(indep.stats)
+                resume = ()
             path.append(branch)
             frames.append(_Frame(branch, sleep, explored, node))
             child_summary = dfs(child, depth + 1, child_sleep, descend)

@@ -9,25 +9,23 @@ ABD register emulation in :mod:`repro.registers.abd`).
 
 A :class:`ServiceProcess` implements ``on_invoke`` (the operation body, a
 generator over the same effect vocabulary, whose ``return`` value is the
-operation's response) and ``on_receive`` (atomic handlers).  A
-:class:`ServiceRuntime` drives it step by step with the same determinism
-conventions as :class:`~repro.runtime.process.ProcessRuntime`.
+operation's response) and ``on_receive`` (atomic handlers).  The
+:class:`~repro.runtime.process.ProcessRuntime` that drives broadcast
+algorithms drives it too: ``invoke`` starts an operation, and
+``next_step`` reports its end as a :class:`ResponseStep`.  The simulator
+takes an :class:`Invocation` in a script as the start of an operation.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Hashable, Iterator
 
-from ..core.actions import PointToPointId
-from .effects import Effect, LocalNote, Send, Wait
-from .process import Blocked, Idle, LocalStep, ProtocolError, SendStep
+from .effects import Effect, Send
 
 __all__ = [
     "ServiceProcess",
-    "ServiceRuntime",
     "ResponseStep",
     "Invocation",
 ]
@@ -41,6 +39,9 @@ class Invocation:
     target: str
     argument: Hashable = None
 
+    def __str__(self) -> str:
+        return f"{self.operation}({self.argument!r}) on {self.target}"
+
 
 @dataclass(frozen=True)
 class ResponseStep:
@@ -49,9 +50,15 @@ class ResponseStep:
     invocation: Invocation
     result: Hashable
 
+    def __str__(self) -> str:
+        return f"{self.invocation.operation} -> {self.result!r}"
+
 
 class ServiceProcess(ABC):
-    """One process of a request/response object emulation."""
+    """One process of a request/response object emulation.
+
+    Its handlers may yield only ``Send``, ``Wait`` and ``LocalNote``.
+    """
 
     def __init__(self, pid: int, n: int) -> None:
         self.pid = pid
@@ -74,112 +81,3 @@ class ServiceProcess(ABC):
     def send_to_all(self, payload: Hashable) -> Iterator[Effect]:
         for dest in self.everyone():
             yield Send(dest, payload)
-
-
-class ServiceRuntime:
-    """Drives one :class:`ServiceProcess` one step at a time."""
-
-    def __init__(self, algorithm: ServiceProcess) -> None:
-        self.algorithm = algorithm
-        self.pid = algorithm.pid
-        self._p2p_seq: dict[int, int] = {}
-        self._handlers: deque[Iterator[Effect]] = deque()
-        self._operation: Iterator[Effect] | None = None
-        self._invocation: Invocation | None = None
-        self._waiting: Wait | None = None
-
-    # -- driver API ------------------------------------------------------
-
-    def invoke(self, invocation: Invocation) -> None:
-        """Begin one operation (the previous one must have responded)."""
-        if self._operation is not None:
-            raise ProtocolError(
-                f"p{self.pid}: invocation while an operation is pending"
-            )
-        self._operation = self.algorithm.on_invoke(invocation)
-        self._invocation = invocation
-        self._waiting = None
-
-    def inject_receive(self, p2p: PointToPointId, payload: Hashable) -> None:
-        if p2p.receiver != self.pid:
-            raise ProtocolError(
-                f"p{self.pid}: received a message addressed to "
-                f"p{p2p.receiver}"
-            )
-        self._handlers.append(self.algorithm.on_receive(payload, p2p.sender))
-
-    def mint_p2p(self, dest: int) -> PointToPointId:
-        seq = self._p2p_seq.get(dest, 0)
-        self._p2p_seq[dest] = seq + 1
-        return PointToPointId(self.pid, dest, seq)
-
-    @property
-    def busy(self) -> bool:
-        return self._operation is not None
-
-    @property
-    def waiting_reason(self) -> str | None:
-        if self._waiting is None:
-            return None
-        return self._waiting.reason or "operation waiting"
-
-    def has_enabled_step(self) -> bool:
-        return self._peek() is None
-
-    def _peek(self):
-        if self._handlers:
-            return None
-        if self._operation is None:
-            return Idle()
-        if self._waiting is not None and not self._waiting.guard():
-            return Blocked(self._waiting.reason or "operation waiting")
-        return None
-
-    # -- one local step ----------------------------------------------------
-
-    def next_step(self):
-        while True:
-            peeked = self._peek()
-            if peeked is not None:
-                return peeked
-            source = (
-                self._handlers[0] if self._handlers else self._operation
-            )
-            assert source is not None
-            if source is self._operation:
-                self._waiting = None
-            try:
-                effect = source.send(None)
-            except StopIteration as stop:
-                if source is self._operation:
-                    invocation = self._invocation
-                    assert invocation is not None
-                    self._operation = None
-                    self._invocation = None
-                    self._waiting = None
-                    return ResponseStep(invocation, stop.value)
-                self._handlers.popleft()
-                continue
-            outcome = self._apply_effect(source, effect)
-            if outcome is not None:
-                return outcome
-
-    def _apply_effect(self, source, effect):
-        if isinstance(effect, Send):
-            return SendStep(self.mint_p2p(effect.dest), effect.payload)
-        if isinstance(effect, Wait):
-            if source is not self._operation:
-                raise ProtocolError(
-                    f"p{self.pid}: Wait inside an atomic 'upon receive' "
-                    f"handler"
-                )
-            if effect.guard():
-                return None
-            self._waiting = effect
-            return Blocked(effect.reason or "operation waiting")
-        if isinstance(effect, LocalNote):
-            return LocalStep(effect.label)
-        raise ProtocolError(
-            f"p{self.pid}: service algorithm yielded unsupported effect "
-            f"{effect!r}"
-        )

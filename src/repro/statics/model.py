@@ -160,8 +160,9 @@ def attributed_handlers(
 ) -> tuple[EffectSummary, ...]:
     """The handlers whose code a ``kind`` scheduling event may run.
 
-    A ``"bcast"`` event starts ``on_broadcast`` (and the drain runs its
-    body up to the first suspension).  A ``"recv"`` event runs
+    A ``"bcast"`` event starts the next script entry: ``on_broadcast``,
+    or a service process's ``on_invoke`` (and the drain runs its body up
+    to the first suspension).  A ``"recv"`` event runs
     ``on_receive`` — and may *resume* a suspended ``on_broadcast`` /
     ``on_invoke`` operation body whose ``Wait`` guard the reception
     unblocked, so suspendable operation handlers are attributed too.  A
@@ -169,7 +170,7 @@ def attributed_handlers(
     """
     handlers = {name: s for name, s in summary.handlers}
     if kind == "bcast":
-        picked = [handlers.get("on_broadcast")]
+        picked = [handlers.get("on_broadcast") or handlers.get("on_invoke")]
     elif kind == "recv":
         picked = [handlers.get("on_receive")]
         for operation in ("on_broadcast", "on_invoke"):

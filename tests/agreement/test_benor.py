@@ -3,8 +3,7 @@
 import pytest
 
 from repro.agreement.benor import BenOrProcess
-from repro.registers import ServiceSimulator
-from repro.runtime import CrashSchedule
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -13,7 +12,7 @@ def benor_run(seed, *, n=5, proposals=None, crash=None, coin_seed=0,
     crash = crash or CrashSchedule.none()
     if proposals is None:
         proposals = {p: p % 2 for p in range(n)}
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         n,
         lambda pid, size: BenOrProcess(pid, size, coin_seed=coin_seed),
         seed=seed,

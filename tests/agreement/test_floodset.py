@@ -4,8 +4,7 @@ import pytest
 
 from repro.agreement.floodset import FloodSetProcess
 from repro.detectors import Clock, PerfectDetector
-from repro.registers import ServiceSimulator
-from repro.runtime import CrashSchedule
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -13,11 +12,10 @@ def floodset_run(seed, *, n=4, crash=None, proposals=None):
     crash = crash or CrashSchedule.none()
     clock = Clock()
     detector = PerfectDetector(n, crash, clock, lag=0)
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         n,
         lambda pid, size: FloodSetProcess(pid, size, detector),
         seed=seed,
-        clock=clock,
     )
     if proposals is None:
         proposals = {p: f"v{p}" for p in range(n)}
@@ -26,6 +24,7 @@ def floodset_run(seed, *, n=4, crash=None, proposals=None):
          for p, v in proposals.items()},
         crash_schedule=crash,
         max_steps=120_000,
+        clock=clock,
     )
     decisions = {
         record.process: record.result

@@ -5,8 +5,7 @@ import pytest
 from repro.agreement import PaxosProcess
 from repro.agreement.paxos import Ballot
 from repro.detectors import Clock, OmegaOracle, PerfectDetector
-from repro.registers import ServiceSimulator
-from repro.runtime import CrashSchedule
+from repro.runtime import CrashSchedule, Simulator
 from repro.runtime.service import Invocation
 
 
@@ -88,11 +87,10 @@ def paxos_run(seed, *, n=5, crash=None, stabilize=0,
         n, crash, clock, stabilize_at=stabilize,
         stable_leader=stable_leader,
     )
-    simulator = ServiceSimulator(
+    simulator = Simulator(
         n,
         lambda pid, size: PaxosProcess(pid, size, omega),
         seed=seed,
-        clock=clock,
     )
     participants = proposers if proposers is not None else range(n)
     run = simulator.run(
@@ -102,6 +100,7 @@ def paxos_run(seed, *, n=5, crash=None, stabilize=0,
         },
         crash_schedule=crash,
         max_steps=60_000,
+        clock=clock,
     )
     decisions = {
         record.process: record.result
@@ -164,11 +163,10 @@ class TestPaxos:
         crash = CrashSchedule.none()
         clock = Clock()
         omega = OmegaOracle(4, crash, clock)
-        simulator = ServiceSimulator(
+        simulator = Simulator(
             4,
             lambda pid, size: PaxosProcess(pid, size, omega),
             seed=5,
-            clock=clock,
         )
         run = simulator.run(
             {
@@ -179,6 +177,7 @@ class TestPaxos:
                 for p in range(4)
             },
             max_steps=80_000,
+            clock=clock,
         )
         per_instance: dict[str, set] = {"a": set(), "b": set()}
         for record in run.history.complete():

@@ -1,22 +1,19 @@
-"""Unit tests for the request/response step machine (ServiceRuntime)."""
+"""Unit tests for request/response processes on the one step machine."""
 
 import pytest
 
 from repro.core.actions import PointToPointId
-from repro.runtime import LocalNote, Send, Wait
+from repro.core.message import Message, MessageId
+from repro.runtime import Deliver, LocalNote, Propose, Send, Wait
 from repro.runtime.process import (
     Blocked,
     Idle,
     LocalStep,
+    ProcessRuntime,
     ProtocolError,
     SendStep,
 )
-from repro.runtime.service import (
-    Invocation,
-    ResponseStep,
-    ServiceProcess,
-    ServiceRuntime,
-)
+from repro.runtime.service import Invocation, ResponseStep, ServiceProcess
 
 
 class Echo(ServiceProcess):
@@ -57,7 +54,7 @@ class BadHandler(ServiceProcess):
 
 class TestLifecycle:
     def test_idle_then_invoke_then_respond(self):
-        runtime = ServiceRuntime(Echo(0, 2))
+        runtime = ProcessRuntime(Echo(0, 2))
         assert isinstance(runtime.next_step(), Idle)
         runtime.invoke(Invocation("ping", "svc", 21))
         assert runtime.busy
@@ -71,13 +68,13 @@ class TestLifecycle:
         assert not runtime.busy
 
     def test_overlapping_invocations_rejected(self):
-        runtime = ServiceRuntime(Echo(0, 1))
+        runtime = ProcessRuntime(Echo(0, 1))
         runtime.invoke(Invocation("ping", "svc", 1))
         with pytest.raises(ProtocolError, match="pending"):
             runtime.invoke(Invocation("ping", "svc", 2))
 
     def test_wait_blocks_until_guard(self):
-        runtime = ServiceRuntime(Quorum(0, 3))
+        runtime = ProcessRuntime(Quorum(0, 3))
         runtime.invoke(Invocation("q", "svc"))
         for _ in range(3):
             assert isinstance(runtime.next_step(), SendStep)
@@ -94,7 +91,7 @@ class TestLifecycle:
         assert response.result == 2
 
     def test_handlers_run_before_operation(self):
-        runtime = ServiceRuntime(Echo(0, 1))
+        runtime = ProcessRuntime(Echo(0, 1))
         runtime.invoke(Invocation("ping", "svc", 1))
         runtime.inject_receive(PointToPointId(1, 0, 0), "x")
         step = runtime.next_step()
@@ -104,13 +101,13 @@ class TestLifecycle:
 
 class TestProtocolErrors:
     def test_wait_in_handler_rejected(self):
-        runtime = ServiceRuntime(BadHandler(0, 1))
+        runtime = ProcessRuntime(BadHandler(0, 1))
         runtime.inject_receive(PointToPointId(1, 0, 0), None)
         with pytest.raises(ProtocolError, match="atomic"):
             runtime.next_step()
 
     def test_wrongly_addressed_receive_rejected(self):
-        runtime = ServiceRuntime(Echo(0, 2))
+        runtime = ProcessRuntime(Echo(0, 2))
         with pytest.raises(ProtocolError, match="addressed"):
             runtime.inject_receive(PointToPointId(1, 5, 0), None)
 
@@ -123,7 +120,26 @@ class TestProtocolErrors:
                 return
                 yield
 
-        runtime = ServiceRuntime(Weird(0, 1))
+        runtime = ProcessRuntime(Weird(0, 1))
+        runtime.invoke(Invocation("x", "svc"))
+        with pytest.raises(ProtocolError, match="unsupported effect"):
+            runtime.next_step()
+
+    @pytest.mark.parametrize(
+        "effect",
+        [Propose("ksa", 1), Deliver(Message(MessageId(0, 0), "m"))],
+        ids=["propose", "deliver"],
+    )
+    def test_broadcast_effects_rejected(self, effect):
+        class Broadcaster(ServiceProcess):
+            def on_invoke(self, invocation):
+                yield effect
+
+            def on_receive(self, payload, sender):
+                return
+                yield
+
+        runtime = ProcessRuntime(Broadcaster(0, 1))
         runtime.invoke(Invocation("x", "svc"))
         with pytest.raises(ProtocolError, match="unsupported effect"):
             runtime.next_step()
@@ -131,7 +147,7 @@ class TestProtocolErrors:
 
 class TestP2PMinting:
     def test_unique_ids_per_destination(self):
-        runtime = ServiceRuntime(Echo(2, 3))
+        runtime = ProcessRuntime(Echo(2, 3))
         ids = [runtime.mint_p2p(0) for _ in range(3)]
         ids += [runtime.mint_p2p(1) for _ in range(3)]
         assert len(set(ids)) == 6

@@ -65,7 +65,7 @@ PUBLIC_API = {
     "repro.registers": [
         "AbdRegisterProcess", "RegularRegisterProcess", "Timestamp",
         "History", "OperationRecord", "check_linearizable",
-        "LinearizabilityReport", "ServiceSimulator", "ServiceRun",
+        "LinearizabilityReport",
     ],
     "repro.apps": [
         "replay_replicas", "replay_kv_store", "replay_counter",
