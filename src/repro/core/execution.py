@@ -35,6 +35,7 @@ from typing import (
 )
 
 from .actions import (
+    BROADCAST_ACTIONS,
     BroadcastInvoke,
     BroadcastReturn,
     CrashAction,
@@ -48,7 +49,11 @@ from .actions import (
 from .message import Message, MessageId, Renaming
 from .steps import Step
 
-__all__ = ["Execution", "WellFormednessError"]
+__all__ = ["Execution", "PROJECTED_ACTIONS", "WellFormednessError"]
+
+#: The action types :meth:`Execution.broadcast_projection` keeps: the
+#: broadcast-level ones and crashes.
+PROJECTED_ACTIONS = BROADCAST_ACTIONS + (CrashAction,)
 
 
 class WellFormednessError(Exception):
@@ -239,7 +244,7 @@ class Execution:
             tuple(
                 s
                 for s in self.steps
-                if s.is_broadcast_event() or s.is_crash()
+                if isinstance(s.action, PROJECTED_ACTIONS)
             ),
             self.n,
         )

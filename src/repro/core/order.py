@@ -27,6 +27,7 @@ __all__ = [
     "delivery_positions",
     "pair_orders",
     "uniformly_ordered",
+    "disagreeing_pairs",
     "disagreement_graph",
     "kbo_violation_witness",
     "causal_precedence",
@@ -76,21 +77,41 @@ def uniformly_ordered(
     return len(pair_orders(positions, first, second)) <= 1
 
 
+def disagreeing_pairs(
+    execution: Execution,
+) -> list[tuple[MessageId, MessageId]]:
+    """The pairs of broadcast messages that are not uniformly ordered.
+
+    Each unordered pair appears once, as ``(first, second)`` with
+    ``first`` broadcast before ``second``, in the order
+    :func:`itertools.combinations` lists the broadcast uids.  A process
+    that delivers a message twice ranks it at its last delivery, as
+    :func:`delivery_positions` does.
+    """
+    uids = list(dict.fromkeys(m.uid for m in execution.broadcast_messages))
+    if len(uids) < 2:
+        return []
+    before: set[tuple[MessageId, MessageId]] = set()
+    for ranks in delivery_positions(execution).values():
+        before.update(combinations(sorted(ranks, key=ranks.__getitem__), 2))
+    return [
+        (first, second)
+        for first, second in combinations(uids, 2)
+        if (first, second) in before and (second, first) in before
+    ]
+
+
 def disagreement_graph(execution: Execution) -> nx.Graph:
     """Graph on broadcast messages; edges join non-uniformly-ordered pairs.
 
     A (k+1)-clique in this graph is a set of k+1 messages *no* two of which
     are delivered in the same order by all processes — i.e. a violation
     witness for k-BO Broadcast, and for k = 1 an edge is a violation of
-    Total-Order Broadcast.
+    Total-Order Broadcast.  The edges are :func:`disagreeing_pairs`.
     """
-    positions = delivery_positions(execution)
     graph = nx.Graph()
-    uids = [m.uid for m in execution.broadcast_messages]
-    graph.add_nodes_from(uids)
-    for first, second in combinations(uids, 2):
-        if not uniformly_ordered(positions, first, second):
-            graph.add_edge(first, second)
+    graph.add_nodes_from(m.uid for m in execution.broadcast_messages)
+    graph.add_edges_from(disagreeing_pairs(execution))
     return graph
 
 

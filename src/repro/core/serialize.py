@@ -8,9 +8,14 @@ Python session.  This module provides a faithful JSON round-trip:
 * every step becomes ``{"p": process, "a": {action...}}``;
 * message identities and point-to-point identities keep their structure;
 * contents survive as long as they are built from JSON scalars, tuples,
-  lists, dicts and :class:`~repro.core.message.Message` objects (the
-  shapes the library's algorithms use); tuples and messages are tagged
-  so the round-trip is exact (tuples do not degrade to lists).
+  lists, dicts, frozensets, :class:`~repro.core.message.Message` objects
+  and the library's frozen content records — ABD's
+  :class:`~repro.registers.abd.Timestamp` and Paxos'
+  :class:`~repro.agreement.paxos.Ballot` (the shapes the library's
+  algorithms use); tuples, frozensets, messages and records are tagged
+  so the round-trip is exact (tuples do not degrade to lists).  A
+  record's tag is looked up in a closed registry: no class is ever
+  imported by a name read from the input.
 
 ``loads(dumps(execution)) == execution`` for every execution the library
 produces — property-tested in ``tests/core/test_serialize.py``.
@@ -19,6 +24,8 @@ produces — property-tested in ``tests/core/test_serialize.py``.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from functools import cache
 from typing import Any
 
 from .actions import (
@@ -42,6 +49,19 @@ from .steps import Step
 __all__ = ["dumps", "loads", "to_jsonable", "from_jsonable"]
 
 
+@cache
+def _records() -> dict[str, type]:
+    """The closed registry of frozen content records, by class name.
+
+    Imported on first use: the record types live in modules that
+    import :mod:`repro.core` themselves.
+    """
+    from ..agreement.paxos import Ballot
+    from ..registers.abd import Timestamp
+
+    return {cls.__name__: cls for cls in (Ballot, Timestamp)}
+
+
 def _encode_content(value: Any) -> Any:
     if isinstance(value, Message):
         return {
@@ -62,8 +82,24 @@ def _encode_content(value: Any) -> Any:
                 for k, v in value.items()
             ]
         }
+    if isinstance(value, frozenset):
+        # sorted by encoding: set iteration order varies with hashing
+        return {
+            "__frozenset__": sorted(
+                (_encode_content(v) for v in value),
+                key=lambda v: json.dumps(v, sort_keys=True),
+            )
+        }
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
+    tag = type(value).__name__
+    if _records().get(tag) is type(value):
+        return {
+            "__record__": tag,
+            "fields": [
+                _encode_content(getattr(value, f.name)) for f in fields(value)
+            ],
+        }
     raise TypeError(
         f"content of type {type(value).__name__} is not serializable"
     )
@@ -84,6 +120,17 @@ def _decode_content(value: Any) -> Any:
                 _decode_content(k): _decode_content(v)
                 for k, v in value["__dict__"]
             }
+        if "__frozenset__" in value:
+            return frozenset(
+                _decode_content(v) for v in value["__frozenset__"]
+            )
+        if "__record__" in value:
+            cls = _records().get(value["__record__"])
+            if cls is None:
+                raise ValueError(
+                    f"unknown record type {value['__record__']!r}"
+                )
+            return cls(*(_decode_content(v) for v in value["fields"]))
         raise ValueError(f"unknown tagged content: {list(value)}")
     if isinstance(value, list):
         return [_decode_content(v) for v in value]

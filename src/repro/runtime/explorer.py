@@ -131,8 +131,9 @@ explorer feeds them *step deltas* along each branch instead of
 whole executions per terminal: :func:`channels_property` checks the SR
 channel axioms this way (via :class:`repro.core.model.ChannelTracker`),
 scanning every step once per tree edge rather than once per
-terminal-times-depth.  Spec properties are whole-execution judgements
-and stay terminal-evaluated.
+terminal-times-depth.  :func:`spec_property` keeps the broadcast
+projection the same way, so a terminal judges it without re-filtering
+the trace; the judgement itself still reads the whole projection.
 
 Bounds
 ------
@@ -214,6 +215,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Mapping, Sequence
 
 from ..core.broadcast_spec import BroadcastSpec
+from ..core.execution import PROJECTED_ACTIONS, Execution
 from ..core.model import ChannelTracker, check_channels
 from ..core.steps import Step
 from .checkpoint import (
@@ -695,6 +697,41 @@ class _ChannelsTracker(PropertyTracker):
         ).all_violations()
 
 
+class _SpecTracker(PropertyTracker):
+    """A broadcast spec's projected execution kept along a branch.
+
+    :meth:`observe` keeps the steps
+    :meth:`~repro.core.execution.Execution.broadcast_projection` keeps,
+    so a terminal judges the projection without re-filtering the whole
+    trace.  The projection is a tuple that ``observe`` replaces rather
+    than extends, so a fork shares it and copies two references.
+    """
+
+    def __init__(
+        self, spec: BroadcastSpec, n: int, *, assume_complete: bool
+    ) -> None:
+        #: ``(spec, n, assume_complete)``, shared by every fork.
+        self._judge = (spec, n, assume_complete)
+        self._projected: tuple[Step, ...] = ()
+
+    def observe(self, steps: Sequence[Step]) -> None:
+        for step in steps:
+            if isinstance(step.action, PROJECTED_ACTIONS):
+                self._projected += (step,)
+
+    def fork(self) -> "_SpecTracker":
+        clone = object.__new__(_SpecTracker)
+        clone._judge = self._judge
+        clone._projected = self._projected
+        return clone
+
+    def at_terminal(self, result: SimulationResult) -> list[str]:
+        spec, n, assume_complete = self._judge
+        return spec.admits(
+            Execution(self._projected, n), assume_complete=assume_complete
+        ).all_violations()
+
+
 class _CombinedTracker(PropertyTracker):
     """Conjunction of several trackers (problems concatenated in order)."""
 
@@ -770,19 +807,39 @@ def _as_property(prop: object):
     return _TerminalProperty(prop)
 
 
+class _SpecProperty:
+    """A broadcast spec's verdict, built along the branch by the explorer."""
+
+    def __init__(self, spec: BroadcastSpec, *, assume_complete: bool) -> None:
+        self._spec = spec
+        self._assume_complete = assume_complete
+
+    def __call__(self, result: SimulationResult) -> list[str]:
+        return self._spec.admits(
+            result.execution.broadcast_projection(),
+            assume_complete=self._assume_complete,
+        ).all_violations()
+
+    def tracker(self, n: int) -> PropertyTracker:
+        return _SpecTracker(
+            self._spec, n, assume_complete=self._assume_complete
+        )
+
+
 def spec_property(
     spec: BroadcastSpec, *, assume_complete: bool = True
 ) -> Property:
-    """Adapt a broadcast specification into a terminal-state property."""
+    """Adapt a broadcast specification into a terminal-state property.
 
-    def check(result: SimulationResult) -> list[str]:
-        verdict = spec.admits(
-            result.execution.broadcast_projection(),
-            assume_complete=assume_complete,
-        )
-        return verdict.all_violations()
-
-    return _TerminalProperty(check)
+    Called on a :class:`~repro.runtime.simulator.SimulationResult`, it
+    checks the execution's broadcast projection.  Passed to
+    :func:`explore_schedules`, it is *incremental*, like
+    :func:`channels_property`: the explorer feeds it step deltas along
+    each DFS branch, it keeps the projected steps as they arrive, and a
+    terminal checks them without re-filtering the whole trace.  The
+    verdict is the same either way.
+    """
+    return _SpecProperty(spec, assume_complete=assume_complete)
 
 
 def channels_property(*, assume_complete: bool = True) -> Property:
@@ -1379,7 +1436,7 @@ def _explore_subtree(
         that is independent of the event just taken (Godefroid's
         sleep-set recurrence); a dependent event wakes up.
         """
-        child.handle.choices()  # prelude: finalizes the footprint
+        child.handle.choices()  # prelude: captures the footprint
         taken = child.handle.last_footprint
         kept = {
             key: footprint

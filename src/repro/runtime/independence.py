@@ -90,10 +90,11 @@ __all__ = [
 class Footprint:
     """What one committed scheduling event actually touched.
 
-    Recorded by :meth:`~repro.runtime.simulator.SimulationRun.advance`
-    and finalized when the next decision point's prelude (crash
-    injection, ``atomic_local`` drain) has run, so the footprint covers
-    the *whole* state delta between two consecutive decision points.
+    Recorded by :meth:`~repro.runtime.simulator.SimulationRun.advance`,
+    captured at the next decision point's prelude (crash injection,
+    ``atomic_local`` drain), so the footprint covers the *whole* state
+    delta between two consecutive decision points, and frozen on first
+    read of :attr:`~repro.runtime.simulator.SimulationRun.last_footprint`.
     """
 
     #: The choice kind that was committed: ``"local"``/``"recv"``/``"bcast"``.

@@ -213,11 +213,11 @@ class SimulationRun:
         #: Local steps re-executed to materialize this handle (0 unless
         #: the handle was forked from a runtime with a live generator).
         self.replayed_steps = 0
-        #: Footprint of the last committed event (what it actually
-        #: touched), finalized by the next :meth:`choices` prelude; the
-        #: explorer's sleep-set reduction reads it.  ``None`` until the
-        #: first event's footprint is complete.
-        self.last_footprint: Footprint | None = None
+        #: The last committed event's footprint as the prelude left it:
+        #: a finished draft until :attr:`last_footprint` freezes it.
+        self._last_footprint: Footprint | FootprintDraft | None = None
+        #: The draft the in-flight event is accumulating, from
+        #: :meth:`advance` to the end of the next prelude.
         self._pending_footprint: FootprintDraft | None = None
         self._choices: list[Choice] | None = None
         #: Encoding of the fingerprint's tail — factory counters, sync
@@ -248,53 +248,76 @@ class SimulationRun:
         repeated calls (and calls after :meth:`fork`) are idempotent.
         """
         if self._choices is None:
-            for p in sorted(self.alive):
-                if self.crashes.due(p, self.steps):
-                    self.trace.crash(p)
-                    self.alive.discard(p)
-                    if self._pending_footprint is not None:
-                        # The injection lands between the last event and
-                        # this decision point — at a global count an
-                        # adjacent swap preserves — so the crash-aware
-                        # relation only needs the pair to have avoided
-                        # this victim, not a blanket refusal.
-                        self._pending_footprint.crashed = True
-                        self._pending_footprint.crashed_pids = (
-                            self._pending_footprint.crashed_pids | {p}
-                        )
+            draft = self._pending_footprint
+            at_step = self.crashes.at_step
+            if at_step:
+                for p in sorted(self.alive):
+                    if self.crashes.due(p, self.steps):
+                        self.trace.crash(p)
+                        self.alive.discard(p)
+                        if draft is not None:
+                            # The injection lands between the last event
+                            # and this decision point — at a global count
+                            # an adjacent swap preserves — so the
+                            # crash-aware relation only needs the pair to
+                            # have avoided this victim, not a blanket
+                            # refusal.
+                            draft.crashed = True
+                            draft.crashed_pids = draft.crashed_pids | {p}
             if self.simulator.atomic_local:
                 self._drain_local()
             self._choices = self._enabled_choices()
-            if self._pending_footprint is not None:
-                # A crash still scheduled at a *global* step count is
-                # recorded on the footprint (victims and deadlines).
-                # The injection index is preserved by adjacent swaps,
-                # so the only pending victims a swap can observe are
-                # the *imminent* ones — due at the very next decision
-                # count, where the injection would land after the
-                # second event of a swapped pair but before that
-                # prelude's drain.  Later deadlines fire after both
-                # events in either order and impose no constraint.
-                self._pending_footprint.pending = frozenset(
-                    p for p in self.crashes.at_step if p in self.alive
-                )
-                self._pending_footprint.pending_deadlines = tuple(
-                    sorted(
-                        (p, step)
-                        for p, step in self.crashes.at_step.items()
-                        if p in self.alive
+            if draft is not None:
+                if at_step:
+                    # A crash still scheduled at a *global* step count
+                    # is recorded on the footprint (victims and
+                    # deadlines).  The injection index is preserved by
+                    # adjacent swaps, so the only pending victims a swap
+                    # can observe are the *imminent* ones — due at the
+                    # very next decision count, where the injection
+                    # would land after the second event of a swapped
+                    # pair but before that prelude's drain.  Later
+                    # deadlines fire after both events in either order
+                    # and impose no constraint.
+                    draft.pending = frozenset(
+                        p for p in at_step if p in self.alive
                     )
-                )
-                self._pending_footprint.imminent = frozenset(
-                    p
-                    for p, step in self.crashes.at_step.items()
-                    if p in self.alive and step == self.steps + 1
-                )
+                    draft.pending_deadlines = tuple(
+                        sorted(
+                            (p, step)
+                            for p, step in at_step.items()
+                            if p in self.alive
+                        )
+                    )
+                    draft.imminent = frozenset(
+                        p
+                        for p, step in at_step.items()
+                        if p in self.alive and step == self.steps + 1
+                    )
                 if self.simulator.validate_footprints:
-                    self._validate_footprint(self._pending_footprint)
-                self.last_footprint = self._pending_footprint.freeze()
+                    self._validate_footprint(draft)
+                # Finished: only the next advance() starts a new draft,
+                # so this one is never mutated again and forks share it.
+                self._last_footprint = draft
                 self._pending_footprint = None
         return self._choices
+
+    @property
+    def last_footprint(self) -> Footprint | None:
+        """Footprint of the last committed event (what it actually touched).
+
+        Captured by the :meth:`choices` prelude that follows the event,
+        so it covers the whole state delta between two decision points,
+        and frozen into a :class:`Footprint` the first time it is read:
+        only the explorer's sleep-set reduction reads it, so a search
+        without one never pays for the freeze.  ``None`` until the first
+        event's prelude has run; until the next prelude it is the
+        previous event's.
+        """
+        footprint = self._last_footprint
+        if isinstance(footprint, FootprintDraft):
+            footprint = self._last_footprint = footprint.freeze()
+        return footprint
 
     def _validate_footprint(self, draft: FootprintDraft) -> None:
         """Assert the recorded footprint is contained in the static one.
@@ -424,7 +447,7 @@ class SimulationRun:
         clone.operations = self.operations
         clone.steps = self.steps
         clone.replayed_steps = 0
-        clone.last_footprint = self.last_footprint
+        clone._last_footprint = self._last_footprint
         clone._pending_footprint = (
             None
             if self._pending_footprint is None
@@ -884,9 +907,9 @@ class Simulator:
         it is what makes exhaustive exploration
         (:mod:`repro.runtime.explorer`) tractable.
     validate_footprints:
-        When true, every finalized event footprint is checked for
-        containment in the algorithm's static effect summary
-        (:mod:`repro.statics`); escape raises
+        When true, every event footprint is checked, at the prelude
+        that captures it, for containment in the algorithm's static
+        effect summary (:mod:`repro.statics`); escape raises
         :class:`FootprintViolationError`.  A sanitizer for differential
         tests — off by default because it adds a check per decision.
     """

@@ -1,8 +1,14 @@
 """Unit tests for the delivery-order relations."""
 
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.order import (
     causal_precedence,
     delivery_positions,
+    disagreeing_pairs,
     disagreement_graph,
     first_delivered_set,
     kbo_violation_witness,
@@ -10,6 +16,7 @@ from repro.core.order import (
     uniformly_ordered,
 )
 from tests.conftest import ExecutionBuilder, complete_exchange
+from tests.core.test_execution_properties import broadcast_executions
 
 
 def two_messages_disagreeing():
@@ -54,6 +61,46 @@ class TestDisagreementGraph:
         execution, first, second = two_messages_disagreeing()
         graph = disagreement_graph(execution)
         assert graph.has_edge(first.uid, second.uid)
+
+
+@st.composite
+def executions_with_redeliveries(draw):
+    """A broadcast execution, some of whose deliveries happen twice."""
+    execution = draw(broadcast_executions())
+    deliveries = [step for step in execution if step.is_deliver()]
+    repeats = (
+        draw(st.lists(st.sampled_from(deliveries), max_size=3))
+        if deliveries
+        else []
+    )
+    return execution.extend(repeats)
+
+
+class TestDisagreeingPairs:
+    def test_disagreeing_pair_listed_once(self):
+        execution, first, second = two_messages_disagreeing()
+        assert disagreeing_pairs(execution) == [(first.uid, second.uid)]
+
+    def test_agreeing_execution_has_none(self):
+        assert disagreeing_pairs(complete_exchange(3)) == []
+
+    @given(executions_with_redeliveries())
+    @settings(max_examples=80)
+    def test_graph_edges_are_the_pairs(self, execution):
+        pairs = disagreeing_pairs(execution)
+        assert set(disagreement_graph(execution).edges) == set(pairs)
+        assert len(set(pairs)) == len(pairs)
+
+    @given(executions_with_redeliveries())
+    @settings(max_examples=80)
+    def test_pairs_are_the_non_uniform_ones(self, execution):
+        positions = delivery_positions(execution)
+        uids = list(dict.fromkeys(m.uid for m in execution.broadcast_messages))
+        assert disagreeing_pairs(execution) == [
+            (first, second)
+            for first, second in combinations(uids, 2)
+            if not uniformly_ordered(positions, first, second)
+        ]
 
 
 class TestKboWitness:

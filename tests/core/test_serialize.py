@@ -1,15 +1,24 @@
 """Round-trip tests for execution serialization."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 
 from repro.adversary import adversarial_scheduler
+from repro.agreement import Ballot
 from repro.broadcasts import FirstKKsaBroadcast, ScdBroadcast
 from repro.core import Execution
 from repro.core.serialize import dumps, from_jsonable, loads, to_jsonable
+from repro.registers import Timestamp
 from repro.runtime import Simulator
 from tests.core.test_execution_properties import broadcast_executions
 from tests.conftest import complete_exchange
+
+
+@dataclass(frozen=True)
+class Unregistered:
+    value: int
 
 
 class TestRoundTrip:
@@ -90,6 +99,39 @@ class TestFormat:
         from tests.conftest import ExecutionBuilder
 
         b = ExecutionBuilder(1)
-        b.broadcast(0, "m", content=frozenset({1}))
+        # a frozen dataclass outside the closed record registry
+        b.broadcast(0, "m", content=Unregistered(1))
         with pytest.raises(TypeError, match="not serializable"):
             dumps(b.build())
+
+    def test_frozensets_and_records_round_trip(self):
+        from tests.conftest import ExecutionBuilder
+
+        b = ExecutionBuilder(1)
+        content = (Timestamp(2, 0), Ballot(3, 1), frozenset({"x", ("y", 1)}))
+        b.broadcast(0, "m", content=content)
+        reloaded = loads(dumps(b.build()))
+        assert reloaded.broadcast_messages[0].content == content
+        assert type(reloaded.broadcast_messages[0].content[0]) is Timestamp
+
+    def test_frozenset_encoding_is_canonical(self):
+        from tests.conftest import ExecutionBuilder
+
+        texts = set()
+        for order in (["a", "b", "c"], ["c", "b", "a"]):
+            b = ExecutionBuilder(1)
+            b.broadcast(0, "m", content=frozenset(order))
+            texts.add(dumps(b.build()))
+        assert len(texts) == 1
+
+    def test_unknown_record_tag_rejected(self):
+        from tests.conftest import ExecutionBuilder
+
+        b = ExecutionBuilder(1)
+        b.broadcast(0, "m", content=Timestamp(1, 0))
+        data = to_jsonable(b.build())
+        data["steps"][0]["a"]["m"]["__msg__"]["content"]["__record__"] = (
+            "os.system"
+        )
+        with pytest.raises(ValueError, match="unknown record type"):
+            from_jsonable(data)

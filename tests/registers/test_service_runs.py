@@ -5,12 +5,12 @@ scripts, crash schedules and step budgets that their tests, the
 service benchmarks (``bench_perf_abd``, ``bench_paxos``,
 ``bench_consensus_family``), both examples and Experiment B1
 (``experiments/boundaries.py``) use.  Per run, one digest pins the
-execution (in the canonical encoding: ABD's timestamps are outside
-what ``repro.core.serialize`` writes), every history record (process, operation,
-target, argument, invocation and response step, result), quiescence,
-the number of decisions taken and the blocked map.  Any drift in how
-operations are scheduled, stepped, crashed or recorded changes a
-digest.
+execution (in the canonical encoding), every history record (process,
+operation, target, argument, invocation and response step, result),
+quiescence, the number of decisions taken and the blocked map.  Any
+drift in how operations are scheduled, stepped, crashed or recorded
+changes a digest.  Every execution also round-trips through
+``repro.core.serialize``.
 
 Regenerate (after an *intentional* change) with::
 
@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.agreement import BenOrProcess, FloodSetProcess, PaxosProcess
+from repro.core.serialize import dumps, loads
 from repro.detectors import Clock, OmegaOracle, PerfectDetector
 from repro.registers import AbdRegisterProcess
 from repro.runtime import CrashSchedule, Simulator
@@ -343,3 +344,10 @@ def test_sanitized_run_matches_golden(key):
     changes nothing."""
     golden = json.loads(GOLDEN.read_text())
     assert run_digest(RUNS[key](validate_footprints=True)) == golden[key]
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_execution_round_trips_through_json(key):
+    """Timestamps, ballots and FloodSet's value sets survive the trip."""
+    execution = RUNS[key]().execution
+    assert loads(dumps(execution)) == execution
