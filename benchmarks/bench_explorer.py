@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.broadcasts import SendToAllBroadcast, UniformReliableBroadcast
+from repro.broadcasts import (
+    KSteppedKsaBroadcast,
+    SendToAllBroadcast,
+    UniformReliableBroadcast,
+)
 from repro.runtime import (
     CrashSchedule,
     Simulator,
@@ -14,6 +18,7 @@ from repro.runtime import (
 from repro.runtime.fingerprint import stable_digest
 from repro.runtime.independence import Footprint, classify
 from repro.specs import (
+    KSteppedBroadcastSpec,
     SendToAllSpec,
     TotalOrderBroadcastSpec,
     UniformReliableBroadcastSpec,
@@ -54,6 +59,29 @@ def test_exhaustive_two_senders(benchmark):
 
     result = benchmark(explore)
     assert result.terminal_schedules == 80
+
+
+def test_terminal_heavy_plain_dfs(benchmark):
+    """The terminal path of plain DFS: k-Stepped n=2, no crash.
+
+    16,128 terminals over 640 distinct broadcast projections, so the
+    time is dominated by what a terminal costs — the spec verdict,
+    shared by forks holding the same projection, and no result built
+    for a tracker that does not read it.
+    """
+    simulator = Simulator(2, KSteppedKsaBroadcast, k=1)
+
+    def explore():
+        result = explore_schedules(
+            simulator,
+            {0: ["a"], 1: ["b"]},
+            spec_property(KSteppedBroadcastSpec(1), assume_complete=False),
+        )
+        assert result.exhausted and result.ok
+        return result
+
+    result = benchmark(explore)
+    assert result.terminal_schedules == 16128
 
 
 def test_violation_search(benchmark):

@@ -657,7 +657,16 @@ class PropertyTracker:
     schedule.  This base class is the *stateless* adapter: it ignores
     deltas and evaluates a plain property callable on the terminal
     result, so forks can share the one instance.
+
+    ``reads_result`` says whether :meth:`at_terminal` reads its
+    argument.  Building a :class:`SimulationResult` copies the whole
+    trace and every operation record, so the explorer builds one only
+    for a tracker that sets it; any other tracker receives ``None``.
+    It defaults to True, so a subclass that leaves it alone keeps
+    receiving a full result at every terminal.
     """
+
+    reads_result: bool = True
 
     def __init__(self, check: Property) -> None:
         self._check = check
@@ -669,13 +678,16 @@ class PropertyTracker:
         """A tracker for a diverging branch (self when stateless)."""
         return self
 
-    def at_terminal(self, result: SimulationResult) -> list[str]:
+    def at_terminal(self, result: SimulationResult | None) -> list[str]:
         """Violations of the property at a terminal schedule."""
+        assert result is not None
         return self._check(result)
 
 
 class _ChannelsTracker(PropertyTracker):
     """SR channel axioms maintained incrementally along a branch."""
+
+    reads_result = False
 
     def __init__(self, n: int, *, assume_complete: bool) -> None:
         self._tracker = ChannelTracker(n)
@@ -691,7 +703,7 @@ class _ChannelsTracker(PropertyTracker):
         clone._assume_complete = self._assume_complete
         return clone
 
-    def at_terminal(self, result: SimulationResult) -> list[str]:
+    def at_terminal(self, result: SimulationResult | None) -> list[str]:
         return self._tracker.report(
             assume_complete=self._assume_complete
         ).all_violations()
@@ -704,8 +716,16 @@ class _SpecTracker(PropertyTracker):
     :meth:`~repro.core.execution.Execution.broadcast_projection` keeps,
     so a terminal judges the projection without re-filtering the whole
     trace.  The projection is a tuple that ``observe`` replaces rather
-    than extends, so a fork shares it and copies two references.
+    than extends, so a fork shares it and copies a few references.
+
+    The verdict is a function of the projection alone, so trackers
+    holding the same projection tuple share it through a one-slot cell:
+    :meth:`fork` hands its cell (made on the first fork) to the clone,
+    ``observe`` drops it when the projection grows, and the first
+    terminal to reach a cell fills it for every later one.
     """
+
+    reads_result = False
 
     def __init__(
         self, spec: BroadcastSpec, n: int, *, assume_complete: bool
@@ -713,23 +733,40 @@ class _SpecTracker(PropertyTracker):
         #: ``(spec, n, assume_complete)``, shared by every fork.
         self._judge = (spec, n, assume_complete)
         self._projected: tuple[Step, ...] = ()
+        #: ``[verdict or None]``, shared by the forks holding
+        #: ``_projected``; None while no fork shares the projection.
+        self._cell: list[tuple[str, ...] | None] | None = None
 
     def observe(self, steps: Sequence[Step]) -> None:
         for step in steps:
             if isinstance(step.action, PROJECTED_ACTIONS):
                 self._projected += (step,)
+                self._cell = None
 
     def fork(self) -> "_SpecTracker":
+        cell = self._cell
+        if cell is None:
+            cell = self._cell = [None]
         clone = object.__new__(_SpecTracker)
         clone._judge = self._judge
         clone._projected = self._projected
+        clone._cell = cell
         return clone
 
-    def at_terminal(self, result: SimulationResult) -> list[str]:
-        spec, n, assume_complete = self._judge
-        return spec.admits(
-            Execution(self._projected, n), assume_complete=assume_complete
-        ).all_violations()
+    def at_terminal(self, result: SimulationResult | None) -> list[str]:
+        cell = self._cell
+        verdict = None if cell is None else cell[0]
+        if verdict is None:
+            spec, n, assume_complete = self._judge
+            verdict = tuple(
+                spec.admits(
+                    Execution(self._projected, n),
+                    assume_complete=assume_complete,
+                ).all_violations()
+            )
+            if cell is not None:
+                cell[0] = verdict
+        return list(verdict)  # a copy: the cell's verdict is shared
 
 
 class _CombinedTracker(PropertyTracker):
@@ -737,6 +774,7 @@ class _CombinedTracker(PropertyTracker):
 
     def __init__(self, trackers: list[PropertyTracker]) -> None:
         self._trackers = trackers
+        self.reads_result = any(t.reads_result for t in trackers)
 
     def observe(self, steps: Sequence[Step]) -> None:
         for tracker in self._trackers:
@@ -745,7 +783,7 @@ class _CombinedTracker(PropertyTracker):
     def fork(self) -> "_CombinedTracker":
         return _CombinedTracker([t.fork() for t in self._trackers])
 
-    def at_terminal(self, result: SimulationResult) -> list[str]:
+    def at_terminal(self, result: SimulationResult | None) -> list[str]:
         problems: list[str] = []
         for tracker in self._trackers:
             problems.extend(tracker.at_terminal(result))
@@ -913,6 +951,11 @@ class _Summary:
     ] = coded(factory=list, required=True)
     height: int = coded(0, required=True)
     truncated: bool = coded(False, required=True)
+
+
+#: What a finished subtree returns with the cache off, where nothing
+#: reads a summary: one empty summary that no search writes.
+_DONE = _Summary()
 
 
 @dataclass
@@ -1288,6 +1331,8 @@ def _explore_subtree(
                 counts[source] = counts.get(source, 0) + count
         stats_mark.update(indep.stats)
 
+    # Every tracker of the search is a fork of the root's.
+    reads_result = root.tracker.reads_result
     path = list(prefix)
     # Progress rates count this call's own expansions, not restored ones.
     started = _now() if progress is not None else 0.0
@@ -1402,7 +1447,9 @@ def _explore_subtree(
         ordinal = out.terminal_schedules
         out.terminal_schedules += 1
         problems = tuple(
-            cursor.tracker.at_terminal(cursor.handle.result())
+            cursor.tracker.at_terminal(
+                cursor.handle.result() if reads_result else None
+            )
         )
         if problems:
             out.violations.append(Violation(tuple(path), problems))
@@ -1519,9 +1566,10 @@ def _explore_subtree(
         With the cache on, the summary is cached for later arrivals at
         the same state and re-framed through the witnessing permutation
         on symmetry merges; with it off, nothing is fingerprinted,
-        looked up or remembered, and the summary only feeds the
-        parent's.  ``None`` means the search was cut (budget, abort,
-        cancellation): partial summaries are never cached.
+        looked up or remembered, no summary is built, and a finished
+        subtree returns the empty ``_DONE``.  ``None`` means the search
+        was cut (budget, abort, cancellation): partial summaries are
+        never cached.
 
         A non-empty ``resume`` re-enters a checkpointed node: ``resume[0]``
         is its frame, whose sleep set (dedup's subset-reuse rule may
@@ -1558,8 +1606,7 @@ def _explore_subtree(
                         for ordinal, v in zip(sub_ordinals, sub.violations)
                     ],
                 )
-                # With the cache off, a summary only feeds its parent's.
-                return _Summary() if replay(cut_summary, None) else None
+                return _DONE if replay(cut_summary, None) else None
             choices = cursor.handle.choices()  # prelude before fingerprinting
             cursor.sync()
             key = raw = perm = None
@@ -1641,22 +1688,24 @@ def _explore_subtree(
             out.max_depth_seen = max(out.max_depth_seen, depth)
             if not choices:
                 problems, keep_going = visit_terminal(cursor)
+                if not keep_going:
+                    return None
+                if not dedup:
+                    return _DONE
                 summary = _Summary(terminals=1)
                 if problems:
                     own = tuple(path) if groups else ()
                     summary.violations.append((0, own, problems, None))
-                if not keep_going:
-                    return None
-                if dedup:
-                    remember(key, raw, perm, depth, sleep, summary)
+                remember(key, raw, perm, depth, sleep, summary)
                 return summary
             if depth >= max_depth:
                 out.exhausted = False
+                if not dedup:
+                    return _DONE
                 summary = _Summary(truncated=True)
-                if dedup:
-                    remember(key, raw, perm, depth, sleep, summary)
+                remember(key, raw, perm, depth, sleep, summary)
                 return summary
-            summary = _Summary()
+            summary = _Summary() if dedup else _DONE
             node = _FrameDedup(key, raw, perm, summary) if dedup else None
             active, keys = branches(choices, sleep)
             out.states_pruned_sleep += len(choices) - len(active)
@@ -1678,10 +1727,9 @@ def _explore_subtree(
             pending = active[active.index(frame.branch):]
             node = frame.dedup
             if node is None:
-                # Cache-off frames store no summary: with the cache off,
-                # summaries only feed their parents' and are never read.
+                # Cache-off frames store no summary: nothing reads one.
                 key = raw = perm = None
-                summary = _Summary()
+                summary = _DONE
             else:
                 key, raw, perm = node.key, node.raw, node.perm
                 summary = node.summary
@@ -1717,18 +1765,25 @@ def _explore_subtree(
             path.pop()
             if child_summary is None:
                 return None
-            for ordinal, guide, problems, vperm in child_summary.violations:
-                summary.violations.append(
-                    (
-                        summary.terminals + ordinal,
-                        guide if groups else (branch,) + guide,
-                        problems,
-                        vperm,
+            if dedup:
+                for ordinal, guide, problems, vperm in (
+                    child_summary.violations
+                ):
+                    summary.violations.append(
+                        (
+                            summary.terminals + ordinal,
+                            guide if groups else (branch,) + guide,
+                            problems,
+                            vperm,
+                        )
                     )
+                summary.terminals += child_summary.terminals
+                summary.height = max(
+                    summary.height, child_summary.height + 1
                 )
-            summary.terminals += child_summary.terminals
-            summary.height = max(summary.height, child_summary.height + 1)
-            summary.truncated = summary.truncated or child_summary.truncated
+                summary.truncated = (
+                    summary.truncated or child_summary.truncated
+                )
             if sleep_sets and taken is not None:
                 explored[keys[branch]] = taken
         if dedup:
