@@ -3,11 +3,12 @@
 One verification service, one TCP client, both alive for the whole
 module.  The *cold* benchmark submits a fresh descriptor every round
 (a unique ``max_schedules`` budget gives each a distinct memo key), so
-every submission pays fork + exploration.  The *memo-hit* benchmark
+every submission pays a dispatch to a long-lived job worker (the
+warm-up round forks it) plus the exploration.  The *memo-hit* benchmark
 resubmits one fixed descriptor: after the first round the service
-answers from the fingerprint-keyed store, and the measured latency is
-pure protocol + lookup — the number that makes near-duplicate scenario
-sweeps cheap.
+answers from the fingerprint-keyed store, sharing the stored result
+without copying it, and the measured latency is pure protocol +
+lookup — the number that makes near-duplicate scenario sweeps cheap.
 """
 
 import asyncio

@@ -157,6 +157,24 @@ def _independence_line(stats: Any) -> str | None:
     return " ".join(parts) if parts else None
 
 
+def _stats_line(stats: dict) -> str:
+    """A one-line rendering of the ``stats`` verb's counters.
+
+    Shown on stderr by ``stats`` after the JSON reply: forked workers
+    against the pool width (a count that stays put while batches climb
+    means workers are reused), dispatches, explorations and memo hits.
+    """
+    memo = stats.get("memo", {})
+    lookups = memo.get("hits", 0) + memo.get("misses", 0)
+    return (
+        f"workers={stats.get('workers_started', 0)}"
+        f"/{stats.get('max_workers', 0)}"
+        f" batches={stats.get('batches_dispatched', 0)}"
+        f" explorations={stats.get('explorations_run', 0)}"
+        f" memo={memo.get('hits', 0)}/{lookups}"
+    )
+
+
 async def _cmd_watch(args: argparse.Namespace) -> int:
     async with ServiceClient(args.host, args.port) as client:
         async for event in client.watch(args.job):
@@ -184,7 +202,11 @@ async def _cmd_simple(args: argparse.Namespace) -> int:
         if args.command in ("status", "result", "cancel", "resume"):
             _print(await verb(args.job))
         else:
-            _print(await verb())
+            reply = await verb()
+            _print(reply)
+            if args.command == "stats":
+                print(f"# service: {_stats_line(reply)}", file=sys.stderr,
+                      flush=True)
     return 0
 
 

@@ -3,14 +3,15 @@
 The :class:`JobManager` owns every submission end to end:
 
 * **states** — ``queued → running → done | failed | cancelled``, with
-  memo hits materializing directly as ``done`` records;
+  memo hits materializing directly as ``done`` records that share the
+  memo's stored result read-only;
 * **priority queueing** — a heap ordered by ``(priority, submission
   sequence)``: lower priority numbers run first, FIFO within a class;
 * **batching** — consecutive same-priority jobs whose
   :meth:`~repro.server.descriptor.JobDescriptor.estimated_cost` falls
   under the small-job threshold are dispatched as *one* worker unit,
-  amortizing process start-up over configurations too small to deserve
-  their own fork;
+  amortizing the per-dispatch round trip (pipe, relay thread, loop
+  wake-ups) over configurations too small to deserve their own;
 * **coalescing** — a submission whose digest matches a queued/running
   job attaches to that job instead of enqueueing a duplicate: the two
   submissions share one exploration, exactly like a memo hit shares a
@@ -22,16 +23,24 @@ The :class:`JobManager` owns every submission end to end:
 
 Every batch runs through one loop that streams ``start`` /
 ``progress`` / ``done`` / ``failed`` / ``cancelled`` tuples back to the
-manager: in a forked worker process, over a pipe, where the ``fork``
-start method exists (at most ``max_workers`` at once), on an executor
-thread elsewhere.  Each dispatched job has one cooperative cancel
-token, a shared byte the worker (and the shard pool of a
-``workers > 1`` descriptor) reads live.  :meth:`JobManager.cancel` sets
-it; the engine polls it at node entry, writes a checkpoint (when
-checkpointing is on) and returns with ``interrupted=True``, reported as
-``cancelled``; a batch member whose token is set before its turn is
-reported ``cancelled`` without running.  Nothing terminates a worker:
-a cancelled job's batch-mates run on.
+manager.  Where the ``fork`` start method exists, the loop runs in one
+of at most ``max_workers`` long-lived forked workers per manager: a
+worker is forked (on the loop thread) only when a batch is dispatched
+and no idle worker exists, then receives batch after batch over its
+pipe, ending each with an end-of-batch marker.  Elsewhere the loop
+runs on an executor thread.  Each worker owns an anonymous shared
+mapping of ``batch_max`` one-byte cancel slots; the i-th job of a batch
+reads slot i, and the manager zeroes the slots when it hands the worker
+its next batch.  :meth:`JobManager.cancel` sets a job's slot; the
+engine (and the shard pool of a ``workers > 1`` descriptor) polls it at
+node entry, writes a checkpoint (when checkpointing is on) and returns
+with ``interrupted=True``, reported as ``cancelled``; a batch member
+whose slot is set before its turn is reported ``cancelled`` without
+running.  Nothing terminates a worker: a cancelled job's batch-mates
+run on.  End of file on a worker's pipe means the worker died; its
+batch is settled by :meth:`JobManager._finalize_batch` and the next
+dispatch forks a replacement.  :meth:`JobManager.drain` stops and joins
+every worker.
 
 With ``checkpoint_dir`` set, running explorations checkpoint
 periodically under ``<dir>/<job digest>.ckpt``.  The digest-keyed path
@@ -51,9 +60,11 @@ import mmap
 import multiprocessing
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from multiprocessing.util import Finalize
 from typing import Any, Callable
 
 from ..runtime.checkpoint import CheckpointError, discard_shard_checkpoints
@@ -203,18 +214,21 @@ def _discard_checkpoint_files(path: str | None) -> None:
 
 
 class _CancelToken:
-    """A job's cancel token: a shared byte its forked worker reads live."""
+    """A job's cancel token: one byte of a shared mapping, read live."""
 
-    def __init__(self) -> None:
+    __slots__ = ("_flags", "_slot")
+
+    def __init__(self, flags: mmap.mmap, slot: int) -> None:
         # anonymous shared memory, which a fork shares; a
         # ``multiprocessing.RawValue`` measured slower (EXPERIMENTS.md)
-        self._flag = mmap.mmap(-1, 1)
+        self._flags = flags
+        self._slot = slot
 
     def set(self) -> None:
-        self._flag[0] = 1
+        self._flags[self._slot] = 1
 
     def is_set(self) -> bool:
-        return self._flag[0] != 0
+        return self._flags[self._slot] != 0
 
 
 def _run_batch_jobs(
@@ -254,13 +268,39 @@ def _run_batch_jobs(
             emit(("done", job_id, payload, vdigest, cost))
 
 
-def _batch_worker(
-    conn: Any,
-    batch: list[tuple[str, JobDescriptor, str | None]],
-    cancels: dict[str, _CancelToken],
-    checkpoint_every: int,
+def _release_inherited_descriptors(keep: set[int]) -> None:
+    """Point every inherited descriptor outside ``keep`` at /dev/null.
+
+    A fork inherits the service's listening socket, its client
+    connections and the manager-side pipe ends of the other workers;
+    holding those would keep them open after the service closes them,
+    and a manager-side end kept alive here would hide the manager's
+    death from the worker that owns it.  Each number is re-pointed
+    rather than closed because stale Python objects copied by the fork
+    still name it: were the number freed and reused, a collected stale
+    socket would close the reused descriptor.
+    """
+    for path in ("/proc/self/fd", "/dev/fd"):
+        with contextlib.suppress(OSError):
+            descriptors = [int(name) for name in os.listdir(path)]
+            break
+    else:
+        descriptors = list(range(os.sysconf("SC_OPEN_MAX")))
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in descriptors:
+            if fd not in keep and fd != null:
+                with contextlib.suppress(OSError):
+                    os.fstat(fd)
+                    os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+def _worker_main(
+    conn: Any, flags: mmap.mmap, checkpoint_every: int
 ) -> None:
-    """Forked-process entry point: run a batch, stream messages back."""
+    """Forked-worker entry point: run batches until the pipe closes."""
     # The parent's SIGINT/SIGTERM handlers wake its event loop, and a
     # fork inherits them.  Jobs stop through their tokens, never by
     # signal.  A terminal's Ctrl-C reaches the whole process group, so
@@ -268,42 +308,80 @@ def _batch_worker(
     # SIGTERM sent to the worker itself still kills it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        _run_batch_jobs(batch, cancels, conn.send, checkpoint_every)
-    finally:
-        conn.close()
+    keep = {0, 1, 2, conn.fileno()}
+    for stream in (sys.stdin, sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            keep.add(stream.fileno())
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        keep.add(parent.sentinel)
+    _release_inherited_descriptors(keep)
+    tokens = [_CancelToken(flags, slot) for slot in range(len(flags))]
+    with conn, contextlib.suppress(EOFError, OSError):
+        while True:
+            batch = conn.recv()
+            cancels = {job[0]: tokens[slot] for slot, job in enumerate(batch)}
+            _run_batch_jobs(batch, cancels, conn.send, checkpoint_every)
+            conn.send(None)  # end of batch
 
 
-def _fork_batch(
-    batch: list[tuple[str, JobDescriptor, str | None]],
-    cancels: dict[str, _CancelToken],
-    checkpoint_every: int,
-) -> Callable[[Callable[[tuple], None]], int | None]:
-    """Fork a worker that runs ``batch``; returns the worker's relay.
+class _Worker:
+    """The manager's handle on one long-lived forked worker."""
 
-    The relay sends each message to ``emit`` until the pipe closes,
-    then returns the worker's exit code.
+    def __init__(self, batch_max: int, checkpoint_every: int) -> None:
+        ctx = multiprocessing.get_context("fork")
+        #: The worker's cancel slots, allocated before the fork shares
+        #: them.
+        self.flags = mmap.mmap(-1, batch_max)
+        self.conn, child_conn = ctx.Pipe()
+        # not a daemon: descriptors with workers > 1 fork their own shard
+        # pool inside the worker, which daemons are denied
+        self.process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.flags, checkpoint_every),
+        )
+        self.process.start()
+        child_conn.close()
+
+    def relay(
+        self,
+        batch: list[tuple[str, JobDescriptor, str | None]],
+        emit: Callable[[tuple], None],
+    ) -> int | None:
+        """Run ``batch`` on the worker, sending each message to ``emit``.
+
+        Returns None once the worker marks the batch's end, or the
+        worker's exit code when its pipe closes first (it died).
+        """
+        try:
+            self.conn.send(batch)
+            while (message := self.conn.recv()) is not None:
+                emit(message)
+            return None
+        except (EOFError, OSError):
+            return self.stop()
+
+    def stop(self) -> int | None:
+        """Close the pipe (the worker exits on end of file) and join.
+
+        Returns the worker's exit code.
+        """
+        self.conn.close()
+        self.process.join()
+        exitcode = self.process.exitcode
+        self.process.close()
+        return exitcode
+
+
+def _close_pipes(workers: list[_Worker]) -> None:
+    """Let every worker see end of file (the manager's finalizer).
+
+    Runs before multiprocessing joins non-daemon children at
+    interpreter exit, so an undrained manager's idle workers exit
+    instead of blocking that join.
     """
-    ctx = multiprocessing.get_context("fork")
-    recv_conn, send_conn = ctx.Pipe(duplex=False)
-    # not a daemon: descriptors with workers > 1 fork their own shard
-    # pool inside the worker, which daemons are denied
-    process = ctx.Process(
-        target=_batch_worker,
-        args=(send_conn, batch, cancels, checkpoint_every),
-    )
-    process.start()
-    send_conn.close()
-
-    def relay(emit: Callable[[tuple], None]) -> int | None:
-        with recv_conn:
-            with contextlib.suppress(EOFError, OSError):
-                while True:
-                    emit(recv_conn.recv())
-            process.join()
-        return process.exitcode
-
-    return relay
+    for worker in workers:
+        worker.conn.close()
 
 
 @dataclass
@@ -311,12 +389,23 @@ class _BatchHandle:
     """Parent-side bookkeeping for one dispatched batch."""
 
     jobs: list[JobRecord]
-    #: One cooperative cancel token per job, made with the handle.
+    #: The forked worker running the batch; None on the thread runner.
+    worker: _Worker | None = None
+    #: One cooperative cancel token per job: the worker's slots, zeroed
+    #: here, or a fresh mapping on the thread runner.
     cancels: dict[str, _CancelToken] = field(init=False)
     started: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.cancels = {r.job_id: _CancelToken() for r in self.jobs}
+        if self.worker is None:
+            flags = mmap.mmap(-1, len(self.jobs))
+        else:
+            flags = self.worker.flags
+            flags[:] = bytes(len(flags))
+        self.cancels = {
+            r.job_id: _CancelToken(flags, slot)
+            for slot, r in enumerate(self.jobs)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +419,10 @@ class JobManager:
     ``max_workers`` bounds concurrent batches (the process-pool width),
     ``batch_max`` the number of small jobs grouped per dispatch, and
     ``small_cost`` the :meth:`~JobDescriptor.estimated_cost` threshold
-    under which jobs are batchable.  Batches run in forked worker
-    processes where the ``fork`` start method exists, on executor
-    threads elsewhere (``runner`` says which).  ``checkpoint_dir``
+    under which jobs are batchable.  Batches run on at most
+    ``max_workers`` long-lived forked workers where the ``fork`` start
+    method exists, on executor threads elsewhere (``runner`` says
+    which).  ``checkpoint_dir``
     enables digest-keyed job checkpoints (module docstring) written
     every ``checkpoint_every`` node expansions; the directory is created
     on first use.
@@ -372,6 +462,13 @@ class JobManager:
         self._batches: dict[str, _BatchHandle] = {}
         self._tasks: set[asyncio.Task] = set()
         self._busy = 0
+        #: Live forked workers, and the ones among them awaiting a batch.
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._workers_started = 0
+        Finalize(
+            self, _close_pipes, (self._workers,), exitpriority=10
+        )
         self._seq = 0
         self._draining = False
         self._submitted = 0
@@ -420,8 +517,11 @@ class JobManager:
             return record
         self._seq += 1
         job_id = f"job-{self._seq}"
-        memoized = self.memo.get(digest)
-        if memoized is not None:
+        entry = self.memo.lookup(digest)
+        if entry is not None:
+            # every hit on this digest shares the stored result: replies
+            # only serialize it
+            memoized = entry.payload
             record = JobRecord(
                 job_id,
                 descriptor,
@@ -503,7 +603,7 @@ class JobManager:
                 return
             # Running and cancellable from here on: a cancel before the
             # task starts sets the job's token, and the loop skips it.
-            handle = _BatchHandle(batch)
+            handle = _BatchHandle(batch, self._take_worker())
             for record in batch:
                 record.state = JobState.RUNNING
                 self._batches[record.job_id] = handle
@@ -543,6 +643,25 @@ class JobManager:
             batch.append(record)
         return batch
 
+    def _take_worker(self) -> _Worker | None:
+        """An idle live worker for the next batch, forking one if none.
+
+        Runs on the loop thread: a fork from an executor thread could
+        copy a lock the loop thread holds.  None on the thread runner.
+        """
+        if self.runner != "process":
+            return None
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.process.is_alive():
+                return worker
+            self._workers.remove(worker)
+            worker.stop()
+        worker = _Worker(self.batch_max, self.checkpoint_every)
+        self._workers.append(worker)
+        self._workers_started += 1
+        return worker
+
     async def _run_batch(self, handle: _BatchHandle) -> None:
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
@@ -554,28 +673,31 @@ class JobManager:
             (r.job_id, r.descriptor, self._checkpoint_path(r.digest))
             for r in handle.jobs
         ]
-        every = self.checkpoint_every
-        relay: Callable[[Callable], int | None] | None = None
+        worker = handle.worker
 
         def run() -> int | None:
             """The batch's loop, or its worker's relay; ends with None."""
             try:
-                if relay is not None:
-                    return relay(emit)
-                _run_batch_jobs(batch, handle.cancels, emit, every)
+                if worker is not None:
+                    return worker.relay(batch, emit)
+                _run_batch_jobs(
+                    batch, handle.cancels, emit, self.checkpoint_every
+                )
                 return 0
             finally:
                 emit(None)
 
         try:
-            if self.runner == "process":
-                # fork here, on the loop thread: a fork from an executor
-                # thread could copy a lock the loop thread holds
-                relay = _fork_batch(batch, handle.cancels, every)
             finished = loop.run_in_executor(None, run)
             while (message := await queue.get()) is not None:
                 self._handle_message(handle, message)
-            self._finalize_batch(handle, exitcode=await finished)
+            exitcode = await finished
+            self._finalize_batch(handle, exitcode)
+            if worker is not None:
+                if exitcode is None:
+                    self._idle.append(worker)
+                else:  # died: the next dispatch forks a replacement
+                    self._workers.remove(worker)
         finally:
             for record in handle.jobs:
                 self._batches.pop(record.job_id, None)
@@ -745,7 +867,8 @@ class JobManager:
         return self.submit(record.descriptor, priority=record.priority)
 
     async def drain(self) -> None:
-        """Refuse new work, cancel the queue, await running batches."""
+        """Refuse new work, cancel the queue, await running batches,
+        then stop and join every worker."""
         self._draining = True
         for record in list(self._jobs.values()):
             if record.state is JobState.QUEUED:
@@ -754,6 +877,10 @@ class JobManager:
             await asyncio.gather(
                 *list(self._tasks), return_exceptions=True
             )
+        _close_pipes(self._workers)  # all exit at once, then reap each
+        while self._workers:
+            self._workers.pop().stop()
+        self._idle.clear()
 
     # -- introspection ----------------------------------------------------
 
@@ -777,6 +904,7 @@ class JobManager:
             "explorations_run": self._explorations_run,
             "batches_dispatched": self._batches_dispatched,
             "batched_jobs": self._batched_jobs,
+            "workers_started": self._workers_started,
             "checkpoint_dir": self.checkpoint_dir,
             "resumed": self._resumed,
             "requeued_after_death": self._requeued_after_death,

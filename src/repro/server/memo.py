@@ -92,12 +92,12 @@ class MemoStore:
         """Current estimated footprint of all payloads."""
         return sum(entry.size for entry in self._entries.values())
 
-    def get(self, key: str) -> dict | None:
-        """The payload memoized under ``key`` (a deep copy), or ``None``.
+    def lookup(self, key: str) -> MemoEntry | None:
+        """The entry memoized under ``key``, or ``None``; no copy.
 
-        A hit refreshes the entry's recency and credit; the returned
-        copy is the caller's to mutate — the stored artifact is shared
-        by every future hit and must stay pristine.
+        Counts the hit or miss, and a hit refreshes the entry's recency
+        and credit.  ``entry.payload`` is the stored artifact every
+        future hit shares: read it, never mutate it.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -109,7 +109,17 @@ class MemoStore:
         # refresh recency: re-insert at the MRU end
         del self._entries[key]
         self._entries[key] = entry
-        return copy.deepcopy(entry.payload)
+        return entry
+
+    def get(self, key: str) -> dict | None:
+        """The payload memoized under ``key`` (a deep copy), or ``None``.
+
+        :meth:`lookup` plus a copy: the returned payload is the
+        caller's to mutate — the stored artifact is shared by every
+        future hit and must stay pristine.
+        """
+        entry = self.lookup(key)
+        return None if entry is None else copy.deepcopy(entry.payload)
 
     def put(self, key: str, payload: dict, *, cost: float) -> MemoEntry:
         """Memoize ``payload`` under ``key``, evicting to stay in bounds.

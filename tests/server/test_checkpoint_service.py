@@ -9,7 +9,9 @@ Covers the operational half of the checkpoint contract:
 * :meth:`JobManager.resume` then completes the job
   construction-identically to a cold run;
 * a worker death requeues a checkpointed job (bounded by the requeue
-  cap) instead of failing it;
+  cap) instead of failing it: simulated for the cap, and by a real
+  SIGKILL of the long-lived worker, after which the next dispatch forks
+  a replacement;
 * the ``resume`` verb round-trips over real TCP;
 * a real SIGTERM to a ``python -m repro.server serve`` subprocess —
   both TCP and ``--stdio`` — exits cleanly, checkpoints running work
@@ -21,6 +23,7 @@ Covers the operational half of the checkpoint contract:
 import asyncio
 import contextlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -218,6 +221,92 @@ class TestRequeueAfterWorkerDeath:
         assert mgr.stats()["requeued_after_death"] == (
             jobs_module._REQUEUE_CAP
         )
+
+
+class TestRealWorkerDeath:
+    """SIGKILL the long-lived worker mid-job, as the OOM killer would."""
+
+    @staticmethod
+    async def kill_worker_mid_job(mgr, record, ready):
+        queue = mgr.subscribe(record.job_id)
+        while not ready(await queue.get()):
+            pass
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, signal.SIGKILL)
+        mgr.unsubscribe(record.job_id, queue)
+
+    def test_without_checkpoint_the_job_fails_and_a_worker_replaces_it(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
+        async def main():
+            mgr = manager()
+            record = mgr.submit(long_running())
+            await self.kill_worker_mid_job(
+                mgr, record, lambda e: e["event"] == "progress"
+            )
+            await asyncio.wait_for(record.wait(), 60)
+            assert record.state is JobState.FAILED
+            assert record.error == "worker process died (exitcode -9)"
+            after = mgr.submit(tiny())
+            await asyncio.wait_for(after.wait(), 60)
+            assert after.state is JobState.DONE
+            assert mgr.stats()["workers_started"] == 2
+            await mgr.drain()
+
+        asyncio.run(main())
+        assert multiprocessing.active_children() == []
+
+    def test_an_idle_worker_that_died_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
+        async def main():
+            mgr = manager()
+            first = mgr.submit(tiny("a"))
+            await asyncio.wait_for(first.wait(), 60)
+            (worker,) = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(60)
+            assert not worker.is_alive()
+            after = mgr.submit(tiny("b"))
+            await asyncio.wait_for(after.wait(), 60)
+            assert after.state is JobState.DONE
+            stats = mgr.stats()
+            # the dead worker never got the batch: one dispatch, no requeue
+            assert stats["batches_dispatched"] == 2
+            assert stats["workers_started"] == 2
+            await mgr.drain()
+
+        asyncio.run(main())
+        assert multiprocessing.active_children() == []
+
+    def test_with_checkpoint_the_job_requeues_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "_FORK", True)
+
+        async def main():
+            reference = await cold_reference(long_running())
+            mgr = manager(checkpoint_dir=str(tmp_path), checkpoint_every=10)
+            record = mgr.submit(long_running())
+            path = mgr._checkpoint_path(record.digest)
+            await self.kill_worker_mid_job(
+                mgr,
+                record,
+                lambda e: e["event"] == "progress" and os.path.exists(path),
+            )
+            await asyncio.wait_for(record.wait(), 120)
+            assert record.state is JobState.DONE, record.error
+            assert not record.memo_hit
+            assert_equivalent(record.result, reference)
+            stats = mgr.stats()
+            assert stats["requeued_after_death"] == 1
+            assert stats["workers_started"] == 2
+            assert not os.path.exists(path)
+            await mgr.drain()
+
+        asyncio.run(main())
 
 
 class TestResumeVerbOverTcp:

@@ -6,16 +6,22 @@ long-running configuration exists only to be cancelled.
 """
 
 import asyncio
+import contextlib
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
 import repro.server.jobs as jobs_module
 from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.explorer import explore_schedules
-from repro.server.descriptor import JobDescriptor
+from repro.server.client import ServiceClient
+from repro.server.descriptor import JobDescriptor, job_digest
 from repro.server.jobs import JobManager, JobState
 from repro.server.memo import MemoStore
+from repro.server.service import VerificationService
 
 
 def tiny(letter="x"):
@@ -474,3 +480,213 @@ class TestShardedJobs:
                 if name not in exempt:
                     assert resumed.result[name] == value, name
             assert os.listdir(tmp_path) == []
+
+
+def history_descriptors():
+    """Twelve distinct jobs of every shape a long-lived worker runs."""
+    base = {"n": 2, "scripts": {"0": ["m"]}}
+    specs = [
+        {"algorithm": "send-to-all", **base},
+        {
+            "algorithm": "send-to-all",
+            "n": 2,
+            "scripts": {"0": ["x"], "1": ["y"]},
+            "spec": "total-order",
+        },
+        {
+            "algorithm": "send-to-all",
+            "n": 3,
+            "scripts": {"0": ["a"], "1": ["b"]},
+            "sleep_sets": True,
+        },
+        {
+            "algorithm": "send-to-all",
+            "n": 3,
+            "scripts": {"0": ["a"], "1": ["a"], "2": ["a"]},
+            "symmetry": "rename",
+        },
+        {
+            "algorithm": "uniform-reliable",
+            **base,
+            "spec": "uniform-reliable",
+            "crash_at_step": {"0": 2},
+        },
+        {"algorithm": "fifo", **base, "spec": "fifo", "sleep_sets": True},
+        {"algorithm": "causal", **base, "spec": "causal"},
+        {"algorithm": "kbo-attempt", **base, "spec": "kbo"},
+        {"algorithm": "k-stepped", **base, "spec": "k-stepped"},
+        {"algorithm": "scd", **base, "spec": "scd", "crash_initially": [1]},
+        {"algorithm": "first-k", **base, "spec": "first-k"},
+    ]
+    return [JobDescriptor.from_json(spec) for spec in specs] + [sharded()]
+
+
+class TestLongLivedWorkers:
+    def test_results_do_not_depend_on_a_workers_history(self):
+        # one worker runs every job, in order and then (on a second
+        # manager) in reverse: each job meets a different history
+        descriptors = history_descriptors()
+        assert len({job_digest(d) for d in descriptors}) == 12
+
+        async def main(order):
+            mgr = manager(max_workers=1)
+            records = [mgr.submit(d) for d in order]
+            await asyncio.wait_for(
+                asyncio.gather(*(r.wait() for r in records)), 120
+            )
+            await mgr.drain()
+            return mgr.stats(), records
+
+        for order in (descriptors, descriptors[::-1]):
+            stats, records = asyncio.run(main(order))
+            assert stats["runner"] == "process"
+            assert stats["workers_started"] == 1
+            for descriptor, record in zip(order, records):
+                assert record.state is JobState.DONE, record.error
+                assert record.result == direct(descriptor), descriptor
+        violating = records[order.index(descriptors[1])]
+        assert violating.result["violations"]
+
+    def test_workers_are_reused_up_to_max_workers(self):
+        async def main():
+            mgr = manager(max_workers=2, batch_max=1)
+            first = [mgr.submit(tiny(letter)) for letter in "abcd"]
+            await asyncio.wait_for(
+                asyncio.gather(*(r.wait() for r in first)), 60
+            )
+            again = [mgr.submit(tiny(letter)) for letter in "efgh"]
+            await asyncio.wait_for(
+                asyncio.gather(*(r.wait() for r in again)), 60
+            )
+            stats = mgr.stats()
+            await mgr.drain()
+            return stats
+
+        stats = asyncio.run(main())
+        assert stats["batches_dispatched"] == 8
+        assert stats["workers_started"] == 2
+
+    def test_a_cancel_ends_with_its_batch(self):
+        # the worker's cancel slots are zeroed for its next batch
+        async def main():
+            mgr = manager()
+            victim = mgr.submit(long_running())
+            queue = mgr.subscribe(victim.job_id)
+            assert (await queue.get())["event"] == "running"
+            assert mgr.cancel(victim.job_id) is True
+            await asyncio.wait_for(victim.wait(), 60)
+            after = mgr.submit(tiny())
+            await asyncio.wait_for(after.wait(), 60)
+            await mgr.drain()
+            return mgr.stats(), victim, after
+
+        stats, victim, after = asyncio.run(main())
+        assert victim.state is JobState.CANCELLED
+        assert after.state is JobState.DONE
+        assert stats["workers_started"] == 1
+
+    def test_memo_hits_share_the_stored_result(self):
+        async def main():
+            mgr = manager()
+            cold = mgr.submit(tiny())
+            await asyncio.wait_for(cold.wait(), 60)
+            hits = [mgr.submit(tiny()) for _ in range(2)]
+            await mgr.drain()
+            return mgr, cold, hits
+
+        mgr, cold, hits = asyncio.run(main())
+        stored = mgr.memo.lookup(cold.digest).payload["result"]
+        assert all(hit.memo_hit and hit.result is stored for hit in hits)
+        assert stored == cold.result and stored is not cold.result
+        assert mgr.memo.stats()["hits"] == 3
+
+
+class TestWorkerLifecycle:
+    def test_drain_and_shutdown_leave_no_process(self):
+        async def with_manager():
+            mgr = manager(max_workers=2, batch_max=1)
+            records = [mgr.submit(tiny(letter)) for letter in "ab"]
+            await asyncio.wait_for(
+                asyncio.gather(*(r.wait() for r in records)), 60
+            )
+            assert len(multiprocessing.active_children()) == 2
+            await mgr.drain()
+
+        async def with_service():
+            service = VerificationService(max_workers=1)
+            host, port = await service.serve_tcp("127.0.0.1", 0)
+            async with ServiceClient(host, port) as client:
+                reply = await client.submit(tiny().to_json(), wait=True)
+                assert reply["state"] == "done"
+            assert len(multiprocessing.active_children()) == 1
+            await service.shutdown()
+
+        for main in (with_manager, with_service):
+            asyncio.run(main())
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+    )
+    def test_a_worker_holds_none_of_the_services_sockets(self):
+        def sockets(pid):
+            links = []
+            for name in os.listdir(f"/proc/{pid}/fd"):
+                with contextlib.suppress(OSError):
+                    links.append(os.readlink(f"/proc/{pid}/fd/{name}"))
+            return {link for link in links if link.startswith("socket:")}
+
+        async def main():
+            service = VerificationService(max_workers=1)
+            host, port = await service.serve_tcp("127.0.0.1", 0)
+            async with ServiceClient(host, port) as client, ServiceClient(
+                host, port
+            ) as other:
+                await other.ping()
+                reply = await client.submit(tiny().to_json(), wait=True)
+                assert reply["state"] == "done"
+                (worker,) = multiprocessing.active_children()
+                # the listener, both client connections and their
+                # accepted ends all live in this process
+                ours = sockets(os.getpid())
+                assert len(ours) >= 5
+                theirs = sockets(worker.pid)
+            await service.shutdown()
+            return ours, theirs
+
+        ours, theirs = asyncio.run(main())
+        assert len(theirs) == 1  # the worker's own pipe end
+        assert not ours & theirs
+
+    def test_an_undrained_manager_does_not_hang_exit(self):
+        # the manager stays referenced until interpreter exit, where
+        # multiprocessing joins its idle worker
+        script = (
+            "import asyncio\n"
+            "from repro.server.descriptor import JobDescriptor\n"
+            "from repro.server.jobs import JobManager\n"
+            "from repro.server.memo import MemoStore\n"
+            "async def main():\n"
+            "    mgr = JobManager(MemoStore(), max_workers=1)\n"
+            "    record = mgr.submit(JobDescriptor.from_json(\n"
+            "        {'algorithm': 'send-to-all', 'n': 2,\n"
+            "         'scripts': {'0': ['x']}}))\n"
+            "    await record.wait()\n"
+            "    print(record.state.value, mgr.stats()['workers_started'])\n"
+            "    return mgr\n"
+            "MANAGER = asyncio.run(main())\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["done", "1"]

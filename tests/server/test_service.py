@@ -99,6 +99,7 @@ class TestAcceptance:
                 stats = await client.stats()
                 assert stats["explorations_run"] == 1
                 assert stats["memo_hits"] == 1
+                assert stats["workers_started"] == 1
             await service.shutdown()
 
         asyncio.run(main())
@@ -159,6 +160,20 @@ class TestAcceptance:
             }
         )
         assert line == "dynamic=3 crash_proof=2 conservative=5 memo=4/10"
+
+    def test_stats_line_rendering(self):
+        from repro.server.__main__ import _stats_line
+
+        line = _stats_line(
+            {
+                "workers_started": 2,
+                "max_workers": 2,
+                "batches_dispatched": 40,
+                "explorations_run": 52,
+                "memo": {"hits": 7, "misses": 52},
+            }
+        )
+        assert line == "workers=2/2 batches=40 explorations=52 memo=7/59"
 
     def test_violating_config_reports_violations(self):
         async def main():
