@@ -30,8 +30,7 @@ admissible because they preserve violations, so a cross-engine mismatch
 is a reduction bug and always fails.  And a ``workers=N`` row must
 report exactly the deterministic counters of the ``workers=1`` row with
 the same config and label — the worker count changes speed, never the
-answer — except the verdict memo's ``memo_hits``, which each worker
-process keeps on its own.
+answer — ``independence_stats`` included, compared whole.
 
 A config, run or derived per-config field present in the baseline but
 absent from the fresh report is an error; ``--allow-subset`` tolerates
@@ -72,7 +71,6 @@ DETERMINISTIC_CONFIG_FIELDS = (
     "rename_state_reduction",
     "orbit_encodings_per_lookup",
     "composed_state_reduction",
-    "interned_key_hit_rate",
 )
 
 
@@ -124,12 +122,6 @@ def _worker_count_drift(report: dict) -> list[str]:
                 continue
             for field in DETERMINISTIC_RUN_FIELDS:
                 mine, theirs = run.get(field), base.get(field)
-                if field == "independence_stats":
-                    mine, theirs = (
-                        {k: v for k, v in (stats or {}).items()
-                         if k != "memo_hits"}
-                        for stats in (mine, theirs)
-                    )
                 if mine != theirs:
                     errors.append(
                         f"{config['name']} {_run_key(run)}: {field} = "

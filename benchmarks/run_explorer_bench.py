@@ -52,10 +52,15 @@ sleep-set relation and the static commutation table left the library,
 so the ``replay``, ``dedup-sleep-static`` and blanket rows go with them
 (their last numbers are in EXPERIMENTS.md §P6) and the crash-aware
 ``dedup-sleep-crashaware`` row is now plain ``dedup-sleep``.  Rows carry
-their variant ``label`` only; ``interned_key_hit_rate`` is reported for
-every config with a ``dedup-sleep`` row.  ``--profile`` additionally
-runs the hottest configuration under :mod:`cProfile` and writes the
-top-20 cumulative-time entries for CI artifact upload.
+their variant ``label`` only.  ``--profile`` additionally runs the
+hottest configuration under :mod:`cProfile` and writes the top-20
+cumulative-time entries for CI artifact upload.
+
+Schema 8 drops the verdict memo: the explorer asks the independence
+relation directly, so ``independence_stats`` counts verdicts by source
+only (``memo_queries``/``memo_hits`` are gone) and the derived
+``interned_key_hit_rate`` goes with them.  Every other counter and
+digest is unchanged from schema 7.
 """
 
 from __future__ import annotations
@@ -234,7 +239,7 @@ def run_one(config: dict, *, label: str, workers: int = 1) -> dict:
 
 #: The config/variant pair --profile runs: the sleep-set row of the
 #: crash configuration — the DFS inner loop with the crash-aware
-#: independence oracle, interned keys, and bitmask sleep sets all hot.
+#: independence relation and choice-keyed sleep sets all hot.
 PROFILE_CONFIG = "s2a-crash-n3-depth8"
 PROFILE_LABEL = "dedup-sleep"
 
@@ -282,14 +287,14 @@ def main() -> None:
 
     report = {
         "benchmark": "explorer",
-        "schema": 7,
+        "schema": 8,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "notes": (
-            "schema 7: replay, blanket-relation and static-table rows "
-            "dropped with their code paths; dedup-sleep is the "
-            "crash-aware relation; rows keyed by label; digests and "
-            "state counts remain on the schema-5 canonical encoding"
+            "schema 8: independence_stats counts verdicts by source "
+            "only (no verdict memo, no interned_key_hit_rate); rows "
+            "keyed by label; digests and state counts remain on the "
+            "schema-5 canonical encoding"
         ),
         "configs": [],
     }
@@ -367,13 +372,6 @@ def main() -> None:
                 1 - composed["states_seen"] / max(1, dedup["states_seen"]),
                 4,
             )
-        if "dedup-sleep" in by_label:
-            stats = by_label["dedup-sleep"].get("independence_stats", {})
-            entry["interned_key_hit_rate"] = round(
-                stats.get("memo_hits", 0)
-                / max(1, stats.get("memo_queries", 0)),
-                4,
-            )
         report["configs"].append(entry)
         print(f"{entry['name']}:")
         for run in entry["runs"]:
@@ -422,11 +420,6 @@ def main() -> None:
             print(
                 f"  sleep+rename: {entry['composed_state_reduction']:.1%} "
                 f"fewer expanded states"
-            )
-        if "interned_key_hit_rate" in entry:
-            print(
-                f"  independence oracle memo hit rate "
-                f"{entry['interned_key_hit_rate']:.1%}"
             )
 
     with open(args.output, "w") as handle:

@@ -2,7 +2,9 @@
 
 :func:`encode` and :func:`decode` follow each field's resolved type:
 scalars pass out as they are and are coerced on the way in, tuples and
-lists become JSON lists, ``X | None`` is ``null`` or the form of ``X``,
+lists become JSON lists (a bare ``tuple`` holds JSON scalars), a
+``frozenset`` becomes a list sorted by the ``repr`` of each encoded
+member, ``X | None`` is ``null`` or the form of ``X``,
 maps with ``int`` or ``str`` keys become objects with sorted string
 keys, and a nested dataclass nests.  Keys follow field order.  Field
 metadata set by :func:`coded` says whether a missing key is an error
@@ -47,6 +49,8 @@ def _converters(hint: Any) -> tuple[Any, Any]:
     """(encoder, decoder) for a type; a ``None`` encoder is the identity."""
     if hint in (int, bool, str, float):
         return None, hint
+    if hint is tuple:
+        return list, tuple
     if dataclasses.is_dataclass(hint):
         return encode, functools.partial(decode, hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -62,6 +66,12 @@ def _converters(hint: Any) -> tuple[Any, Any]:
         return (
             lambda v: [e(x) if e else x for (e, _), x in zip(parts, v)],
             lambda v: tuple(d(x) for (_, d), x in zip(parts, v, strict=True)),
+        )
+    if origin is frozenset:
+        enc, dec = _converters(args[0])
+        return (
+            lambda v: sorted((enc(x) if enc else x for x in v), key=repr),
+            lambda v: frozenset(dec(x) for x in v),
         )
     if origin in (tuple, list):
         enc, dec = _converters(args[0])

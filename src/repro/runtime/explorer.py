@@ -108,11 +108,10 @@ root like a cached subtree summary.  Budget, ``stop_at_first_violation``
 and violation order are therefore applied by the one loop, and
 ``terminal_schedules``, ``violations`` and ``aborted`` always equal the
 sequential run's; an exhaustive sharded run equals it field for field,
-apart from ``workers`` and the verdict memo's ``memo_hits``.  On a
-capped or aborted run the work counters add the merge's own nodes
-above the cut, up to where the sequential search stops, to the whole
-work of every shard it replayed: each shard gets the full budget.
-Only cache-less searches shard: with
+apart from ``workers``.  On a capped or aborted run the work counters
+add the merge's own nodes above the cut, up to where the sequential
+search stops, to the whole work of every shard it replayed: each shard
+gets the full budget.  Only cache-less searches shard: with
 ``dedup=True`` (and so with symmetry) a single cache must see every
 state for the result to stay independent of the worker count, so the
 search runs in one process and reports ``workers=1``.  Where the
@@ -180,8 +179,8 @@ re-enters normal DFS at the interruption point, so the resumed search
 reaches a result construction-identical to an uninterrupted run — same
 violations digest, same state counters, same per-depth maps.  The
 replayed prefix adds no event and no independence verdict to the
-counters either; only the verdict memo's ``memo_hits`` can differ, as
-the memo starts empty on resume.  Checkpoints are bound to
+counters either, so the resumed result equals the uninterrupted one
+field for field.  Checkpoints are bound to
 their configuration by a :func:`~repro.runtime.checkpoint.config_digest`
 over everything that shapes the tree; resuming against anything else
 raises :class:`~repro.runtime.checkpoint.CheckpointError`.  Under
@@ -206,13 +205,12 @@ and stop within one node, and the pool drains.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..core.broadcast_spec import BroadcastSpec
 from ..core.execution import PROJECTED_ACTIONS, Execution
@@ -230,123 +228,12 @@ from .checkpoint import (
     sleep_to_json,
     write_checkpoint,
 )
-from .checkpoint import key_from_json as _key_from_json
-from .checkpoint import key_to_json as _key_to_json
 from .codec import ALL, MAX, SUM, absorb, coded, decode, encode
 from .crash import CrashSchedule
 from .fingerprint import stable_digest
 from .independence import Footprint, choice_key, classify
 from .simulator import Gated, SimulationResult, SimulationRun, Simulator
 
-
-class _IndependenceOracle:
-    """Memoizing, stats-counting commutation oracle for one exploration.
-
-    The sleep-set recurrence consults the independence relation once
-    per (slept event, taken event) pair per tree edge — by far the
-    hottest call site of the DFS inner loop.  This oracle owns the
-    allocation-light datapath for it:
-
-    * **footprint interning** — footprints are value-interned into
-      small ints (one dict hash per recorded event; value-equal
-      footprints are interchangeable because the relation is a pure
-      function of footprint values), so a verdict is memoized on a
-      packed int pair and repeat queries skip the field-by-field
-      checks entirely.  Memoizing on choice *keys* alone would be
-      unsound: the same key names different footprints on different
-      branches (a URB first copy forwards, its duplicate does not).
-    * **choice-key interning** — ``choice_key`` tuples are interned
-      per exploration into consecutive small ints; live sleep sets are
-      keyed by them and cached sleep-key *sets* become int bitmasks,
-      turning the subset-reuse test into ``stored & ~arrival == 0``.
-
-    Verdicts come from the crash-aware dynamic relation
-    (:func:`~repro.runtime.independence.classify`), and every verdict
-    is counted by the argument that carried it (``stats``).
-    """
-
-    __slots__ = ("_fp_ids", "_verdicts", "_key_ids", "_key_tuples", "stats")
-
-    def __init__(self) -> None:
-        self._fp_ids: dict[Footprint, int] = {}
-        #: packed (hi << 30 | lo) interned-footprint pair → (verdict, source)
-        self._verdicts: dict[int, tuple[bool, str]] = {}
-        self._key_ids: dict[tuple, int] = {}
-        self._key_tuples: list[tuple] = []
-        self.stats: dict[str, int] = {
-            "dynamic": 0,
-            "crash_proof": 0,
-            "conservative": 0,
-            "memo_queries": 0,
-            "memo_hits": 0,
-        }
-
-    # -- the relation ----------------------------------------------------
-
-    def __call__(
-        self, a: Footprint | None, b: Footprint | None
-    ) -> bool:
-        stats = self.stats
-        if a is None or b is None:
-            stats["conservative"] += 1
-            return False
-        fp_ids = self._fp_ids
-        ia = fp_ids.setdefault(a, len(fp_ids))
-        ib = fp_ids.setdefault(b, len(fp_ids))
-        packed = (ia << 30) | ib if ia >= ib else (ib << 30) | ia
-        stats["memo_queries"] += 1
-        cached = self._verdicts.get(packed)
-        if cached is not None:
-            stats["memo_hits"] += 1
-            verdict, source = cached
-        else:
-            verdict, source = classify(a, b)
-            self._verdicts[packed] = (verdict, source)
-        stats[source] += 1
-        return verdict
-
-    # -- choice-key interning and bitmask sleep-key sets -----------------
-
-    def intern_key(self, key: tuple) -> int:
-        """The small-int id of a choice key, minted on first sight."""
-        kid = self._key_ids.get(key)
-        if kid is None:
-            kid = len(self._key_tuples)
-            self._key_ids[key] = kid
-            self._key_tuples.append(key)
-        return kid
-
-    def key_tuple(self, kid: int) -> tuple:
-        """The choice-key tuple behind an interned id (codec boundary)."""
-        return self._key_tuples[kid]
-
-    def mask_of(self, kids) -> int:
-        """The bitmask of an iterable of interned key ids."""
-        mask = 0
-        for kid in kids:
-            mask |= 1 << kid
-        return mask
-
-    def canonical_mask(
-        self, mask: int, permutation: Sequence[int] | None
-    ) -> int:
-        """A sleep-key bitmask mapped into the canonical pid frame.
-
-        Sleep keys are pid-indexed, so comparing an arrival's sleep set
-        against a cached representative's (the subset-reuse test) is
-        only meaningful after both are pushed through their own
-        canonicalizing permutations.  Without symmetry
-        (``permutation is None``) masks compare verbatim.
-        """
-        if permutation is None:
-            return mask
-        out = 0
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            key = self._key_tuples[bit.bit_length() - 1]
-            out |= 1 << self.intern_key(_map_sleep_key(key, permutation))
-        return out
 
 __all__ = [
     "Violation",
@@ -500,13 +387,9 @@ class ExplorationResult:
     #: verdicts by the argument that carried them — ``dynamic``
     #: (independent, no pending crash), ``crash_proof`` (independent by
     #: the crash-aware victim-disjointness argument), ``conservative``
-    #: (dependent, branch kept) — plus the memoization counters
-    #: ``memo_queries``/``memo_hits`` of the interned-footprint verdict
-    #: cache.  Like :attr:`events_executed`, these are telemetry, not
-    #: part of the construction-identity contract: a resumed run starts
-    #: with an empty verdict memo, and each worker process memoizes its
-    #: own verdicts, so ``memo_hits`` depends on the resume point and on
-    #: ``workers``.
+    #: (dependent, branch kept).  Each query of the relation counts
+    #: once, so the counts depend on the configuration alone: neither on
+    #: a resume point nor on ``workers``.
     independence_stats: dict[str, int] = coded(factory=dict, merge=SUM)
     #: Errors raised by the ``progress`` callback, as
     #: ``"ExceptionType: message"`` strings.  A raising callback is
@@ -970,32 +853,28 @@ class _CacheEntry:
     representative's absolute decision path, the base of symmetry-mode
     guides.  ``sleep_keys`` is the key set of the sleep set the summary
     was recorded under, in the representative's own frame: the summary
-    stands in for an arrival iff the arrival's sleep set is a superset,
-    the bitwise test ``stored & ~arrival == 0`` on the interned-key
-    bitmasks of :meth:`_IndependenceOracle.mask_of` (the subset-reuse
-    rule — the recorded subtree explored at least
-    everything the arrival may explore).
+    stands in for an arrival iff the arrival's sleep set is a superset
+    once both are mapped into the canonical frame (:func:`_canonical_keys`;
+    the subset-reuse rule — the recorded subtree explored at least
+    everything the arrival may explore).  A search shares one frozenset
+    among the entries with equal key sets.
     """
 
     depth: int
     summary: _Summary
     base: tuple[int, ...]
     raw: str
-    sleep_keys: int
+    sleep_keys: frozenset[tuple]
     perm: tuple[int, ...] | None
 
 
 # -- sleep sets and symmetry: key and witness helpers -----------------------
 
-#: A sleep set: *interned* choice identity (``choice_key`` through
-#: :meth:`_IndependenceOracle.intern_key`) → the footprint the event had
-#: when it was explored and put to sleep.  Footprints persist while the
-#: event stays asleep: every event taken since was independent of it, so
-#: what it touches cannot have changed.  Interned ids are
-#: per-exploration and not run-stable, so checkpoints carry key *tuples*
-#: and re-intern on the way in.  Parallel shards need no such boundary:
-#: they inherit the frontier pass's oracle through the fork, ids and all.
-_SleepSet = dict[int, Footprint]
+#: A sleep set: choice identity (:func:`choice_key`) → the footprint the
+#: event had when it was explored and put to sleep.  Footprints persist
+#: while the event stays asleep: every event taken since was independent
+#: of it, so what it touches cannot have changed.
+_SleepSet = dict[tuple, Footprint]
 
 
 def _map_sleep_key(key: tuple, permutation: Sequence[int]) -> tuple:
@@ -1005,6 +884,23 @@ def _map_sleep_key(key: tuple, permutation: Sequence[int]) -> tuple:
         return ("recv", permutation[sender], permutation[receiver], seq)
     kind, pid = key
     return (kind, permutation[pid])
+
+
+def _canonical_keys(
+    keys: Iterable[tuple], permutation: Sequence[int] | None
+) -> frozenset[tuple]:
+    """Sleep keys mapped into the canonical pid frame.
+
+    Sleep keys are pid-indexed, so comparing an arrival's sleep set
+    against a cached representative's (the subset-reuse test) is only
+    meaningful after both are pushed through their own canonicalizing
+    permutations.  Without symmetry (``permutation is None``) keys
+    compare verbatim.  The result is a set, so the order ``keys`` are
+    read in does not matter.
+    """
+    if permutation is None:
+        return frozenset(keys)
+    return frozenset(_map_sleep_key(key, permutation) for key in keys)
 
 
 def _witness_permutation(
@@ -1117,48 +1013,15 @@ def _entry_reusable(
 #
 # The leaf codecs (footprints, keys, sleep sets) live in
 # repro.runtime.checkpoint; the structures below are private to this
-# engine, so their JSON forms are too.  Summaries and cache entries go
-# through repro.runtime.codec; only the interned sleep keys are
-# converted by hand.
+# engine, so their JSON forms are too, all through repro.runtime.codec.
 
 
-def _entry_to_json(
-    key: str, entry: _CacheEntry, oracle: _IndependenceOracle
-) -> list:
-    # Interned ids are per-exploration, so the at-rest form carries the
-    # key tuples behind each entry's sleep-key bitmask; resume re-interns.
-    keys = []
-    mask = entry.sleep_keys
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        keys.append(_key_to_json(oracle.key_tuple(bit.bit_length() - 1)))
-    return [key, {**encode(entry), "sleep_keys": sorted(keys, key=repr)}]
+def _cache_to_json(cache: Mapping[str, _CacheEntry]) -> list:
+    return [[key, encode(entry)] for key, entry in sorted(cache.items())]
 
 
-def _cache_to_json(
-    cache: Mapping[str, _CacheEntry], oracle: _IndependenceOracle
-) -> list:
-    return [
-        _entry_to_json(key, entry, oracle)
-        for key, entry in sorted(cache.items())
-    ]
-
-
-def _cache_from_json(
-    data: list, oracle: _IndependenceOracle
-) -> dict[str, _CacheEntry]:
-    def mask(keys: list) -> int:
-        return oracle.mask_of(
-            oracle.intern_key(_key_from_json(k)) for k in keys
-        )
-
-    return {
-        str(key): decode(
-            _CacheEntry, {**entry, "sleep_keys": mask(entry["sleep_keys"])}
-        )
-        for key, entry in data
-    }
+def _cache_from_json(data: list) -> dict[str, _CacheEntry]:
+    return {str(key): decode(_CacheEntry, entry) for key, entry in data}
 
 
 def _outcome_to_json(result: ExplorationResult, ordinals: list[int]) -> dict:
@@ -1194,9 +1057,7 @@ class _Frame:
     A live frame holds *references* to the level's sleep/explored dicts
     and, under dedup, its partial summary: frames are only serialized at
     a descendant's node entry, where those objects' current contents are
-    exactly the level's state as of the recorded branch.  Sleep sets are
-    keyed by interned ids in memory and by key tuples at rest;
-    :meth:`from_json` re-interns them into the resuming oracle.
+    exactly the level's state as of the recorded branch.
     """
 
     branch: int
@@ -1204,35 +1065,23 @@ class _Frame:
     explored: _SleepSet
     dedup: _FrameDedup | None
 
-    def to_json(self, oracle: _IndependenceOracle) -> dict:
+    def to_json(self) -> dict:
         level: dict = {
             "branch": self.branch,
-            "sleep": sleep_to_json(
-                {oracle.key_tuple(k): fp for k, fp in self.sleep.items()}
-            ),
-            "explored": sleep_to_json(
-                {oracle.key_tuple(k): fp for k, fp in self.explored.items()}
-            ),
+            "sleep": sleep_to_json(self.sleep),
+            "explored": sleep_to_json(self.explored),
         }
         if self.dedup is not None:
             level["dedup"] = encode(self.dedup)
         return level
 
     @classmethod
-    def from_json(
-        cls, data: Mapping, oracle: _IndependenceOracle
-    ) -> "_Frame":
-        def interned(pairs: list) -> _SleepSet:
-            return {
-                oracle.intern_key(key): fp
-                for key, fp in sleep_from_json(pairs).items()
-            }
-
+    def from_json(cls, data: Mapping) -> "_Frame":
         dedup = data.get("dedup")
         return cls(
             int(data["branch"]),
-            interned(data["sleep"]),
-            interned(data["explored"]),
+            sleep_from_json(data["sleep"]),
+            sleep_from_json(data["explored"]),
             None if dedup is None else decode(_FrameDedup, dedup),
         )
 
@@ -1247,7 +1096,6 @@ def _explore_subtree(
     sleep_sets: bool = False,
     groups: Sequence[tuple[int, ...]] = (),
     root_sleep: _SleepSet | None = None,
-    oracle: _IndependenceOracle | None = None,
     frontier: tuple[int, Callable] | None = None,
     progress: ProgressCallback | None = None,
     progress_every: int = 1000,
@@ -1271,9 +1119,8 @@ def _explore_subtree(
     ``sleep_sets=True`` adds the sleep-set partial-order reduction: a
     branch whose choice is asleep (its footprint independent of every
     event taken since a sibling order explored it) is skipped before
-    forking; ``root_sleep`` seeds the root's sleep set, keyed in
-    ``oracle`` (a shard passes the frontier pass's; by default a fresh
-    one), whose verdicts are counted from the call's start.  Cached
+    forking; ``root_sleep`` seeds the root's sleep set, and every
+    verdict of the relation is counted by its source.  Cached
     summaries are reused under the subset-reuse rule: the sleep set is
     not part of the cache key, and an entry stands in for any arrival
     sleeping at least what the entry slept.  A non-empty ``groups``
@@ -1307,30 +1154,21 @@ def _explore_subtree(
         # The interrupted search had already finished (the final
         # checkpoint landed); its outcome is the whole answer.
         return _outcome_from_json(resume["outcome"])
-    indep = oracle if oracle is not None else _IndependenceOracle()
     cut, at_cut = frontier if frontier is not None else (-1, None)
     if resume is not None:
         out, ordinals = _outcome_from_json(resume["outcome"])
-        cache = _cache_from_json(resume["cache"], indep)
-        resume_stack = [
-            _Frame.from_json(level, indep) for level in resume["frames"]
-        ]
+        cache = _cache_from_json(resume["cache"])
+        resume_stack = [_Frame.from_json(level) for level in resume["frames"]]
     else:
         out, ordinals = ExplorationResult(0, 0), []
         cache = {}
         resume_stack = []
-    # The oracle's verdict counters at the last flush: each flush adds
-    # what it counted since onto the restored and absorbed counts.
-    stats_mark = dict(indep.stats)
-
-    def flush_stats() -> None:
-        counts = out.independence_stats
-        for source, count in indep.stats.items():
-            count -= stats_mark[source]
-            if count:
-                counts[source] = counts.get(source, 0) + count
-        stats_mark.update(indep.stats)
-
+    # One frozenset per distinct sleep-key set, shared by the cache
+    # entries recorded under it (restored ones included).
+    keysets: dict[frozenset[tuple], frozenset[tuple]] = {}
+    for entry in cache.values():
+        slept = entry.sleep_keys
+        entry.sleep_keys = keysets.setdefault(slept, slept)
     # Every tracker of the search is a fork of the root's.
     reads_result = root.tracker.reads_result
     path = list(prefix)
@@ -1355,7 +1193,7 @@ def _explore_subtree(
             if kept is None or kept[0] is not entry:
                 kept = texts[key] = (
                     entry,
-                    canonical_json(_entry_to_json(key, entry, indep)),
+                    canonical_json([key, encode(entry)]),
                 )
             parts.append(kept[1])
         return CanonicalJSON("[" + ",".join(parts) + "]")
@@ -1370,15 +1208,12 @@ def _explore_subtree(
         """
         if checkpoint_to is None:
             return
-        flush_stats()
         body: dict = {
             "kind": "subtree",
             "config": config,
             "complete": complete,
             "outcome": _outcome_to_json(out, ordinals),
-            "frames": (
-                [] if complete else [f.to_json(indep) for f in frames]
-            ),
+            "frames": [] if complete else [f.to_json() for f in frames],
             "cache": cache_text() if dedup and not complete else [],
         }
         write_checkpoint(checkpoint_to, body)
@@ -1421,7 +1256,6 @@ def _explore_subtree(
             and out.schedules_explored % progress_every == 0
         ):
             elapsed = _now() - started
-            flush_stats()
             snapshot = ProgressSnapshot(
                 expansions=out.schedules_explored,
                 terminals=out.terminal_schedules,
@@ -1460,18 +1294,16 @@ def _explore_subtree(
                 return problems, False
         return problems, True
 
-    intern_key = indep.intern_key
-
     def branches(
         choices: list, sleep: _SleepSet
-    ) -> tuple[list[int], list[int]]:
-        """The non-slept branch indices, and every branch's interned key.
+    ) -> tuple[list[int], list[tuple]]:
+        """The non-slept branch indices, and every branch's choice key.
 
-        Without sleep sets every branch is active and no key is minted.
+        Without sleep sets every branch is active and no key is built.
         """
         if not sleep_sets:
             return list(range(len(choices))), []
-        keys = [intern_key(choice_key(choice)) for choice in choices]
+        keys = [choice_key(choice) for choice in choices]
         return [b for b in range(len(choices)) if keys[b] not in sleep], keys
 
     def child_sleep_set(
@@ -1481,16 +1313,19 @@ def _explore_subtree(
 
         The child keeps every slept or earlier-explored sibling event
         that is independent of the event just taken (Godefroid's
-        sleep-set recurrence); a dependent event wakes up.
+        sleep-set recurrence); a dependent event wakes up.  Each verdict
+        is counted by the argument that carried it.
         """
         child.handle.choices()  # prelude: captures the footprint
         taken = child.handle.last_footprint
-        kept = {
-            key: footprint
-            for candidates in (sleep, explored)
-            for key, footprint in candidates.items()
-            if indep(footprint, taken)
-        }
+        counts = out.independence_stats
+        kept = {}
+        for candidates in (sleep, explored):
+            for key, footprint in candidates.items():
+                independent, source = classify(footprint, taken)
+                counts[source] = counts.get(source, 0) + 1
+                if independent:
+                    kept[key] = footprint
         return kept, taken
 
     def replay(summary: _Summary, base: tuple[int, ...] | None) -> bool:
@@ -1544,16 +1379,13 @@ def _explore_subtree(
         if existing is not None:
             if summary.truncated and not existing.summary.truncated:
                 return
-            if sleep_sets:
-                own = indep.canonical_mask(indep.mask_of(sleep), perm)
-                stored = indep.canonical_mask(
-                    existing.sleep_keys, existing.perm
-                )
-                if own & ~stored:
-                    return
-        cache[key] = _CacheEntry(
-            depth, summary, tuple(path), raw, indep.mask_of(sleep), perm
-        )
+            if sleep_sets and not _canonical_keys(sleep, perm) <= (
+                _canonical_keys(existing.sleep_keys, existing.perm)
+            ):
+                return
+        slept = frozenset(sleep)
+        slept = keysets.setdefault(slept, slept)
+        cache[key] = _CacheEntry(depth, summary, tuple(path), raw, slept, perm)
 
     def dfs(
         cursor: _Cursor,
@@ -1636,26 +1468,16 @@ def _explore_subtree(
                     # the stored entry's arrival pattern as well as this
                     # one and the slot stabilizes after at most one
                     # re-expansion.
-                    stored_mask = indep.canonical_mask(
-                        entry.sleep_keys, entry.perm
-                    )
-                    compatible = not sleep_sets or not (
-                        stored_mask
-                        & ~indep.canonical_mask(indep.mask_of(sleep), perm)
+                    stored = _canonical_keys(entry.sleep_keys, entry.perm)
+                    compatible = not sleep_sets or stored <= _canonical_keys(
+                        sleep, perm
                     )
                     if not compatible:
                         sleep = {
                             k: fp
                             for k, fp in sleep.items()
-                            if stored_mask
-                            >> (
-                                k
-                                if perm is None
-                                else intern_key(
-                                    _map_sleep_key(indep.key_tuple(k), perm)
-                                )
-                            )
-                            & 1
+                            if (k if perm is None else _map_sleep_key(k, perm))
+                            in stored
                         }
                     if compatible:
                         if entry.raw == raw:
@@ -1736,8 +1558,11 @@ def _explore_subtree(
         last = active[-1] if active else None
         descend = resume[1:]
         if resume:
-            flush_stats()
-            counted = out.events_executed, out.events_replayed
+            counted = (
+                out.events_executed,
+                out.events_replayed,
+                dict(out.independence_stats),
+            )
         for branch in pending:
             if branch != last:
                 child = cursor.fork()
@@ -1754,8 +1579,11 @@ def _explore_subtree(
                 # The recorded branch was taken before the checkpoint:
                 # its fork, event and verdicts are in the restored
                 # counters, so re-taking it counts none of them.
-                out.events_executed, out.events_replayed = counted
-                stats_mark.update(indep.stats)
+                (
+                    out.events_executed,
+                    out.events_replayed,
+                    out.independence_stats,
+                ) = counted
                 resume = ()
             path.append(branch)
             frames.append(_Frame(branch, sleep, explored, node))
@@ -1791,7 +1619,6 @@ def _explore_subtree(
         return summary
 
     dfs(root, len(prefix), root_sleep or {}, resume_stack)
-    flush_stats()
     if not out.interrupted:
         snapshot(complete=True)
     return out, ordinals
@@ -1821,10 +1648,9 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
     """Pool worker entry point: explore the ``index``-th shard subtree.
 
     The shard starts from the cursor and sleep set the frontier pass
-    left at its root (inherited through the fork, so nothing is replayed
-    or re-interned), on its own copy of that pass's oracle, so its
-    verdict counts never depend on the shards its worker ran before.  With
-    checkpointing on, each shard owns the side file
+    left at its root (inherited through the fork, so nothing is
+    replayed), and counts only its own verdicts.  With checkpointing
+    on, each shard owns the side file
     :func:`~repro.runtime.checkpoint.shard_checkpoint_path` names: it
     resumes from it when a valid one exists (a complete one returns its
     outcome at once; a corrupt or mismatched-config file means a cold
@@ -1835,7 +1661,7 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
     to pass a cancel on.
     """
     assert _SHARD_STATE is not None
-    shards, oracle, stop, cancel, checkpoint_to, config, search = _SHARD_STATE
+    shards, stop, cancel, checkpoint_to, config, search = _SHARD_STATE
     prefix, root, root_sleep = shards[index]
     shard_path = None
     shard_config = ""
@@ -1860,7 +1686,6 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
         root,
         prefix,
         root_sleep=root_sleep,
-        oracle=copy.deepcopy(oracle),
         cancel=_ShardCancel(stop, cancel),
         checkpoint_to=shard_path,
         resume=resume_body,
@@ -1871,16 +1696,16 @@ def _explore_shard(index: int) -> tuple[ExplorationResult, list[int]]:
 
 def _expand_frontier(
     root: _Cursor, max_depth: int, target_shards: int, sleep_sets: bool
-) -> tuple[int, list[tuple], _IndependenceOracle]:
+) -> tuple[int, list[tuple]]:
     """Cut the top of the tree into at least ``target_shards`` subtrees.
 
     Iterative deepening: passes of :func:`_explore_subtree` cut at depth
-    1, 2, … 8, each on a fork of ``root`` with a fresh oracle, until one
+    1, 2, … 8, each on a fork of ``root``, until one
     yields enough shards, or none.  A pass records each node at the cut
     as ``(path, cursor, sleep)`` and stands in an empty outcome for its
-    subtree.  Returns the last pass's cut depth, its shard list and its
-    oracle, which keys the shards' sleep sets.  Every pass is discarded
-    uncounted: the merge pass counts the nodes above the cut.
+    subtree.  Returns the last pass's cut depth and its shard list.
+    Every pass is discarded uncounted: the merge pass counts the nodes
+    above the cut.
     """
     shards: list[tuple] = []
 
@@ -1892,7 +1717,6 @@ def _expand_frontier(
 
     for cut in range(1, 9):
         shards.clear()
-        oracle = _IndependenceOracle()
         _explore_subtree(
             root.fork(),
             (),
@@ -1900,12 +1724,11 @@ def _expand_frontier(
             max_depth,
             False,
             sleep_sets=sleep_sets,
-            oracle=oracle,
             frontier=(cut, record),
         )
         if len(shards) >= target_shards or not shards:
             break
-    return cut, shards, oracle
+    return cut, shards
 
 
 def _explore_parallel(
@@ -1931,7 +1754,7 @@ def _explore_parallel(
     order and ``cancel`` therefore mean what they mean sequentially:
     ``terminal_schedules``, ``violations`` and ``aborted`` equal the
     sequential result's, and an exhaustive run equals it field for
-    field apart from ``workers`` and the verdict memo's ``memo_hits``.
+    field apart from ``workers``.
     Shards the merge replays count their whole subtree's work, at the
     full budget each.  While it waits for a shard the merge pass polls
     ``cancel`` and, once it fires, raises the stop flag the shards poll.
@@ -1954,7 +1777,7 @@ def _explore_parallel(
             checkpoint_to,
             {"kind": "parallel", "config": config, "complete": False},
         )
-    cut, shards, oracle = _expand_frontier(
+    cut, shards = _expand_frontier(
         root, max_depth, workers * 4, sleep_sets
     )
     ctx = multiprocessing.get_context("fork")
@@ -1970,9 +1793,7 @@ def _explore_parallel(
         sleep_sets=sleep_sets,
         checkpoint_every=checkpoint_every,
     )
-    _SHARD_STATE = (
-        shards, oracle, stop, cancel, checkpoint_to, config, search
-    )
+    _SHARD_STATE = (shards, stop, cancel, checkpoint_to, config, search)
     try:
         with ctx.Pool(processes=workers) as pool:
             outcomes = pool.imap(_explore_shard, range(len(shards)))

@@ -151,9 +151,6 @@ def _independence_line(stats: Any) -> str | None:
         for name in ("dynamic", "crash_proof", "conservative")
         if stats.get(name)
     ]
-    queries = stats.get("memo_queries", 0)
-    if queries:
-        parts.append(f"memo={stats.get('memo_hits', 0)}/{queries}")
     return " ".join(parts) if parts else None
 
 

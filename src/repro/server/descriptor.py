@@ -79,8 +79,10 @@ __all__ = [
 #: encoding v2; schema 6 replaces the engine selector with the ``dedup``
 #: flag; schema 7 merges sharded runs with a pass of the one DFS, which
 #: changes the work counters (and can change ``exhausted``) of
-#: budget-capped or aborted ``workers > 1`` results.
-ENGINE_SCHEMA = 7
+#: budget-capped or aborted ``workers > 1`` results; schema 8 drops the
+#: verdict memo, so ``independence_stats`` loses ``memo_queries`` and
+#: ``memo_hits``.
+ENGINE_SCHEMA = 8
 
 #: Algorithm registry: descriptor name → ``factory(pid, n)`` class.
 ALGORITHMS: Mapping[str, Callable[[int, int], Any]] = {
@@ -442,9 +444,8 @@ class JobDescriptor:
         submissions differing only in how often they want progress
         events still share one exploration.  ``workers`` *is* included
         because the result records it: a sharded run's answer equals
-        the sequential one (only ``workers`` and the verdict memo's
-        ``memo_hits`` differ), but a memo hit must return exactly the
-        result its descriptor would compute.
+        the sequential one (only ``workers`` differs), but a memo hit
+        must return exactly the result its descriptor would compute.
         """
         return tuple(
             (f.name, getattr(self, f.name))

@@ -126,7 +126,9 @@ class MemoStore:
 
         ``cost`` is the recomputation price in seconds; ``size`` is
         estimated from the compact JSON serialization.  Re-putting an
-        existing key replaces the payload and refreshes recency.
+        existing key replaces the payload and refreshes recency.  The
+        store keeps ``payload`` itself, the object every future hit
+        shares, so the caller must not mutate it afterwards.
         """
         size = len(
             json.dumps(payload, separators=(",", ":"), sort_keys=True)
@@ -135,7 +137,7 @@ class MemoStore:
             del self._entries[key]
         entry = MemoEntry(
             key=key,
-            payload=copy.deepcopy(payload),
+            payload=payload,
             cost=max(0.0, cost),
             size=size,
             credit=self._clock + max(0.0, cost) / max(1, size),

@@ -5,11 +5,12 @@ per line, UTF-8, ``\\n``-terminated.  The framing is symmetric: the
 client and server use the same two coroutines over asyncio streams.
 
 Requests carry an ``op`` field (``ping`` / ``submit`` / ``status`` /
-``result`` / ``watch`` / ``cancel`` / ``jobs`` / ``stats`` /
-``shutdown``) and may carry a client-chosen ``id``, which the service
-echoes on every message it emits for that request.  Replies carry
-``ok`` (with ``error`` when false); ``watch`` additionally streams
-``{"op": "event", ...}`` lines until the job's terminal event.
+``result`` / ``watch`` / ``cancel`` / ``resume`` / ``jobs`` /
+``stats`` / ``shutdown``) and may carry a client-chosen ``id``, which
+the service echoes on every message it emits for that request.
+Replies carry ``ok`` (with ``error`` when false); ``watch``
+additionally streams ``{"op": "event", ...}`` lines until the job's
+terminal event.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.runtime.explorer import (
     _cache_from_json,
     _cache_to_json,
     _Frame,
-    _IndependenceOracle,
     _outcome_from_json,
     _outcome_to_json,
 )
@@ -53,18 +52,14 @@ class TestSubtreeCheckpoint:
 
     def test_cache(self, name):
         stored = body(name)["cache"]
-        oracle = _IndependenceOracle()
-        cache = _cache_from_json(stored, oracle)
-        assert canonical(_cache_to_json(cache, oracle)) == canonical(stored)
+        cache = _cache_from_json(stored)
+        assert canonical(_cache_to_json(cache)) == canonical(stored)
 
     def test_frames(self, name):
         stored = body(name)["frames"]
         assert stored
-        oracle = _IndependenceOracle()
-        frames = [_Frame.from_json(level, oracle) for level in stored]
-        assert canonical([f.to_json(oracle) for f in frames]) == canonical(
-            stored
-        )
+        frames = [_Frame.from_json(level) for level in stored]
+        assert canonical([f.to_json() for f in frames]) == canonical(stored)
 
 
 def test_parallel_shard_outcomes():

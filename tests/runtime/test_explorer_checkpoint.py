@@ -9,8 +9,7 @@ sharded parallel front-end).  A resume re-runs its checkpointed path
 without counting it, so ``events_executed``/``events_replayed`` match
 too.  The worker count is
 held to a stricter contract: a ``workers=N`` run equals the sequential
-run field for field, apart from ``workers`` and the per-process verdict
-memo's ``memo_hits``.
+run field for field, apart from ``workers``.
 
 The small n=2 configurations are cut at *every* cancellation boundary
 (every node entry is a poll point); the depth-8 n=3 showcase is cut at
@@ -333,7 +332,7 @@ class TestCheckpointBodyBytes:
             cache, texts = scope["cache"], scope["texts"]
             old_way = dict(body)
             if not body["complete"]:
-                old_way["cache"] = _cache_to_json(cache, scope["indep"])
+                old_way["cache"] = _cache_to_json(cache)
             write(reference, old_way)
             with open(target) as got, open(reference) as expected:
                 assert got.read() == expected.read()
@@ -373,13 +372,9 @@ class TestSymmetricResume:
     The resumed search starts with no remembered orbit keys, so it
     computes keys the interrupted one had already computed; the result,
     ``orbit_encodings`` included, must not show it.  Re-taking the
-    checkpointed path counts no event and no verdict either.  Only the
-    verdict memo's hit count differs: the memo starts empty on resume,
-    so a verdict the interrupted search had memoized is computed again.
+    checkpointed path counts no event and no verdict either, so the
+    whole payload matches, no field exempted.
     """
-
-    #: The one ``independence_stats`` entry a resume may change.
-    REPLAY = "memo_hits"
 
     @staticmethod
     def make_config():
@@ -398,14 +393,7 @@ class TestSymmetricResume:
             resumed = interrupt_and_resume(
                 self.make_config, path, cut, **kwargs
             ).to_json()
-            expected = dict(reference)
-            for payload in (resumed, expected):
-                payload["independence_stats"] = {
-                    source: count
-                    for source, count in payload["independence_stats"].items()
-                    if source != self.REPLAY
-                }
-            assert resumed == expected
+            assert resumed == reference
             os.unlink(path)
 
 
@@ -500,7 +488,7 @@ class TestWorkerCountDifferential:
 
     Every variant, with and without a pending crash, at two worker
     counts: the result equals the sequential one in every field but
-    ``workers`` and ``memo_hits``.  Cache-less variants really shard;
+    ``workers``.  Cache-less variants really shard;
     cached ones run in one process and say so.
     """
 

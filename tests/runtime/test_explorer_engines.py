@@ -58,12 +58,10 @@ def total_order():
 def worker_independent(result):
     """Every result field that must not depend on the worker count.
 
-    ``workers`` itself and the verdict memo's ``memo_hits`` (each
-    process memoizes its own verdicts) are the only exceptions.
+    ``workers`` itself is the only exception.
     """
     fields = dataclasses.asdict(result)
     del fields["workers"]
-    fields["independence_stats"].pop("memo_hits", None)
     return fields
 
 

@@ -35,12 +35,12 @@ class TestCoreOperations:
         first["nested"]["list"].append(99)
         assert store.get("k") == {"nested": {"list": [1]}}
 
-    def test_put_copies_caller_payload(self):
+    def test_put_keeps_caller_payload(self):
+        # the stored payload is the caller's object, shared by every hit
         store = MemoStore()
         payload = {"list": [1]}
         store.put("k", payload, cost=1.0)
-        payload["list"].append(99)
-        assert store.get("k") == {"list": [1]}
+        assert store.lookup("k").payload is payload
 
     def test_reput_replaces(self):
         store = MemoStore()

@@ -39,7 +39,7 @@ def run(label, workers=1, **overrides):
         "states_merged_symmetry": 0,
         "orbit_encodings": 0,
         "violations_digest": "d41d8cd9",
-        "independence_stats": {"dynamic": 10, "memo_queries": 12},
+        "independence_stats": {"dynamic": 10, "conservative": 12},
     }
     row.update(overrides)
     return row
@@ -49,7 +49,7 @@ def run(label, workers=1, **overrides):
 def report():
     return {
         "benchmark": "explorer",
-        "schema": 7,
+        "schema": 8,
         "configs": [
             {
                 "name": "depth8",
@@ -58,7 +58,6 @@ def report():
                     run("dedup-sleep"),
                 ],
                 "sleep_terminal_reduction": 0.977,
-                "interned_key_hit_rate": 0.98,
             },
             {"name": "urb", "runs": [run("dedup")]},
         ],
@@ -102,10 +101,10 @@ def test_missing_config_fails(report):
 
 def test_missing_derived_field_fails(report):
     fresh = copy.deepcopy(report)
-    del fresh["configs"][0]["interned_key_hit_rate"]
+    del fresh["configs"][0]["sleep_terminal_reduction"]
     errors, _ = check.compare(report, fresh)
     assert errors == [
-        "depth8: interned_key_hit_rate missing from fresh run"
+        "depth8: sleep_terminal_reduction missing from fresh run"
     ]
 
 
@@ -121,7 +120,6 @@ def test_allow_subset_tolerates_missing_rows_and_fields(report):
     fresh = copy.deepcopy(report)
     del fresh["configs"][1]
     del fresh["configs"][0]["runs"][1]
-    del fresh["configs"][0]["interned_key_hit_rate"]
     del fresh["configs"][0]["sleep_terminal_reduction"]
     errors, _ = check.compare(report, fresh, allow_subset=True)
     assert errors == []
@@ -146,8 +144,6 @@ def test_cross_variant_violation_mismatch_fails(report):
 def test_worker_count_drift_fails(report):
     sharded = run("dedup", workers=4, terminal_schedules=2520)
     report["configs"][0]["runs"].append(sharded)
-    # each worker process memoizes its own verdicts: memo_hits may differ
-    sharded["independence_stats"]["memo_hits"] = 3
     fresh = copy.deepcopy(report)
     assert check.compare(report, fresh) == ([], [])
     fresh["configs"][0]["runs"][2]["events_replayed"] = 60
@@ -155,6 +151,20 @@ def test_worker_count_drift_fails(report):
     assert errors == [
         "depth8 ('dedup', 4): events_replayed = 60, the workers=1 row "
         "has 0 — the worker count changed the answer"
+    ]
+
+
+def test_worker_count_independence_stats_compared_whole(report):
+    # no verdict counter is exempt, not even the old memo's hit count
+    sharded = run("dedup", workers=4, terminal_schedules=2520)
+    sharded["independence_stats"]["memo_hits"] = 3
+    report["configs"][0]["runs"].append(sharded)
+    errors, _ = check.compare(report, report)
+    assert errors == [
+        "depth8 ('dedup', 4): independence_stats = {'dynamic': 10, "
+        "'conservative': 12, 'memo_hits': 3}, the workers=1 row has "
+        "{'dynamic': 10, 'conservative': 12} — the worker count changed "
+        "the answer"
     ]
 
 
