@@ -316,7 +316,7 @@ def test_fingerprint_after_one_event(benchmark, digest):
 SYMMETRIC_GROUPS = [(0, 1, 2)]
 
 
-def symmetric_s2a_state():
+def symmetric_s2a_state(scripts=None):
     """Send-to-all n=3 with three senders, 6 decisions deep, keyed.
 
     The state the ``orbit-checkpoint`` search explores: every process
@@ -326,7 +326,7 @@ def symmetric_s2a_state():
     built.
     """
     simulator = Simulator(3, SendToAllBroadcast)
-    run = simulator.begin({0: ["a"], 1: ["b"], 2: ["c"]})
+    run = simulator.begin(scripts or {0: ["a"], 1: ["b"], 2: ["c"]})
     for _ in range(6):
         run.choices()
         run.advance(0)
@@ -360,5 +360,41 @@ def test_orbit_key_after_one_event(benchmark):
         type(base).orbit_key, setup=one_event, rounds=300, warmup_rounds=10
     )
     (run, groups), _ = one_event()
+    assert result == type(base).orbit_key(run, groups)
+    assert result == canon_oracle.orbit_key(run, groups)
+
+
+#: Set contents: each sender's set shares an element with the next one.
+SET_SCRIPTS = {
+    0: [frozenset({"a", "b"})],
+    1: [frozenset({"b", "c"})],
+    2: [frozenset({"c", "a"})],
+}
+
+
+def test_orbit_key_with_set_contents(benchmark):
+    """:func:`test_orbit_key_after_one_event` with frozenset scripts.
+
+    Every journal, pool entry and script holding a set fills through a
+    group slot: each member is filled, the member encodings sorted.
+    The key must equal the from-scratch canonical encoding of
+    ``tests/runtime/canon_oracle.py``.
+    """
+    base = symmetric_s2a_state(SET_SCRIPTS)
+
+    def one_event():
+        run = base.fork()
+        receptions = [
+            i for i, (kind, _) in enumerate(run.choices()) if kind == "recv"
+        ]
+        run.advance(receptions[0])
+        run.choices()
+        return (run, SYMMETRIC_GROUPS), {}
+
+    result = benchmark.pedantic(
+        type(base).orbit_key, setup=one_event, rounds=300, warmup_rounds=10
+    )
+    (run, groups), _ = one_event()
+    assert not run.runtimes[0].orbit_template().flat
     assert result == type(base).orbit_key(run, groups)
     assert result == canon_oracle.orbit_key(run, groups)

@@ -205,6 +205,7 @@ and stop within one node, and the pool drains.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -214,7 +215,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..core.broadcast_spec import BroadcastSpec
 from ..core.execution import PROJECTED_ACTIONS, Execution
-from ..core.model import ChannelTracker, check_channels
+from ..core.model import ChannelTracker
 from ..core.steps import Step
 from .checkpoint import (
     CanonicalJSON,
@@ -673,50 +674,21 @@ class _CombinedTracker(PropertyTracker):
         return problems
 
 
-class _TerminalProperty:
-    """A property with no incremental structure: evaluated at terminals."""
+class _Property:
+    """A property the explorer evaluates along each branch.
 
-    def __init__(self, check: Property) -> None:
-        self._check = check
+    ``tracker(n)`` makes the tracker of an ``n``-process search.  Called
+    on a result, the property feeds a fresh tracker the result's whole
+    trace and judges the terminal, so both uses give one verdict.
+    """
 
-    def __call__(self, result: SimulationResult) -> list[str]:
-        return self._check(result)
-
-    def tracker(self, n: int) -> PropertyTracker:
-        return PropertyTracker(self._check)
-
-
-class _ChannelsProperty:
-    """The SR channel axioms, incremental when used by the explorer."""
-
-    def __init__(self, *, assume_complete: bool) -> None:
-        self._assume_complete = assume_complete
+    def __init__(self, tracker: Callable[[int], PropertyTracker]) -> None:
+        self.tracker = tracker
 
     def __call__(self, result: SimulationResult) -> list[str]:
-        return check_channels(
-            result.execution, assume_complete=self._assume_complete
-        ).all_violations()
-
-    def tracker(self, n: int) -> PropertyTracker:
-        return _ChannelsTracker(n, assume_complete=self._assume_complete)
-
-
-class _CombinedProperty:
-    """Conjunction of several properties."""
-
-    def __init__(self, properties: tuple[object, ...]) -> None:
-        self._properties = [_as_property(p) for p in properties]
-
-    def __call__(self, result: SimulationResult) -> list[str]:
-        problems: list[str] = []
-        for prop in self._properties:
-            problems.extend(prop(result))
-        return problems
-
-    def tracker(self, n: int) -> PropertyTracker:
-        return _CombinedTracker(
-            [p.tracker(n) for p in self._properties]
-        )
+        tracker = self.tracker(result.execution.n)
+        tracker.observe(result.execution.steps)
+        return tracker.at_terminal(result)
 
 
 def _as_property(prop: object):
@@ -725,26 +697,7 @@ def _as_property(prop: object):
         return prop
     if not callable(prop):
         raise TypeError(f"property must be callable, got {prop!r}")
-    return _TerminalProperty(prop)
-
-
-class _SpecProperty:
-    """A broadcast spec's verdict, built along the branch by the explorer."""
-
-    def __init__(self, spec: BroadcastSpec, *, assume_complete: bool) -> None:
-        self._spec = spec
-        self._assume_complete = assume_complete
-
-    def __call__(self, result: SimulationResult) -> list[str]:
-        return self._spec.admits(
-            result.execution.broadcast_projection(),
-            assume_complete=self._assume_complete,
-        ).all_violations()
-
-    def tracker(self, n: int) -> PropertyTracker:
-        return _SpecTracker(
-            self._spec, n, assume_complete=self._assume_complete
-        )
+    return _Property(lambda n: PropertyTracker(prop))
 
 
 def spec_property(
@@ -760,7 +713,9 @@ def spec_property(
     terminal checks them without re-filtering the whole trace.  The
     verdict is the same either way.
     """
-    return _SpecProperty(spec, assume_complete=assume_complete)
+    return _Property(
+        functools.partial(_SpecTracker, spec, assume_complete=assume_complete)
+    )
 
 
 def channels_property(*, assume_complete: bool = True) -> Property:
@@ -771,12 +726,17 @@ def channels_property(*, assume_complete: bool = True) -> Property:
     branch, so each trace step is scanned once per tree edge instead of
     once per terminal-times-depth.
     """
-    return _ChannelsProperty(assume_complete=assume_complete)
+    return _Property(
+        functools.partial(_ChannelsTracker, assume_complete=assume_complete)
+    )
 
 
 def combine_properties(*properties: Property) -> Property:
     """Conjunction of several properties (incremental where they are)."""
-    return _CombinedProperty(tuple(properties))
+    parts = [_as_property(p) for p in properties]
+    return _Property(
+        lambda n: _CombinedTracker([part.tracker(n) for part in parts])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -106,38 +106,41 @@ encodes the state under a pid permutation with every content replaced
 by a token numbered by first appearance over the *whole* state, so a
 component's canonical bytes depend on the permutation and on the
 components before it.  What does not depend on either is cached as an
-:class:`OrbitTemplate`: the component's canonical encoding with two
+:class:`OrbitTemplate`: the component's canonical encoding with three
 kinds of slot,
 
 * a *pid slot* for every structural pid (``MessageId.sender``, the
-  sender and receiver of a ``PointToPointId``), and
+  sender and receiver of a ``PointToPointId``),
 * a *content slot* for every leaf, numbered by first appearance within
-  the component,
+  the component, and
+* a *group slot* for every set, frozenset or dict: its members (a
+  dict's ``(key, value)`` items) are written as templates of their own,
+  in the order of their raw encoding,
 
 plus the ordered list of the component's distinct contents.  Filling a
 template (:meth:`PidCanonicalizer.fill`) maps each local content to its
 global first-appearance token through the one token table of the state
 encoding, then joins the literal chunks with the cached encodings of
-``perm[p]`` and of the tokens: linear in the slots, with no recursion.
-The result is byte-identical to encoding the canonical image
-(:meth:`PidCanonicalizer.value`) from scratch.  Both walkers dispatch
-on exact types like the encoder, and send a subclass through the same
-ordered ``isinstance`` chain.  Token numbering agrees
-because a content's first appearance in the state is its local first
-appearance in the first component that holds it, and components are
-filled in traversal order.  Containers are delimited by count and
-terminator, not byte length, so a filled slot of any length leaves the
-enclosing bytes valid.
+``perm[p]`` and of the tokens: linear in the slots.  A group slot
+fills each member and sorts the member encodings, whose order depends
+on the token numbers; a template with no group slot is *flat* and
+fills with one ``%`` formatting.  One walker,
+:class:`_TemplateBuilder`, writes every template: what keeps none (the
+k-SA registry's values, the sync gates' identities) is written for the
+call by :meth:`PidCanonicalizer.encode`.  Token numbering is that of a
+walk of the whole state, because a content's first appearance in the
+state is its local first appearance in the first component that holds
+it, and components are filled in traversal order.  Containers are
+delimited by count and terminator, and a group's members carry their
+length, so a filled slot of any length leaves the enclosing bytes
+valid.  ``tests/runtime/canon_oracle.py`` encodes the canonical image
+of the whole state from scratch, with none of this code.
 
 A :class:`~repro.runtime.process.ProcessRuntime` extends its journal's
 template lazily, each in-flight message builds one template for its
 pool entry (see :func:`pool_template`), and a run keeps its remaining
 scripts' templates until the next broadcast start; templates are
-immutable, so forks share them.  Unordered containers (sets, dicts) canonicalize by
-sorting their *mapped* encodings, which depends on the token numbers, so
-a component whose values hold one gets no template
-(:meth:`OrbitTemplate.extended` returns ``None``) and is encoded by
-:meth:`PidCanonicalizer.value` into the same token table.
+immutable, so forks share them.
 """
 
 from __future__ import annotations
@@ -155,6 +158,7 @@ __all__ = [
     "OrbitTemplate",
     "PidCanonicalizer",
     "canonical_update",
+    "dict_encoding",
     "encoded_digest",
     "encoding",
     "int_encoding",
@@ -526,6 +530,11 @@ def list_encoding(count: int, *encoded: bytes) -> bytes:
     return b"".join((_list_open(count), *encoded, _CLOSE))
 
 
+def dict_encoding(items: Sequence[bytes]) -> bytes:
+    """``encoding(mapping)`` given one encoding per ``(key, value)`` item."""
+    return _tagged(b"m", b"".join(sorted(items)))
+
+
 def tuple_digest(*items: bytes) -> str:
     """``stable_digest(values)`` for a tuple given one encoding per value."""
     hasher = hashlib.blake2b(
@@ -564,7 +573,7 @@ _TOKEN_ENCODINGS: list[bytes] = []
 
 
 class PidCanonicalizer:
-    """Re-encodes run-state values under a pid permutation (symmetry).
+    """Encodes run-state components under a pid permutation (symmetry).
 
     The explorer's renaming-symmetry reduction
     (``explore_schedules(..., symmetry="rename")``) treats two states as
@@ -572,58 +581,77 @@ class PidCanonicalizer:
     permutation of declared-symmetric process ids *and* an injective
     renaming of message contents (the paper's Definition 3 applied to
     the state, not just the spec).  This helper produces the canonical
-    encoding of state components under one candidate permutation:
+    encoding of state components under one candidate permutation, that
+    is, the encoding of their *canonical image*:
 
     * process ids are mapped through the permutation wherever they occur
-      structurally — message identities (``MessageId.sender``),
-      point-to-point identities, oracle proposer keys;
+      structurally — message identities (``MessageId.sender``) and
+      point-to-point identities;
     * *contents* (and any other leaf value) are replaced by opaque
-      tokens numbered by first appearance in the traversal, which
-      realizes an injective content renaming: two states agree on the
-      canonical encoding iff they differ only by the permutation plus
-      some injective relabeling of contents;
-    * containers are encoded structurally (unordered ones by sorted
-      sub-encodings), so the encoding never aliases distinct structure.
-      The elements of a set or dict are visited in the order of their
-      raw :func:`encoding`, so the tokens they take depend only on the
+      tokens ``("~", t)`` numbered by first appearance in the traversal,
+      which realizes an injective content renaming: two states agree on
+      the canonical encoding iff they differ only by the permutation
+      plus some injective relabeling of contents;
+    * containers are encoded structurally: a message as ``("M", uid,
+      content)``, a dataclass as ``("C", name, fields)``, a list or
+      tuple as a tuple, and a set or dict as ``("S"|"D", member
+      encodings sorted)``, a dict's members being its ``(key, value)``
+      items.  Members are visited in the order of their raw
+      :func:`encoding`, so the tokens they take depend only on the
       state, never on ``PYTHONHASHSEED``.
 
-    A component is encoded either by :meth:`fill`, from its cached
-    :class:`OrbitTemplate`, or by :meth:`value` (the canonical image,
-    which :func:`encoding` turns into the same bytes) when it holds an
-    unordered container and has no template.  Both draw tokens from the
-    one table of this instance, in the order the components are
-    encoded.
+    :meth:`fill` fills a component's cached :class:`OrbitTemplate`, and
+    :meth:`encode` writes a template for the call.  Both draw tokens
+    from the one table of this instance, in the order the components
+    are encoded.
 
-    One instance encodes exactly **one** state: the token table is part
-    of the encoding and must start empty, so that token numbers are a
+    One instance encodes exactly **one** state: token numbers must be a
     pure function of the state (first appearance in *this* traversal).
-    A reused instance carries the previous state's token table across,
-    so values are numbered by ordinals of the combined history — states
-    that merely share content ordinals with what came before stop being
-    distinguishable from their fresh encodings, and the same state
-    encodes differently depending on what was encoded first.  Either
-    way the digest is no longer a function of the state and the dedup
-    cache mis-collapses or splits orbits.  Callers mark the end of a
-    state encoding with :meth:`seal`; any use after that raises
-    :class:`RuntimeError` (``canonical_state_digest`` seals the
-    instance it creates).
+    A reused instance would number contents by ordinals of the combined
+    history, so the same state would encode differently depending on
+    what was encoded first, and the dedup cache would mis-collapse or
+    split orbits.  Callers mark the end of a state encoding with
+    :meth:`seal`; any use after that raises :class:`RuntimeError`
+    (``canonical_state_digest`` seals the instance it creates).
     """
 
-    __slots__ = ("_perm", "_tokens", "_sealed", "_pids")
+    __slots__ = ("_tokens", "_sealed", "_pids")
 
     def __init__(self, permutation: Sequence[int]) -> None:
-        self._perm = tuple(permutation)
         self._tokens: dict[Hashable, int] = {}
         self._sealed = False
         #: What a template's pid slot ``p`` fills with.
-        self._pids = [int_encoding(image) for image in self._perm]
+        self._pids = [int_encoding(image) for image in permutation]
 
     def seal(self) -> None:
         """Mark the state encoding complete; further use raises."""
         self._sealed = True
 
-    def _check_usable(self) -> None:
+    def fill(self, template: "OrbitTemplate") -> bytes:
+        """The canonical encoding of the component ``template`` caches.
+
+        Fresh contents are numbered exactly as a walk of the component
+        would number them: each local content, in local first-appearance
+        order, takes its token from the table or the next free one.
+        """
+        table = self._table(template.contents)
+        if template.flat:
+            return template.fmt % tuple(map(table.__getitem__, template.slots))
+        return _fill(template.fmt, template.slots, table)
+
+    def encode(self, value: Any) -> bytes:
+        """The canonical encoding of ``value``, through a template
+        written for this call."""
+        builder = _TemplateBuilder(_EMPTY_TEMPLATE)
+        builder.value(value)
+        return _fill(builder.body(), builder.slots, self._table(builder.fresh))
+
+    def _table(self, contents: Sequence[Hashable]) -> list[bytes]:
+        """What the slots of a template with ``contents`` fill from.
+
+        Pid slot ``p`` reads ``table[p]`` and content slot ``~i`` reads
+        ``table[~i]``, the i-th entry from the end.
+        """
         if self._sealed:
             raise RuntimeError(
                 "PidCanonicalizer instances are single-use: this one "
@@ -633,134 +661,57 @@ class PidCanonicalizer:
                 "of a function of the state).  Create a fresh instance "
                 "per state."
             )
-
-    def pid(self, p: int) -> int:
-        """The image of process id ``p`` under the permutation."""
-        return self._perm[p]
-
-    def token(self, value: Hashable) -> tuple:
-        """The first-appearance content token standing in for ``value``."""
-        self._check_usable()
-        if value not in self._tokens:
-            self._tokens[value] = len(self._tokens)
-        return ("~", self._tokens[value])
-
-    def value(self, value: Any) -> Any:
-        """The canonical (permuted, tokenized) image of ``value``."""
-        self._check_usable()
-        return self._image(value)
-
-    def _image(self, value: Any) -> Any:
-        image = _IMAGES.get(type(value))
-        if image is None:
-            image = _image_other(value)
-        return image(self, value)
-
-    def _message(self, value: Message) -> tuple:
-        return ("M", self._image(value.uid), self._image(value.content))
-
-    def _uid(self, value: MessageId) -> tuple:
-        return ("U", self._perm[value.sender], value.seq)
-
-    def _p2p(self, value: PointToPointId) -> tuple:
-        perm = self._perm
-        return ("P", perm[value.sender], perm[value.receiver], value.seq)
-
-    def _sequence(self, value: tuple | list) -> tuple:
-        return tuple(self._image(item) for item in value)
-
-    def _set(self, value: set | frozenset) -> tuple:
-        images = [self._image(item) for item in sorted(value, key=encoding)]
-        return ("S", tuple(sorted(encoding(image) for image in images)))
-
-    def _mapping(self, value: dict) -> tuple:
-        images = [
-            (self._image(k), self._image(v))
-            for k, v in sorted(value.items(), key=encoding)
-        ]
-        return ("D", tuple(sorted(encoding(image) for image in images)))
-
-    def _record(self, value: Any) -> tuple:
-        cls = type(value)
-        return (
-            "C",
-            cls.__qualname__,
-            tuple(
-                self._image(getattr(value, name))
-                for name in _field_names(cls)
-            ),
-        )
-
-    def fill(self, template: "OrbitTemplate") -> bytes:
-        """The canonical encoding of the component ``template`` caches.
-
-        Equal to ``encoding(self.value(values))`` for the tuple of values
-        the template was built from, and it numbers fresh contents
-        exactly as that call would: each local content, in local
-        first-appearance order, takes its token from the table or the
-        next free one.
-        """
-        self._check_usable()
         tokens = self._tokens
         encoded = []
-        for content in template.contents:
+        for content in contents:
             number = tokens.get(content)
             if number is None:
                 number = tokens[content] = len(tokens)
             while len(_TOKEN_ENCODINGS) <= number:
                 _TOKEN_ENCODINGS.append(encoding(("~", len(_TOKEN_ENCODINGS))))
             encoded.append(_TOKEN_ENCODINGS[number])
-        # pid slot ``p`` reads ``table[p]``; content slot ``~i`` reads
-        # ``table[~i]``, the i-th entry from the end
         encoded.reverse()
-        table = self._pids + encoded
-        return template.fmt % tuple(map(table.__getitem__, template.slots))
+        return self._pids + encoded
 
 
-def _image_other(value: Any) -> Callable[[PidCanonicalizer, Any], Any]:
-    """The image rule of a value whose exact type has no entry in
-    ``_IMAGES``: the ordered ``isinstance`` chain (a subclass takes the
-    rule of the first base it matches, anything else is a content).  A
-    dataclass type that reaches its branch gets an entry."""
-    if isinstance(value, Message):
-        return PidCanonicalizer._message
-    if isinstance(value, MessageId):
-        return PidCanonicalizer._uid
-    if isinstance(value, PointToPointId):
-        return PidCanonicalizer._p2p
-    if isinstance(value, (tuple, list)):
-        return PidCanonicalizer._sequence
-    if isinstance(value, (set, frozenset)):
-        return PidCanonicalizer._set
-    if isinstance(value, dict):
-        return PidCanonicalizer._mapping
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _IMAGES[type(value)] = PidCanonicalizer._record
-        return PidCanonicalizer._record
-    return PidCanonicalizer.token
+def _fill(fmt: bytes, slots: Sequence[Any], table: list[bytes]) -> bytes:
+    """``fmt`` with its slots filled: a pid or content slot reads
+    ``table``, a group slot fills itself from it."""
+    return fmt % tuple(
+        slot.fill(table) if type(slot) is _Group else table[slot]
+        for slot in slots
+    )
+
+
+class _Group:
+    """A set, frozenset or dict in a template: one slot.
+
+    ``members`` holds one ``(fmt, slots)`` pair per member, in the order
+    of the members' raw :func:`encoding`.  The slot fills with the
+    encoding of ``(tag, tuple(sorted member encodings))``.
+    """
+
+    __slots__ = ("_open", "_members")
+
+    def __init__(self, tag: str, members: list[tuple[bytes, tuple]]) -> None:
+        self._open = (
+            _tuple_open(2) + encoding(tag) + _tuple_open(len(members))
+        )
+        self._members = tuple(members)
+
+    def fill(self, table: list[bytes]) -> bytes:
+        filled = sorted(
+            _fill(fmt, slots, table) for fmt, slots in self._members
+        )
+        return b"".join(
+            (self._open, *[_tagged(b"y", item) for item in filled], _CLOSE,
+             _CLOSE)
+        )
 
 
 #: Types whose values are always content leaves (exact types only:
 #: a subclass takes the general path).
 _LEAF_TYPES = frozenset({str, int, bool, float, bytes, type(None)})
-
-#: The image rule of each exact type (see :func:`_image_other`).
-_IMAGES: dict[type, Callable[[PidCanonicalizer, Any], Any]] = {
-    **dict.fromkeys(_LEAF_TYPES, PidCanonicalizer.token),
-    Message: PidCanonicalizer._message,
-    MessageId: PidCanonicalizer._uid,
-    PointToPointId: PidCanonicalizer._p2p,
-    tuple: PidCanonicalizer._sequence,
-    list: PidCanonicalizer._sequence,
-    set: PidCanonicalizer._set,
-    frozenset: PidCanonicalizer._set,
-    dict: PidCanonicalizer._mapping,
-}
-
-
-class _Unordered(Exception):
-    """A value holds a set, frozenset or dict: it gets no template."""
-
 
 #: Literal openings of the canonical images the builder writes.
 _MESSAGE_OPEN = _tuple_open(3) + encoding("M")
@@ -770,34 +721,45 @@ _RECORD_OPEN = _tuple_open(3) + encoding("C")
 
 
 class _TemplateBuilder:
-    """Writes canonical encodings with slots (see :class:`OrbitTemplate`).
+    """Writes canonical images with slots (see :class:`OrbitTemplate`).
 
-    :meth:`value` mirrors :meth:`PidCanonicalizer.value` case by case,
-    but writes the encoding of the image instead of building it: literal
-    bytes collect in a buffer that is escaped into the format at each
-    slot, and every permuted pid and content token becomes a ``%b``
-    slot.  Contents are numbered after ``base``'s, whose index is copied
-    only when a new content appears.
+    The one walker of the canonical image (the rules are listed on
+    :class:`PidCanonicalizer`).  It writes the image's encoding rather
+    than the image: literal bytes collect in a buffer that is escaped
+    into the format at each slot, and every permuted pid and content
+    token becomes a ``%b`` slot.  A set, frozenset or dict becomes one
+    :class:`_Group` slot, each member written to a format of its own;
+    ``flat`` stays True until one is written.  Contents are numbered
+    after ``base``'s, whose index is copied only when a new content
+    appears.
     """
 
     __slots__ = (
-        "index", "fresh", "_base", "_owned", "_fmt", "_literal", "_slots"
+        "index", "fresh", "slots", "flat", "_base", "_owned", "_fmt",
+        "_literal",
     )
 
     def __init__(self, base: "OrbitTemplate") -> None:
         self.index = base._index
         self._base = base
         self.fresh: list = []
+        self.slots: list = []
+        self.flat = True
         self._owned = False
         self._fmt = bytearray()
         self._literal = bytearray()
-        self._slots: list[int] = []
 
-    def _slot(self, code: int) -> None:
+    def _slot(self, code: "int | _Group") -> None:
         self._fmt += self._literal.replace(b"%", b"%%")
         self._fmt += b"%b"
         self._literal.clear()
-        self._slots.append(code)
+        self.slots.append(code)
+
+    def body(self) -> bytes:
+        """The format written so far."""
+        self._fmt += self._literal.replace(b"%", b"%%")
+        self._literal.clear()
+        return bytes(self._fmt)
 
     def value(self, value: Any) -> None:
         write = _WRITERS.get(type(value))
@@ -830,8 +792,22 @@ class _TemplateBuilder:
             self.value(item)
         self._literal += _CLOSE
 
-    def _unordered(self, value: Any) -> None:
-        raise _Unordered
+    def _group(self, tag: str, members: list) -> None:
+        outer = self._fmt, self._literal, self.slots
+        written = []
+        for member in members:
+            self._fmt, self._literal, self.slots = bytearray(), bytearray(), []
+            self.value(member)
+            written.append((self.body(), tuple(self.slots)))
+        self._fmt, self._literal, self.slots = outer
+        self._slot(_Group(tag, written))
+        self.flat = False
+
+    def _set(self, value: set | frozenset) -> None:
+        self._group("S", sorted(value, key=encoding))
+
+    def _mapping(self, value: dict) -> None:
+        self._group("D", sorted(value.items(), key=encoding))
 
     def _record(self, value: Any) -> None:
         cls = type(value)
@@ -858,20 +834,22 @@ class _TemplateBuilder:
     def finish(self, count: int) -> "OrbitTemplate":
         """The base template followed by what was written, as ``count``
         values in all."""
-        self._fmt += self._literal.replace(b"%", b"%%")
         base = self._base
         return OrbitTemplate(
             count,
-            base._body + self._fmt,
-            base.slots + tuple(self._slots),
+            base._body + self.body(),
+            base.slots + tuple(self.slots),
             base.contents + tuple(self.fresh),
             self.index,
+            base.flat and self.flat,
         )
 
 
 def _writer_other(value: Any) -> Callable[[_TemplateBuilder, Any], None]:
     """The write rule of a value whose exact type has no entry in
-    ``_WRITERS``: the chain of :func:`_image_other`, rule for rule."""
+    ``_WRITERS``: the ordered ``isinstance`` chain (a subclass takes the
+    rule of the first base it matches, anything else is a content).  A
+    dataclass type that reaches its branch gets an entry."""
     if isinstance(value, Message):
         return _TemplateBuilder._message
     if isinstance(value, MessageId):
@@ -880,8 +858,10 @@ def _writer_other(value: Any) -> Callable[[_TemplateBuilder, Any], None]:
         return _TemplateBuilder._p2p
     if isinstance(value, (tuple, list)):
         return _TemplateBuilder._sequence
-    if isinstance(value, (set, frozenset, dict)):
-        return _TemplateBuilder._unordered
+    if isinstance(value, (set, frozenset)):
+        return _TemplateBuilder._set
+    if isinstance(value, dict):
+        return _TemplateBuilder._mapping
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         _WRITERS[type(value)] = _TemplateBuilder._record
         return _TemplateBuilder._record
@@ -896,75 +876,72 @@ _WRITERS: dict[type, Callable[[_TemplateBuilder, Any], None]] = {
     PointToPointId: _TemplateBuilder._p2p,
     tuple: _TemplateBuilder._sequence,
     list: _TemplateBuilder._sequence,
-    set: _TemplateBuilder._unordered,
-    frozenset: _TemplateBuilder._unordered,
-    dict: _TemplateBuilder._unordered,
+    set: _TemplateBuilder._set,
+    frozenset: _TemplateBuilder._set,
+    dict: _TemplateBuilder._mapping,
 }
 
 
 class OrbitTemplate:
-    """A component's canonical encoding with pid and content slots.
+    """A component's canonical encoding with pid, content and group slots.
 
     The component is a tuple of values (a journal's entries, a pool
     entry's key and payload, a remaining script); see *Orbit templates*
     in the module docstring.  ``fmt`` is the tuple's canonical encoding
     with each slot written as ``%b`` (literal ``%`` doubled), ``slots``
     codes the slots in order — ``p`` for pid ``p``, ``~i`` for local
-    content ``i`` — and ``contents`` lists the distinct contents in
-    local first-appearance order.  Templates are immutable:
+    content ``i``, a :class:`_Group` for a set or dict — and
+    ``contents`` lists the distinct contents in local first-appearance
+    order.  ``flat`` says no slot is a group.  Templates are immutable:
     :meth:`extended` returns a new one, so forks share them freely.
     """
 
-    __slots__ = ("count", "fmt", "slots", "contents", "_body", "_index")
+    __slots__ = (
+        "count", "fmt", "slots", "contents", "flat", "_body", "_index"
+    )
 
     def __init__(
         self,
         count: int = 0,
         body: bytes = b"",
-        slots: tuple[int, ...] = (),
+        slots: tuple = (),
         contents: tuple = (),
         index: dict[Hashable, int] | None = None,
+        flat: bool = True,
     ) -> None:
         self.count = count
         self.fmt = _tuple_open(count).replace(b"%", b"%%") + body + _CLOSE
         self.slots = slots
         self.contents = contents
+        self.flat = flat
         self._body = body
         self._index = {} if index is None else index
 
-    def extended(self, values: Sequence[Any]) -> "OrbitTemplate | None":
-        """This template with ``values`` appended to its tuple.
-
-        ``None`` when a value holds a set, frozenset or dict: such a
-        component stays on :meth:`PidCanonicalizer.value`.
-        """
+    def extended(self, values: Sequence[Any]) -> "OrbitTemplate":
+        """This template with ``values`` appended to its tuple."""
         builder = _TemplateBuilder(self)
-        try:
-            for value in values:
-                builder.value(value)
-        except _Unordered:
-            return None
+        for value in values:
+            builder.value(value)
         return builder.finish(self.count + len(values))
 
 
-def pool_template(p2p: PointToPointId, payload: Any) -> OrbitTemplate | None:
+_EMPTY_TEMPLATE = OrbitTemplate()
+
+
+def pool_template(p2p: PointToPointId, payload: Any) -> OrbitTemplate:
     """The template of one in-flight message's canonical pool entry.
 
     The entry is ``((perm[sender], perm[receiver], seq), image)``: the
     mapped identity the canonical state sorts its pool by, then the
-    canonical image of ``payload``.  ``None`` when the payload holds an
-    unordered container.
+    canonical image of ``payload``.
     """
-    builder = _TemplateBuilder(OrbitTemplate())
+    builder = _TemplateBuilder(_EMPTY_TEMPLATE)
     builder._literal += _tuple_open(3)
     builder._slot(p2p.sender)
     builder._slot(p2p.receiver)
     _encode_into(builder._literal, p2p.seq)
     builder._literal += _CLOSE
-    try:
-        builder.value(payload)
-    except _Unordered:
-        return None
+    builder.value(payload)
     return builder.finish(2)
 
 

@@ -39,7 +39,7 @@ class InFlight:
         return self.p2p.receiver
 
     @cached_property
-    def orbit_template(self) -> OrbitTemplate | None:
+    def orbit_template(self) -> OrbitTemplate:
         """The template of this message's canonical pool entry.
 
         Built once, on first use, and shared by every fork whose pool

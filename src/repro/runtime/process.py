@@ -341,9 +341,8 @@ class ProcessRuntime:
         self._shape_body = b""
         self._shape_encoding = _EMPTY_SHAPE
         #: The orbit template of a journal prefix, extended lazily by
-        #: :meth:`orbit_template`; ``None`` once an entry holds a set or
-        #: dict (see :mod:`repro.runtime.fingerprint`).
-        self._orbit_template: OrbitTemplate | None = _EMPTY_TEMPLATE
+        #: :meth:`orbit_template` (see :mod:`repro.runtime.fingerprint`).
+        self._orbit_template = _EMPTY_TEMPLATE
         #: Encodings of the first ``_encoded_count`` journal entries,
         #: extended lazily by :meth:`fingerprint` (immutable, so forks
         #: share it), and the digest, cached until the next append.
@@ -435,8 +434,7 @@ class ProcessRuntime:
         """The driver-call journal, the process's complete input log.
 
         A read-only snapshot.  The symmetry reduction reads it through
-        :meth:`orbit_template` instead, and encodes it entry by entry
-        only when an entry holds a set or dict.
+        :meth:`orbit_template` instead.
         """
         return tuple(self._journal)
 
@@ -469,8 +467,8 @@ class ProcessRuntime:
                 len(self._shape), self._shape_body
             )
 
-    def orbit_template(self) -> OrbitTemplate | None:
-        """The journal's orbit template, or ``None`` on the slow path.
+    def orbit_template(self) -> OrbitTemplate:
+        """The journal's orbit template.
 
         The template of :meth:`journal_entries` under every pid
         permutation (see :class:`~repro.runtime.fingerprint.OrbitTemplate`),
@@ -479,7 +477,7 @@ class ProcessRuntime:
         sees it change.
         """
         template = self._orbit_template
-        if template is not None and template.count < len(self._journal):
+        if template.count < len(self._journal):
             template = template.extended(self._journal[template.count :])
             self._orbit_template = template
         return template

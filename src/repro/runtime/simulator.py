@@ -48,12 +48,14 @@ from .crash import CrashSchedule
 from .fingerprint import (
     OrbitTemplate,
     PidCanonicalizer,
+    dict_encoding,
     encoded_digest,
     encoding,
     int_encoding,
     list_encoding,
     orbit_digest,
     tuple_digest,
+    tuple_encoding,
 )
 from .independence import Footprint, FootprintDraft
 from .ksa_objects import DecisionPolicy, FirstProposalsPolicy, KsaRegistry
@@ -121,8 +123,8 @@ class Gated:
 class _ScriptOrbit(NamedTuple):
     """What the orbit key reads of one pid's remaining script."""
 
-    #: The script's orbit template (``None``: it holds a set or dict).
-    template: OrbitTemplate | None
+    #: The script's orbit template.
+    template: OrbitTemplate
     #: ``encoding`` of the script's shape, for the pid's profile.
     shape: bytes
     #: ``encoding`` of the pid's sync-gate flag, for its profile.
@@ -596,30 +598,25 @@ class SimulationRun:
         builds its template once, and the remaining scripts' templates
         and the per-permutation encoding of the counters and sync gates
         (which hold no contents) are kept until the next broadcast
-        start.  Only the oracle registry, and a journal, pool entry or
-        script holding a set or dict, go through
-        :meth:`~repro.runtime.fingerprint.PidCanonicalizer.value`.
-        Components are encoded in traversal order — journals in
-        mapped-pid order, then the sorted pool, the registry and the
-        scripts — into one token table, so the digest is byte-identical
-        to ``stable_digest("canon-run", steps, mapped alive, journals,
-        pool, registry, counters, sync gates, remaining)`` over the
-        canonical images.
+        start.  The oracle registry keeps no template: each proposal
+        and decision is written by
+        :meth:`~repro.runtime.fingerprint.PidCanonicalizer.encode`,
+        under its mapped proposer.  Components are encoded in traversal
+        order — journals in mapped-pid order, then the sorted pool, the
+        registry (objects by name, proposals before decisions, each in
+        mapped-pid order) and the scripts — into one token table, so the
+        digest is byte-identical to ``stable_digest("canon-run", steps,
+        mapped alive, journals, pool, registry, counters, sync gates,
+        remaining)`` over the canonical images.
         """
         canon = PidCanonicalizer(permutation)
         n = self.simulator.n
         # Old pids visited in mapped order, so token numbering (first
         # appearance) is a function of the *relabeled* state alone.
         order = sorted(range(n), key=lambda p: permutation[p])
-        journals = []
-        for p in order:
-            runtime = self.runtimes[p]
-            template = runtime.orbit_template()
-            journals.append(
-                encoding(canon.value(runtime.journal_entries()))
-                if template is None
-                else canon.fill(template)
-            )
+        journals = [
+            canon.fill(self.runtimes[p].orbit_template()) for p in order
+        ]
         pool = sorted(
             (
                 (
@@ -631,52 +628,38 @@ class SimulationRun:
             )
             for item in self.network.deliverable(None)
         )
-        pool_encoding = [
-            encoding((key, canon.value(item.payload)))
-            if item.orbit_template is None
-            else canon.fill(item.orbit_template)
-            for key, item in pool
-        ]
-        registry_encoding = encoding(
-            [
-                (
-                    name,
-                    {
-                        canon.pid(p): canon.value(obj.proposals[p])
-                        for p in sorted(
-                            obj.proposals, key=lambda p: permutation[p]
+        pool_encoding = [canon.fill(item.orbit_template) for _, item in pool]
+        registry = []
+        for name, obj in sorted(self.registry.objects.items()):
+            mappings = [
+                dict_encoding(
+                    [
+                        tuple_encoding(
+                            2,
+                            int_encoding(permutation[p]),
+                            canon.encode(values[p]),
                         )
-                    },
-                    {
-                        canon.pid(p): canon.value(obj.decisions[p])
-                        for p in sorted(
-                            obj.decisions, key=lambda p: permutation[p]
-                        )
-                    },
+                        for p in sorted(values, key=lambda p: permutation[p])
+                    ]
                 )
-                for name, obj in sorted(self.registry.objects.items())
+                for values in (obj.proposals, obj.decisions)
             ]
-        )
+            registry.append(tuple_encoding(3, encoding(name), *mappings))
         gates = self._orbit_gates.get(tuple(permutation))
         if gates is None:
             counters = {
                 permutation[p]: c for p, c in self.factory.counters().items()
             }
             last_sync = [
-                None
+                encoding(None)
                 if self.last_sync_message[p] is None
-                else canon.value(self.last_sync_message[p].uid)
+                else canon.encode(self.last_sync_message[p].uid)
                 for p in order
             ]
-            gates = encoding(counters, last_sync)
+            gates = encoding(counters) + list_encoding(n, *last_sync)
             self._orbit_gates[tuple(permutation)] = gates
         scripts = self._scripts_for_orbit()
-        remaining = [
-            encoding(canon.value(tuple(self.remaining[p])))
-            if scripts[p].template is None
-            else canon.fill(scripts[p].template)
-            for p in order
-        ]
+        remaining = [canon.fill(scripts[p].template) for p in order]
         canon.seal()  # one state per canonicalizer: token table is spent
         return encoded_digest(
             (
@@ -686,7 +669,7 @@ class SimulationRun:
             ),
             list_encoding(n, *journals),
             list_encoding(len(pool_encoding), *pool_encoding),
-            registry_encoding,
+            list_encoding(len(registry), *registry),
             gates,
             list_encoding(n, *remaining),
         )

@@ -15,7 +15,9 @@ Verbs (see :mod:`repro.server.protocol` for framing):
     ``{"descriptor": {...}, "priority": 0, "wait": false}`` — validate
     and queue a job.  Replies with the job id, state, digest, and
     whether it was a memo hit; with ``wait`` the reply is delayed until
-    the job is terminal and includes the result.
+    the job is terminal and includes the result.  A ``priority`` that
+    is not an integer (``true`` included) or a ``wait`` that is not a
+    boolean is rejected by name.
 ``status`` / ``result`` / ``cancel``
     ``{"job": "job-1"}`` — summary, terminal result (waits), or
     cancellation.
@@ -282,14 +284,17 @@ class VerificationService:
         if not isinstance(payload, dict):
             raise ProtocolError("submit needs a 'descriptor' object")
         priority = request.get("priority", 0)
-        if not isinstance(priority, int):
+        if not isinstance(priority, int) or isinstance(priority, bool):
             raise ProtocolError("'priority' must be an integer")
+        wait = request.get("wait", False)
+        if not isinstance(wait, bool):
+            raise ProtocolError("'wait' must be a boolean")
         descriptor = JobDescriptor.from_json(payload)
         try:
             record = self.manager.submit(descriptor, priority=priority)
         except RuntimeError as exc:  # draining
             raise ProtocolError(str(exc)) from exc
-        if request.get("wait"):
+        if wait:
             await record.wait()
             await write_message(
                 writer,

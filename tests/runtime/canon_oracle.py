@@ -3,8 +3,10 @@
 :meth:`~repro.runtime.simulator.SimulationRun.canonical_state_digest`
 fills cached per-component templates; :func:`canonical_state_digest`
 below rebuilds the canonical image of the whole state through the
-recursive :meth:`~repro.runtime.fingerprint.PidCanonicalizer.value` and
-encodes it from scratch — no templates, no cached encodings.  Likewise
+recursive ``isinstance`` chain of
+:func:`tests.runtime.encoding_oracle.canonical_image`, one token table
+shared by every component, and encodes it from scratch — no templates,
+no cached encodings, and no code of the canonicalizer.  Likewise
 :func:`orbit_key` recomputes every per-pid profile from the journal
 entries.  The cached path must agree with both byte for byte, at every
 node of a symmetric search.
@@ -14,21 +16,25 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.runtime import PidCanonicalizer, SimulationRun, orbit_digest
+from repro.runtime import SimulationRun, orbit_digest
 from repro.runtime.fingerprint import stable_digest
 from repro.runtime.simulator import Gated
+
+from .encoding_oracle import canonical_image
 
 
 def canonical_state_digest(
     run: SimulationRun, permutation: Sequence[int]
 ) -> str:
     """The state digest after relabeling pids through ``permutation``."""
-    canon = PidCanonicalizer(permutation)
+    tokens: dict = {}
+
+    def image(value):
+        return canonical_image(permutation, value, tokens=tokens)
+
     n = run.simulator.n
     order = sorted(range(n), key=lambda p: permutation[p])
-    journals = [
-        canon.value(run.runtimes[p].journal_entries()) for p in order
-    ]
+    journals = [image(run.runtimes[p].journal_entries()) for p in order]
     pool = sorted(
         (
             (
@@ -40,16 +46,16 @@ def canonical_state_digest(
         )
         for item in run.network.deliverable(None)
     )
-    pool_encoding = [(key, canon.value(item.payload)) for key, item in pool]
+    pool_encoding = [(key, image(item.payload)) for key, item in pool]
     registry_encoding = [
         (
             name,
             {
-                canon.pid(p): canon.value(obj.proposals[p])
+                permutation[p]: image(obj.proposals[p])
                 for p in sorted(obj.proposals, key=lambda p: permutation[p])
             },
             {
-                canon.pid(p): canon.value(obj.decisions[p])
+                permutation[p]: image(obj.decisions[p])
                 for p in sorted(obj.decisions, key=lambda p: permutation[p])
             },
         )
@@ -59,11 +65,10 @@ def canonical_state_digest(
     last_sync = [
         None
         if run.last_sync_message[p] is None
-        else canon.value(run.last_sync_message[p].uid)
+        else image(run.last_sync_message[p].uid)
         for p in order
     ]
-    remaining = [canon.value(tuple(run.remaining[p])) for p in order]
-    canon.seal()
+    remaining = [image(tuple(run.remaining[p])) for p in order]
     return stable_digest(
         "canon-run",
         run.steps,

@@ -82,17 +82,22 @@ def encoding(*values: Any) -> bytes:
     return bytes(buf)
 
 
-def canonical_image(permutation, value: Any) -> Any:
-    """``PidCanonicalizer(permutation).value(value)``, by the chain.
+def canonical_image(
+    permutation, value: Any, tokens: dict | None = None
+) -> Any:
+    """The canonical image of ``value`` under ``permutation``, by the chain.
 
     The image of ``value`` with structural pids mapped through
     ``permutation`` and every other leaf replaced by a token numbered
-    by first appearance.
+    by first appearance.  ``tokens`` is the table of tokens drawn so
+    far, updated in place: the images of a state's components share
+    one, so a content keeps its token across components.
     """
     from repro.core.actions import PointToPointId
     from repro.core.message import Message, MessageId
 
-    tokens: dict = {}
+    if tokens is None:
+        tokens = {}
 
     def image(value: Any) -> Any:
         if isinstance(value, Message):

@@ -239,14 +239,16 @@ class TestPerObjectEncodings:
 
 
 class TestOrbitImagesAgainstTheChain:
-    """The orbit path dispatches by exact type too: its images and
-    templates must match the chain's canonical image."""
+    """The orbit path dispatches by exact type too: its templates must
+    encode the chain's canonical image."""
 
     @settings(max_examples=150, deadline=None)
     @given(value=values, permutation=st.permutations(range(4)))
     def test_canonicalizer_images(self, value, permutation):
-        image = PidCanonicalizer(permutation).value(value)
-        assert image == oracle.canonical_image(permutation, value)
+        expected = oracle.canonical_image(permutation, value)
+        assert PidCanonicalizer(permutation).encode(value) == (
+            oracle.encoding(expected)
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -255,11 +257,34 @@ class TestOrbitImagesAgainstTheChain:
     )
     def test_templates(self, items, permutation):
         template = OrbitTemplate().extended(items)
-        if template is None:  # holds a set or dict: no template
-            return
         filled = PidCanonicalizer(permutation).fill(template)
         expected = oracle.canonical_image(permutation, tuple(items))
         assert filled == oracle.encoding(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(values, st.booleans()), min_size=1, max_size=4
+        ),
+        permutation=st.permutations(range(4)),
+    )
+    def test_one_token_table_across_components(self, parts, permutation):
+        # a content keeps the token it took in an earlier component,
+        # whether either component is filled from a template (built in
+        # pieces) or encoded for the call, and whatever groups hold it
+        canon = PidCanonicalizer(permutation)
+        tokens: dict = {}
+        for value, templated in parts:
+            if templated:
+                template = OrbitTemplate().extended([value])
+                template = template.extended([value])
+                encoded = canon.fill(template)
+                image = (value, value)
+            else:
+                encoded = canon.encode(value)
+                image = value
+            expected = oracle.canonical_image(permutation, image, tokens)
+            assert encoded == oracle.encoding(expected)
 
     def test_subclasses_take_the_rule_of_their_base(self):
         canon = PidCanonicalizer((1, 0))
@@ -268,8 +293,10 @@ class TestOrbitImagesAgainstTheChain:
             Stamped(MessageId(0, 1), "c", 2),
             Box(MessageId(1, 0)),
         )
-        assert canon.value(value) == (
-            (("~", 0), ("~", 1)),
-            ("M", ("U", 1, 1), ("~", 2)),
-            ("C", "Box", (("U", 0, 0),)),
+        assert canon.encode(value) == oracle.encoding(
+            (
+                (("~", 0), ("~", 1)),
+                ("M", ("U", 1, 1), ("~", 2)),
+                ("C", "Box", (("U", 0, 0),)),
+            )
         )

@@ -12,6 +12,7 @@ keys of the symmetry reduction: the templated encoding must equal the
 whole-state oracle of ``canon_oracle`` wherever a search asks for one.
 """
 
+import itertools
 import json
 import os
 import shutil
@@ -29,8 +30,10 @@ from hypothesis.stateful import (
 )
 
 from repro.broadcasts import (
+    FirstKKsaBroadcast,
     KSteppedKsaBroadcast,
     SendToAllBroadcast,
+    TrivialKsaBroadcast,
     UniformReliableBroadcast,
 )
 from repro.core.message import Message, MessageId
@@ -48,6 +51,7 @@ from repro.runtime.explorer import (
     explore_schedules,
     spec_property,
 )
+from repro.runtime.fingerprint import OrbitTemplate
 from repro.specs import KSteppedBroadcastSpec, TotalOrderBroadcastSpec
 
 from . import canon_oracle
@@ -246,12 +250,12 @@ class TestPidCanonicalizerSingleUse:
 
     def test_second_top_level_encode_raises(self):
         canon = PidCanonicalizer((0, 1))
-        canon.value(("x", "y"))
+        canon.encode(("x", "y"))
         canon.seal()
         with pytest.raises(RuntimeError, match="single-use"):
-            canon.value(("x", "y"))
+            canon.encode(("x", "y"))
         with pytest.raises(RuntimeError, match="single-use"):
-            canon.token("z")
+            canon.fill(OrbitTemplate().extended(["z"]))
 
     def test_reuse_would_make_encodings_history_dependent(self):
         """The miscollapse the seal prevents, demonstrated.
@@ -267,12 +271,12 @@ class TestPidCanonicalizerSingleUse:
         encoding history instead of state identity.
         """
         state = ("y", "z")
-        fresh = PidCanonicalizer((0, 1)).value(state)
+        fresh = PidCanonicalizer((0, 1)).encode(state)
         # simulate the forbidden reuse: encode another state first on
         # the same (unsealed) instance, then the state under test
         reused = PidCanonicalizer((0, 1))
-        reused.value(("x",))  # history: "x" takes token 0
-        assert reused.value(state) != fresh
+        reused.encode(("x",))  # history: "x" takes token 0
+        assert reused.encode(state) != fresh
         # with enforcement, the dedup layer can never observe this:
         # canonical_state_digest seals its canonicalizer per call, so
         # back-to-back digests of one run are reproducible
@@ -281,13 +285,6 @@ class TestPidCanonicalizerSingleUse:
         assert run.canonical_state_digest((0, 1)) == (
             run.canonical_state_digest((0, 1))
         )
-
-    def test_pid_mapping_survives_sealing(self):
-        # pid() reads the permutation, not the token table: still legal
-        canon = PidCanonicalizer((1, 0))
-        canon.value("x")
-        canon.seal()
-        assert canon.pid(0) == 1
 
 
 #: A symmetric search whose scripts hold sets: each sender's set shares
@@ -642,9 +639,8 @@ class TestCachedDigestsMatchScratch:
         assert checked_fingerprints["runs"] > 0
 
     def test_unordered_contents_take_the_slow_path(self, checked_orbit_keys):
-        # a component holding a set gets no template: it is encoded by
-        # PidCanonicalizer.value, into the token table the templated
-        # components fill from
+        # a component holding a set has a template like any other, in
+        # which the set is one group slot
         simulator = Simulator(2, SendToAllBroadcast)
         scripts = {
             0: [frozenset({"x", "y"}), "y"],
@@ -653,11 +649,14 @@ class TestCachedDigestsMatchScratch:
         run = simulator.begin(scripts)
         run.advance(0)  # p0 starts broadcasting its set
         run.advance(0)  # and sends it
-        assert run.runtimes[0].orbit_template() is None
-        assert run.runtimes[1].orbit_template() is not None
-        assert [item.orbit_template for item in run.network.deliverable()] == [
-            None
-        ]
+        assert not run.runtimes[0].orbit_template().flat
+        assert run.runtimes[1].orbit_template().flat
+        (item,) = run.network.deliverable()
+        assert not item.orbit_template.flat
+        for permutation in [(0, 1), (1, 0)]:
+            assert run.canonical_state_digest(permutation) == (
+                canon_oracle.canonical_state_digest(run, permutation)
+            )
         result = explore_schedules(
             simulator,
             scripts,
@@ -668,6 +667,51 @@ class TestCachedDigestsMatchScratch:
             max_schedules=200,
         )
         assert checked_orbit_keys["keys"] >= result.states_seen > 0
+
+    @pytest.mark.parametrize(
+        "algorithm, k, adopts",
+        [(TrivialKsaBroadcast, 2, False), (FirstKKsaBroadcast, 1, True)],
+        ids=["trivial-ksa", "first-k"],
+    )
+    def test_ksa_registry_under_every_permutation(
+        self, algorithm, k, adopts, monkeypatch
+    ):
+        # the registry keeps no template: its proposals and decisions
+        # (messages holding a set or a tuple here) are encoded per call,
+        # into the token table the templated components fill from.
+        # trivial-ksa proposes on one object per message; first-k with
+        # k=1 shares one, so a later proposer adopts an earlier value
+        # and the decisions differ from the proposals
+        permutations = list(itertools.permutations(range(3)))
+        tally = {"nodes": 0, "decided": 0, "adopted": 0}
+
+        def checked(self):
+            for permutation in permutations:
+                assert self.canonical_state_digest(permutation) == (
+                    canon_oracle.canonical_state_digest(self, permutation)
+                )
+            tally["nodes"] += 1
+            decisions = [
+                (obj.proposals[p], value)
+                for obj in self.registry.objects.values()
+                for p, value in obj.decisions.items()
+            ]
+            tally["decided"] += bool(decisions)
+            tally["adopted"] += any(mine != value for mine, value in decisions)
+            return cached_run_digest(self)
+
+        monkeypatch.setattr(SimulationRun, "fingerprint", checked)
+        result = explore_schedules(
+            Simulator(3, algorithm, k=k),
+            {0: [frozenset({"a", "b"})], 1: [("b", "a")]},
+            lambda result: [],
+            dedup=True,
+            sleep_sets=True,
+            max_schedules=30,
+        )
+        assert tally["nodes"] >= result.states_seen > 300
+        assert tally["decided"] > 300
+        assert (tally["adopted"] > 300) == adopts
 
     def test_resume_from_checkpoint(self, checked_fingerprints, tmp_path):
         simulator, scripts, prop = family_config("s2a")

@@ -1,13 +1,13 @@
-"""A spec property's branch tracker agrees with its one-shot check.
+"""A spec property's branch tracker agrees with the spec's own check.
 
 :func:`spec_property` keeps the broadcast projection along each branch
-when the explorer drives it, and checks the trace's projection when
-called on a result.  These tests evaluate both at every terminal a
-search visits, for every spec of the service registry under
-``assume_complete`` True and False: over the crash catalog, the
-3-sender symmetric search, a two-worker search, and a search resumed
-from a mid-run checkpoint.  Any disagreement surfaces as a violation
-naming the spec.
+when the explorer drives it.  These tests judge, at every terminal a
+search visits, the tracker's verdict against the spec applied to the
+terminal trace's broadcast projection, computed here, for every spec of
+the service registry under ``assume_complete`` True and False: over
+the crash catalog, the 3-sender symmetric search, a two-worker search,
+and a search resumed from a mid-run checkpoint.  Any disagreement
+surfaces as a violation naming the spec.
 """
 
 import pytest
@@ -40,18 +40,22 @@ class DifferentialTracker(PropertyTracker):
 
     def fork(self):
         return DifferentialTracker(
-            [(label, prop, tracker.fork())
-             for label, prop, tracker in self._entries],
+            [(label, judge, tracker.fork())
+             for label, judge, tracker in self._entries],
             self._verdicts,
         )
 
     def at_terminal(self, result):
         problems = []
-        for label, prop, tracker in self._entries:
+        projection = result.execution.broadcast_projection()
+        for label, (spec, complete), tracker in self._entries:
             tracked = tracker.at_terminal(result)
             if tracked:
                 self._verdicts[label] = self._verdicts.get(label, 0) + 1
-            if tracked != prop(result):
+            expected = spec.admits(
+                projection, assume_complete=complete
+            ).all_violations()
+            if tracked != expected:
                 problems.append(f"{label}: tracker {tracked!r}")
         return problems
 
@@ -60,11 +64,15 @@ class Differential:
     """Every registry spec, under both ``assume_complete`` flags."""
 
     def __init__(self):
+        #: (label, (spec, assume_complete), property)
         self.props = [
-            (f"{name}/{complete}", spec_property(
-                SPECS[name](1), assume_complete=complete
-            ))
+            (
+                f"{name}/{complete}",
+                (spec, complete),
+                spec_property(spec, assume_complete=complete),
+            )
             for name in sorted(SPECS)
+            for spec in [SPECS[name](1)]
             for complete in (True, False)
         ]
         #: label → terminals the tracker rejected (sequential runs only)
@@ -75,7 +83,10 @@ class Differential:
 
     def tracker(self, n):
         return DifferentialTracker(
-            [(label, prop, prop.tracker(n)) for label, prop in self.props],
+            [
+                (label, judge, prop.tracker(n))
+                for label, judge, prop in self.props
+            ],
             self.verdicts,
         )
 

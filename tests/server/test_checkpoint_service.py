@@ -54,6 +54,26 @@ def long_running():
     )
 
 
+def endless():
+    """URB with two senders among three: it cannot finish before a
+    test's watchdog, so a signal always lands on a running job."""
+    return JobDescriptor.from_json(
+        {
+            "algorithm": "uniform-reliable",
+            "n": 3,
+            "scripts": {"0": ["a"], "1": ["b"]},
+            "dedup": False,
+            "max_schedules": 10**9,
+            "progress_every": 25,
+        }
+    )
+
+
+def memo_keys(path):
+    with open(path) as handle:
+        return {entry["key"] for entry in json.load(handle)["entries"]}
+
+
 def tiny(letter="x"):
     return JobDescriptor.from_json(
         {"algorithm": "send-to-all", "n": 2, "scripts": {"0": [letter]}}
@@ -380,17 +400,16 @@ class TestRealSignals:
 
             async def submit_and_watch():
                 async with ServiceClient("127.0.0.1", port) as client:
-                    job = (
-                        await client.submit(long_running().to_json())
-                    )["job"]
-                    async for event in client.watch(job):
+                    reply = await client.submit(endless().to_json())
+                    async for event in client.watch(reply["job"]):
                         if event["event"] == "progress":
-                            return
+                            return reply["digest"]
 
-            asyncio.run(submit_and_watch())
+            digest = asyncio.run(submit_and_watch())
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=90) == 0
-            assert os.path.exists(memo_path)
+            # the job was stopped, not finished: no result was memoized
+            assert digest not in memo_keys(memo_path)
             names = os.listdir(ckpt_dir)
             assert any(name.endswith(".ckpt") for name in names)
         finally:
@@ -420,16 +439,15 @@ class TestRealSignals:
 
             async def submit_and_watch():
                 async with ServiceClient("127.0.0.1", port) as client:
-                    job = (
-                        await client.submit(long_running().to_json())
-                    )["job"]
-                    async for event in client.watch(job):
+                    reply = await client.submit(endless().to_json())
+                    async for event in client.watch(reply["job"]):
                         if event["event"] == "progress":
-                            return
+                            return reply["digest"]
 
-            asyncio.run(submit_and_watch())
+            digest = asyncio.run(submit_and_watch())
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=90) == 0
+            assert digest not in memo_keys(memo_path)
             names = os.listdir(ckpt_dir)
             assert any(name.endswith(".ckpt") for name in names)
         finally:
@@ -459,16 +477,15 @@ class TestRealSignals:
 
             async def submit_and_watch():
                 async with ServiceClient("127.0.0.1", port) as client:
-                    job = (
-                        await client.submit(long_running().to_json())
-                    )["job"]
-                    async for event in client.watch(job):
+                    reply = await client.submit(endless().to_json())
+                    async for event in client.watch(reply["job"]):
                         if event["event"] == "progress":
-                            return
+                            return reply["digest"]
 
-            asyncio.run(submit_and_watch())
+            digest = asyncio.run(submit_and_watch())
             os.killpg(proc.pid, signal.SIGINT)
             assert proc.wait(timeout=90) == 0
+            assert digest not in memo_keys(memo_path)
             names = os.listdir(ckpt_dir)
             assert any(name.endswith(".ckpt") for name in names)
         finally:

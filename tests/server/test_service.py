@@ -308,6 +308,31 @@ class TestProtocolSurface:
 
         asyncio.run(main())
 
+    def test_wrong_typed_submit_fields_rejected_session_survives(self):
+        # ``True`` is an ``int`` to Python, and a truthy string is not a
+        # flag: both are named errors, and nothing is submitted
+        async def main():
+            service, host, port = await started_service()
+            async with ServiceClient(host, port) as client:
+                descriptor = tiny("p")
+                for fields, name in [
+                    ({"priority": True}, "priority"),
+                    ({"priority": "1"}, "priority"),
+                    ({"wait": 1}, "wait"),
+                    ({"wait": "no"}, "wait"),
+                ]:
+                    with pytest.raises(ServiceError, match=f"'{name}'"):
+                        await client.request(
+                            "submit", descriptor=descriptor, **fields
+                        )
+                assert (await client.ping())["pong"] is True
+                assert service.manager.stats()["submitted"] == 0
+                reply = await client.submit(descriptor, priority=2, wait=True)
+                assert reply["state"] == "done"
+            await service.shutdown()
+
+        asyncio.run(main())
+
     def test_request_ids_echoed(self):
         async def main():
             service, host, port = await started_service()
