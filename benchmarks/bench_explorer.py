@@ -15,7 +15,7 @@ from repro.runtime import (
     explore_schedules,
     spec_property,
 )
-from repro.runtime.fingerprint import stable_digest
+from repro.runtime.fingerprint import OrbitTemplate, stable_digest
 from repro.runtime.independence import Footprint, classify
 from repro.specs import (
     KSteppedBroadcastSpec,
@@ -322,8 +322,8 @@ def symmetric_s2a_state(scripts=None):
     The state the ``orbit-checkpoint`` search explores: every process
     broadcasts once, so symmetric states abound.  Taking the first
     enabled event starts all three broadcasts and leaves their copies
-    in flight.  Its orbit key is already taken, so every template is
-    built.
+    in flight.  Its orbit key is already taken, so the memo its forks
+    share holds the template and digest of each of its components.
     """
     simulator = Simulator(3, SendToAllBroadcast)
     run = simulator.begin(scripts or {0: ["a"], 1: ["b"], 2: ["c"]})
@@ -335,20 +335,25 @@ def symmetric_s2a_state(scripts=None):
     return run
 
 
-def test_orbit_key_after_one_event(benchmark):
-    """The symmetry reduction's cache key after one reception.
+def time_orbit_key_after_one_event(benchmark, base, memo):
+    """Time ``orbit_key`` on a fork of ``base`` after one reception.
 
-    Each round forks the symmetric state, commits one reception and
-    runs its prelude — untimed — then times one ``orbit_key``: the
-    receiver's journal template is extended by the new entries and
-    every other component fills its cached template.  The key must
-    equal the from-scratch canonical encoding of
-    ``tests/runtime/canon_oracle.py``.
+    Each round forks ``base``, commits its first enabled reception and
+    runs the prelude — untimed — then times one key.  With ``memo ==
+    "cold"`` the fork starts an empty memo, so every component's
+    template is built, filled and hashed: what the key of a state
+    costs whose components the search has not met.  With ``"warm"`` it
+    shares the memo of ``base``, which every earlier round has filled:
+    each component is a lookup, as at most nodes of a search.  The key
+    must equal the from-scratch encoding of
+    ``tests/runtime/canon_oracle.py`` either way.  Returns the last
+    round's run.
     """
-    base = symmetric_s2a_state()
 
     def one_event():
         run = base.fork()
+        if memo == "cold":
+            run._orbit_memo = {}
         receptions = [
             i for i, (kind, _) in enumerate(run.choices()) if kind == "recv"
         ]
@@ -362,6 +367,14 @@ def test_orbit_key_after_one_event(benchmark):
     (run, groups), _ = one_event()
     assert result == type(base).orbit_key(run, groups)
     assert result == canon_oracle.orbit_key(run, groups)
+    return run
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_orbit_key_after_one_event(benchmark, memo):
+    """The symmetry reduction's cache key after one reception (see
+    :func:`time_orbit_key_after_one_event`)."""
+    time_orbit_key_after_one_event(benchmark, symmetric_s2a_state(), memo)
 
 
 #: Set contents: each sender's set shares an element with the next one.
@@ -372,29 +385,14 @@ SET_SCRIPTS = {
 }
 
 
-def test_orbit_key_with_set_contents(benchmark):
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_orbit_key_with_set_contents(benchmark, memo):
     """:func:`test_orbit_key_after_one_event` with frozenset scripts.
 
     Every journal, pool entry and script holding a set fills through a
     group slot: each member is filled, the member encodings sorted.
-    The key must equal the from-scratch canonical encoding of
-    ``tests/runtime/canon_oracle.py``.
     """
-    base = symmetric_s2a_state(SET_SCRIPTS)
-
-    def one_event():
-        run = base.fork()
-        receptions = [
-            i for i, (kind, _) in enumerate(run.choices()) if kind == "recv"
-        ]
-        run.advance(receptions[0])
-        run.choices()
-        return (run, SYMMETRIC_GROUPS), {}
-
-    result = benchmark.pedantic(
-        type(base).orbit_key, setup=one_event, rounds=300, warmup_rounds=10
+    run = time_orbit_key_after_one_event(
+        benchmark, symmetric_s2a_state(SET_SCRIPTS), memo
     )
-    (run, groups), _ = one_event()
-    assert not run.runtimes[0].orbit_template().flat
-    assert result == type(base).orbit_key(run, groups)
-    assert result == canon_oracle.orbit_key(run, groups)
+    assert not OrbitTemplate(run.runtimes[0].journal_entries()).flat

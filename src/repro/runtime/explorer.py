@@ -1948,6 +1948,12 @@ def explore_schedules(
             static_independence=False,
             crash_aware=True,
             groups=tuple(groups),
+            # A symmetric search's cache keys are orbit keys: name their
+            # layout, so a checkpoint keyed by the whole-image layout
+            # before component digests is refused, not resumed against
+            # a cache it can never hit.  Absent without groups, so
+            # non-symmetric checkpoints keep their digest.
+            **({"orbit_key_layout": "component-digests"} if groups else {}),
             max_schedules=max_schedules,
             max_depth=max_depth,
             stop_at_first_violation=stop_at_first_violation,

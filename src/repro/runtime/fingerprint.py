@@ -84,9 +84,10 @@ change its encoded state:
   prefix of its journal and encodes only the entries appended since
   (lazily, when a digest is asked for); every journal append goes
   through ``_log``, which drops the digest;
-* :class:`~repro.runtime.network.Network` keeps one encoding per
-  in-flight message, in pool order; ``send`` and ``receive`` drop the
-  digest;
+* each :class:`~repro.runtime.network.InFlight` message keeps its
+  own encoding, which forks share with the message, and
+  :class:`~repro.runtime.network.Network` joins them in pool order;
+  ``send`` and ``receive`` drop the digest;
 * :class:`~repro.runtime.ksa_objects.KsaRegistry` drops its digest when
   ``get`` creates an object and on ``propose``;
 * :class:`~repro.runtime.simulator.SimulationRun` keeps the encoding of
@@ -105,7 +106,7 @@ The symmetry reduction's key, :meth:`~repro.runtime.simulator.SimulationRun.cano
 encodes the state under a pid permutation with every content replaced
 by a token numbered by first appearance over the *whole* state, so a
 component's canonical bytes depend on the permutation and on the
-components before it.  What does not depend on either is cached as an
+components before it.  What does not depend on either is its
 :class:`OrbitTemplate`: the component's canonical encoding with three
 kinds of slot,
 
@@ -117,30 +118,40 @@ kinds of slot,
   dict's ``(key, value)`` items) are written as templates of their own,
   in the order of their raw encoding,
 
-plus the ordered list of the component's distinct contents.  Filling a
-template (:meth:`PidCanonicalizer.fill`) maps each local content to its
-global first-appearance token through the one token table of the state
+plus the ordered list of the component's distinct contents.  A
+component is a tuple of values — a journal's entries, an in-flight
+message's ``(p2p, payload)`` pair, a remaining script — and its template
+is a function of its *raw* encoding, :func:`encoding` ``(*values)``,
+which the runtime already keeps for :meth:`~repro.runtime.simulator.SimulationRun.fingerprint`.
+Filling a template maps each local content to its global
+first-appearance token through the one token table of the state
 encoding, then joins the literal chunks with the cached encodings of
-``perm[p]`` and of the tokens: linear in the slots.  A group slot
-fills each member and sorts the member encodings, whose order depends
-on the token numbers; a template with no group slot is *flat* and
-fills with one ``%`` formatting.  One walker,
-:class:`_TemplateBuilder`, writes every template: what keeps none (the
-k-SA registry's values, the sync gates' identities) is written for the
-call by :meth:`PidCanonicalizer.encode`.  Token numbering is that of a
-walk of the whole state, because a content's first appearance in the
-state is its local first appearance in the first component that holds
-it, and components are filled in traversal order.  Containers are
-delimited by count and terminator, and a group's members carry their
-length, so a filled slot of any length leaves the enclosing bytes
-valid.  ``tests/runtime/canon_oracle.py`` encodes the canonical image
-of the whole state from scratch, with none of this code.
+``perm[p]`` and of the tokens: linear in the slots.  A group slot fills
+each member and sorts the member encodings, whose order depends on the
+token numbers; a template with no group slot is *flat* and fills with
+one ``%`` formatting.  One walker, :class:`_TemplateBuilder`, writes
+every template: what keeps none (the k-SA registry's values, the sync
+gates' identities) is written for the call by
+:meth:`PidCanonicalizer.encode`.  Token numbering is that of a walk of
+the whole state, because a content's first appearance in the state is
+its local first appearance in the first component that holds it, and
+components are filled in traversal order.  Containers are delimited by
+count and terminator, and a group's members carry their length, so a
+filled slot of any length leaves the enclosing bytes valid.
 
-A :class:`~repro.runtime.process.ProcessRuntime` extends its journal's
-template lazily, each in-flight message builds one template for its
-pool entry (see :func:`pool_template`), and a run keeps its remaining
-scripts' templates until the next broadcast start; templates are
-immutable, so forks share them.
+The filled bytes are a function of ``(template, permutation, the
+global tokens the local contents take)``, and the template one of the
+raw encoding, so :meth:`PidCanonicalizer.digest` memoizes them exactly:
+a search keeps one dict, shared by every fork, that interns each
+template under its raw encoding and each component *digest* (16 bytes
+of blake2b over the filled bytes) under ``(raw, permutation,
+numbers)``.  A journal reached by another path, or by another pid,
+reuses both.  The state key hashes the component digests, not the
+filled bytes: digests are equal exactly when the canonical images are
+(up to blake2b collisions), so the key partitions states as a hash of
+the whole image would.  ``tests/runtime/canon_oracle.py`` builds every
+canonical image from scratch, with none of this code, and keeps the
+whole-image digest to check that partition.
 """
 
 from __future__ import annotations
@@ -166,7 +177,6 @@ __all__ = [
     "list_encoding",
     "orbit_digest",
     "payload_digest",
-    "pool_template",
     "stable_digest",
     "tuple_digest",
     "tuple_encoding",
@@ -600,10 +610,12 @@ class PidCanonicalizer:
       :func:`encoding`, so the tokens they take depend only on the
       state, never on ``PYTHONHASHSEED``.
 
-    :meth:`fill` fills a component's cached :class:`OrbitTemplate`, and
-    :meth:`encode` writes a template for the call.  Both draw tokens
-    from the one table of this instance, in the order the components
-    are encoded.
+    :meth:`digest` digests one component through ``memo`` and
+    :meth:`encode` writes a value's encoding for the call.  Both draw
+    tokens from the one table of this instance, in the order the
+    components are encoded.  ``memo`` may be shared by every
+    canonicalizer of a search (see *Orbit templates* in the module
+    docstring); each call gets a fresh one by default.
 
     One instance encodes exactly **one** state: token numbers must be a
     pure function of the state (first appearance in *this* traversal).
@@ -615,43 +627,59 @@ class PidCanonicalizer:
     (``canonical_state_digest`` seals the instance it creates).
     """
 
-    __slots__ = ("_tokens", "_sealed", "_pids")
+    __slots__ = ("_tokens", "_sealed", "_perm", "_pids", "_memo")
 
-    def __init__(self, permutation: Sequence[int]) -> None:
+    def __init__(
+        self, permutation: Sequence[int], memo: dict | None = None
+    ) -> None:
         self._tokens: dict[Hashable, int] = {}
         self._sealed = False
+        self._perm = tuple(permutation)
         #: What a template's pid slot ``p`` fills with.
         self._pids = [int_encoding(image) for image in permutation]
+        self._memo = {} if memo is None else memo
 
     def seal(self) -> None:
         """Mark the state encoding complete; further use raises."""
         self._sealed = True
 
-    def fill(self, template: "OrbitTemplate") -> bytes:
-        """The canonical encoding of the component ``template`` caches.
+    def digest(self, raw: bytes, values: Sequence[Any]) -> bytes:
+        """The digest of the canonical encoding of the tuple ``values``.
 
-        Fresh contents are numbered exactly as a walk of the component
-        would number them: each local content, in local first-appearance
-        order, takes its token from the table or the next free one.
+        ``raw`` is :func:`encoding` ``(*values)``, which determines the
+        component's template; the result is 16 bytes of blake2b over
+        the filled template.  The memo interns the template under
+        ``raw`` and keeps the digest under ``(raw, permutation,
+        numbers)``, ``numbers`` being the global tokens the template's
+        local contents take, in local first-appearance order: fresh
+        contents are numbered exactly as a walk of the component would
+        number them.
         """
-        table = self._table(template.contents)
-        if template.flat:
-            return template.fmt % tuple(map(table.__getitem__, template.slots))
-        return _fill(template.fmt, template.slots, table)
+        memo = self._memo
+        template = memo.get(raw)
+        if template is None:
+            template = memo[raw] = OrbitTemplate(values)
+        numbers = self._numbers(template.contents)
+        key = (raw, self._perm, numbers)
+        digest = memo.get(key)
+        if digest is None:
+            digest = memo[key] = hashlib.blake2b(
+                template.fill(self._table(numbers)),
+                digest_size=_DIGEST_SIZE,
+            ).digest()
+        return digest
 
     def encode(self, value: Any) -> bytes:
         """The canonical encoding of ``value``, through a template
         written for this call."""
-        builder = _TemplateBuilder(_EMPTY_TEMPLATE)
+        builder = _TemplateBuilder()
         builder.value(value)
-        return _fill(builder.body(), builder.slots, self._table(builder.fresh))
+        table = self._table(self._numbers(builder.contents))
+        return _fill(builder.body(), builder.slots, table)
 
-    def _table(self, contents: Sequence[Hashable]) -> list[bytes]:
-        """What the slots of a template with ``contents`` fill from.
-
-        Pid slot ``p`` reads ``table[p]`` and content slot ``~i`` reads
-        ``table[~i]``, the i-th entry from the end.
-        """
+    def _numbers(self, contents: Sequence[Hashable]) -> tuple[int, ...]:
+        """The global tokens of ``contents``, each drawn from the table
+        or the next free one."""
         if self._sealed:
             raise RuntimeError(
                 "PidCanonicalizer instances are single-use: this one "
@@ -662,16 +690,20 @@ class PidCanonicalizer:
                 "per state."
             )
         tokens = self._tokens
-        encoded = []
-        for content in contents:
-            number = tokens.get(content)
-            if number is None:
-                number = tokens[content] = len(tokens)
-            while len(_TOKEN_ENCODINGS) <= number:
-                _TOKEN_ENCODINGS.append(encoding(("~", len(_TOKEN_ENCODINGS))))
-            encoded.append(_TOKEN_ENCODINGS[number])
-        encoded.reverse()
-        return self._pids + encoded
+        return tuple(
+            [tokens.setdefault(content, len(tokens)) for content in contents]
+        )
+
+    def _table(self, numbers: Sequence[int]) -> list[bytes]:
+        """What the slots of a template whose contents take ``numbers``
+        fill from.
+
+        Pid slot ``p`` reads ``table[p]`` and content slot ``~i`` reads
+        ``table[~i]``, the i-th entry from the end.
+        """
+        while len(_TOKEN_ENCODINGS) < len(self._tokens):
+            _TOKEN_ENCODINGS.append(encoding(("~", len(_TOKEN_ENCODINGS))))
+        return self._pids + [_TOKEN_ENCODINGS[n] for n in reversed(numbers)]
 
 
 def _fill(fmt: bytes, slots: Sequence[Any], table: list[bytes]) -> bytes:
@@ -729,23 +761,17 @@ class _TemplateBuilder:
     into the format at each slot, and every permuted pid and content
     token becomes a ``%b`` slot.  A set, frozenset or dict becomes one
     :class:`_Group` slot, each member written to a format of its own;
-    ``flat`` stays True until one is written.  Contents are numbered
-    after ``base``'s, whose index is copied only when a new content
-    appears.
+    ``flat`` stays True until one is written.  ``contents`` lists the
+    distinct contents in first-appearance order.
     """
 
-    __slots__ = (
-        "index", "fresh", "slots", "flat", "_base", "_owned", "_fmt",
-        "_literal",
-    )
+    __slots__ = ("contents", "slots", "flat", "_index", "_fmt", "_literal")
 
-    def __init__(self, base: "OrbitTemplate") -> None:
-        self.index = base._index
-        self._base = base
-        self.fresh: list = []
+    def __init__(self) -> None:
+        self.contents: list = []
         self.slots: list = []
         self.flat = True
-        self._owned = False
+        self._index: dict[Hashable, int] = {}
         self._fmt = bytearray()
         self._literal = bytearray()
 
@@ -822,27 +848,11 @@ class _TemplateBuilder:
         literal += _CLOSE
 
     def _content(self, value: Hashable) -> None:
-        number = self.index.get(value)
+        number = self._index.get(value)
         if number is None:
-            if not self._owned:
-                self.index = dict(self.index)
-                self._owned = True
-            number = self.index[value] = len(self.index)
-            self.fresh.append(value)
+            number = self._index[value] = len(self._index)
+            self.contents.append(value)
         self._slot(~number)
-
-    def finish(self, count: int) -> "OrbitTemplate":
-        """The base template followed by what was written, as ``count``
-        values in all."""
-        base = self._base
-        return OrbitTemplate(
-            count,
-            base._body + self.body(),
-            base.slots + tuple(self.slots),
-            base.contents + tuple(self.fresh),
-            self.index,
-            base.flat and self.flat,
-        )
 
 
 def _writer_other(value: Any) -> Callable[[_TemplateBuilder, Any], None]:
@@ -885,64 +895,32 @@ _WRITERS: dict[type, Callable[[_TemplateBuilder, Any], None]] = {
 class OrbitTemplate:
     """A component's canonical encoding with pid, content and group slots.
 
-    The component is a tuple of values (a journal's entries, a pool
-    entry's key and payload, a remaining script); see *Orbit templates*
-    in the module docstring.  ``fmt`` is the tuple's canonical encoding
-    with each slot written as ``%b`` (literal ``%`` doubled), ``slots``
-    codes the slots in order — ``p`` for pid ``p``, ``~i`` for local
-    content ``i``, a :class:`_Group` for a set or dict — and
-    ``contents`` lists the distinct contents in local first-appearance
-    order.  ``flat`` says no slot is a group.  Templates are immutable:
-    :meth:`extended` returns a new one, so forks share them freely.
+    The component is the tuple ``values`` (a journal's entries, a pool
+    entry, a remaining script); see *Orbit templates* in the module
+    docstring.  ``fmt`` is the tuple's canonical encoding with each slot
+    written as ``%b`` (literal ``%`` doubled), ``slots`` codes the slots
+    in order — ``p`` for pid ``p``, ``~i`` for local content ``i``, a
+    :class:`_Group` for a set or dict — and ``contents`` lists the
+    distinct contents in local first-appearance order.  ``flat`` says no
+    slot is a group.  Templates are immutable.
     """
 
-    __slots__ = (
-        "count", "fmt", "slots", "contents", "flat", "_body", "_index"
-    )
+    __slots__ = ("fmt", "slots", "contents", "flat")
 
-    def __init__(
-        self,
-        count: int = 0,
-        body: bytes = b"",
-        slots: tuple = (),
-        contents: tuple = (),
-        index: dict[Hashable, int] | None = None,
-        flat: bool = True,
-    ) -> None:
-        self.count = count
-        self.fmt = _tuple_open(count).replace(b"%", b"%%") + body + _CLOSE
-        self.slots = slots
-        self.contents = contents
-        self.flat = flat
-        self._body = body
-        self._index = {} if index is None else index
+    def __init__(self, values: Sequence[Any]) -> None:
+        builder = _TemplateBuilder()
+        builder._sequence(values)
+        self.fmt = builder.body()
+        self.slots = tuple(builder.slots)
+        self.contents = tuple(builder.contents)
+        self.flat = builder.flat
 
-    def extended(self, values: Sequence[Any]) -> "OrbitTemplate":
-        """This template with ``values`` appended to its tuple."""
-        builder = _TemplateBuilder(self)
-        for value in values:
-            builder.value(value)
-        return builder.finish(self.count + len(values))
-
-
-_EMPTY_TEMPLATE = OrbitTemplate()
-
-
-def pool_template(p2p: PointToPointId, payload: Any) -> OrbitTemplate:
-    """The template of one in-flight message's canonical pool entry.
-
-    The entry is ``((perm[sender], perm[receiver], seq), image)``: the
-    mapped identity the canonical state sorts its pool by, then the
-    canonical image of ``payload``.
-    """
-    builder = _TemplateBuilder(_EMPTY_TEMPLATE)
-    builder._literal += _tuple_open(3)
-    builder._slot(p2p.sender)
-    builder._slot(p2p.receiver)
-    _encode_into(builder._literal, p2p.seq)
-    builder._literal += _CLOSE
-    builder.value(payload)
-    return builder.finish(2)
+    def fill(self, table: list[bytes]) -> bytes:
+        """The canonical encoding, each slot filled from ``table`` (see
+        :meth:`PidCanonicalizer._table`)."""
+        if self.flat:
+            return self.fmt % tuple(map(table.__getitem__, self.slots))
+        return _fill(self.fmt, self.slots, table)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterator
 
 from ..core.actions import PointToPointId
-from .fingerprint import OrbitTemplate, encoding, list_digest, pool_template
+from .fingerprint import encoding, list_digest
 
 __all__ = ["InFlight", "Network"]
-
-#: The per-message encodings of a network never fingerprinted.
-_NO_ENCODINGS: Mapping[PointToPointId, bytes] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -39,13 +35,14 @@ class InFlight:
         return self.p2p.receiver
 
     @cached_property
-    def orbit_template(self) -> OrbitTemplate:
-        """The template of this message's canonical pool entry.
+    def encoded(self) -> bytes:
+        """``encoding((p2p, payload))``: this message's pool entry.
 
-        Built once, on first use, and shared by every fork whose pool
-        holds this message (see :func:`~repro.runtime.fingerprint.pool_template`).
+        Encoded once, on first use, and shared by every fork whose pool
+        holds this message; the network's digest and the orbit key's
+        memo read it.
         """
-        return pool_template(self.p2p, self.payload)
+        return encoding((self.p2p, self.payload))
 
 
 class Network:
@@ -58,11 +55,7 @@ class Network:
 
     def __init__(self) -> None:
         self._in_flight: dict[PointToPointId, InFlight] = {}
-        #: Encodings of ``(p2p, payload)`` per message of the pool as
-        #: of the last :meth:`fingerprint`, in pool order.  Replaced,
-        #: never mutated, so forks share it; the digest is cached until
-        #: ``send`` or ``receive``.
-        self._encoded: Mapping[PointToPointId, bytes] = _NO_ENCODINGS
+        #: The digest, cached until ``send`` or ``receive``.
         self._digest: str | None = None
 
     def __len__(self) -> int:
@@ -78,7 +71,6 @@ class Network:
         """
         clone = Network()
         clone._in_flight = dict(self._in_flight)
-        clone._encoded = self._encoded
         clone._digest = self._digest
         return clone
 
@@ -92,19 +84,15 @@ class Network:
         explorer's dedup cache.
 
         The digest is ``stable_digest("network", [(p2p, payload), ...])``
-        over the pool, built from the cached per-message encodings; only
-        messages sent since the last call are encoded.
+        over the pool, built from the per-message encodings
+        (:attr:`InFlight.encoded`); only messages sent since the last
+        call are encoded.
         """
         if self._digest is None:
-            known = self._encoded
-            self._encoded = {
-                p2p: known.get(p2p) or encoding((p2p, item.payload))
-                for p2p, item in self._in_flight.items()
-            }
             self._digest = list_digest(
                 ("network",),
-                b"".join(self._encoded.values()),
-                len(self._encoded),
+                b"".join(item.encoded for item in self._in_flight.values()),
+                len(self._in_flight),
             )
         return self._digest
 

@@ -40,7 +40,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from ..core.actions import PointToPointId
 from ..core.message import Message, MessageFactory, MessageId
-from .fingerprint import OrbitTemplate, encoding, list_digest, tuple_encoding
+from .fingerprint import encoding, list_digest, tuple_encoding
 from .effects import (
     Deliver,
     DeliverSet,
@@ -204,9 +204,6 @@ RuntimeOutcome = (
     | ResponseStep | LocalStep | Blocked | Idle
 )
 
-#: The orbit template of an empty journal (templates are immutable).
-_EMPTY_TEMPLATE = OrbitTemplate()
-
 #: ``encoding(())``: the encoded shape of an empty journal.
 _EMPTY_SHAPE = encoding(())
 
@@ -340,12 +337,9 @@ class ProcessRuntime:
         self._shape: tuple[str, ...] = ()
         self._shape_body = b""
         self._shape_encoding = _EMPTY_SHAPE
-        #: The orbit template of a journal prefix, extended lazily by
-        #: :meth:`orbit_template` (see :mod:`repro.runtime.fingerprint`).
-        self._orbit_template = _EMPTY_TEMPLATE
         #: Encodings of the first ``_encoded_count`` journal entries,
-        #: extended lazily by :meth:`fingerprint` (immutable, so forks
-        #: share it), and the digest, cached until the next append.
+        #: extended lazily by :attr:`encoded_journal` (immutable, so
+        #: forks share it), and the digest, cached until the next append.
         self._encoded_journal = b""
         self._encoded_count = 0
         self._digest: str | None = None
@@ -433,8 +427,7 @@ class ProcessRuntime:
     def journal_entries(self) -> tuple[tuple[Any, ...], ...]:
         """The driver-call journal, the process's complete input log.
 
-        A read-only snapshot.  The symmetry reduction reads it through
-        :meth:`orbit_template` instead.
+        A read-only snapshot.
         """
         return tuple(self._journal)
 
@@ -467,20 +460,19 @@ class ProcessRuntime:
                 len(self._shape), self._shape_body
             )
 
-    def orbit_template(self) -> OrbitTemplate:
-        """The journal's orbit template.
+    @property
+    def encoded_journal(self) -> bytes:
+        """``encoding(*journal_entries())``, the journal's raw encoding.
 
-        The template of :meth:`journal_entries` under every pid
-        permutation (see :class:`~repro.runtime.fingerprint.OrbitTemplate`),
-        extended by the entries appended since the last call.  Each
-        extension is a new template, so a fork sharing the old one never
-        sees it change.
+        Extended by the entries appended since the last read; the
+        fingerprint and the symmetry reduction's memo (see *Orbit
+        templates* in :mod:`repro.runtime.fingerprint`) read it.
         """
-        template = self._orbit_template
-        if template.count < len(self._journal):
-            template = template.extended(self._journal[template.count :])
-            self._orbit_template = template
-        return template
+        journal = self._journal
+        if self._encoded_count < len(journal):
+            self._encoded_journal += encoding(*journal[self._encoded_count :])
+            self._encoded_count = len(journal)
+        return self._encoded_journal
 
     def _log(self, entry: tuple[Any, ...]) -> None:
         """Append one driver call to the journal (unless replaying)."""
@@ -505,15 +497,9 @@ class ProcessRuntime:
         appended since the last call, and cached until the next append.
         """
         if self._digest is None:
-            journal = self._journal
-            if self._encoded_count < len(journal):
-                self._encoded_journal += encoding(
-                    *journal[self._encoded_count :]
-                )
-                self._encoded_count = len(journal)
             self._digest = list_digest(
                 ("process", self.pid),
-                self._encoded_journal,
+                self.encoded_journal,
                 self._encoded_count,
             )
         return self._digest
@@ -524,7 +510,6 @@ class ProcessRuntime:
         clone._shape = self._shape
         clone._shape_body = self._shape_body
         clone._shape_encoding = self._shape_encoding
-        clone._orbit_template = self._orbit_template
         clone._encoded_journal = self._encoded_journal
         clone._encoded_count = self._encoded_count
         clone._digest = self._digest

@@ -46,7 +46,6 @@ from ..detectors.oracles import Clock
 from ..registers.history import History, OperationRecord
 from .crash import CrashSchedule
 from .fingerprint import (
-    OrbitTemplate,
     PidCanonicalizer,
     dict_encoding,
     encoded_digest,
@@ -123,8 +122,8 @@ class Gated:
 class _ScriptOrbit(NamedTuple):
     """What the orbit key reads of one pid's remaining script."""
 
-    #: The script's orbit template.
-    template: OrbitTemplate
+    #: ``encoding(*script)``, the script's raw encoding.
+    raw: bytes
     #: ``encoding`` of the script's shape, for the pid's profile.
     shape: bytes
     #: ``encoding`` of the pid's sync-gate flag, for its profile.
@@ -233,6 +232,12 @@ class SimulationRun:
         #: one of them starts a broadcast.
         self._orbit_scripts: list[_ScriptOrbit] | None = None
         self._orbit_gates: dict[tuple[int, ...], bytes] = {}
+        #: The orbit key's component memo (see *Orbit templates* in
+        #: :mod:`repro.runtime.fingerprint`): templates by raw encoding
+        #: and digests by raw encoding, permutation and token numbers.
+        #: Its entries are functions of their keys alone, so every fork
+        #: of this root shares it and nothing ever drops it.
+        self._orbit_memo: dict = {}
         for p in sorted(self.crashes.initially):
             self.trace.crash(p)
             self.alive.discard(p)
@@ -466,6 +471,7 @@ class SimulationRun:
         clone._tail = self._tail
         clone._orbit_scripts = self._orbit_scripts
         clone._orbit_gates = self._orbit_gates
+        clone._orbit_memo = self._orbit_memo
         clone.runtimes = {}
         for p, runtime in self.runtimes.items():
             forked, replayed = runtime.fork(
@@ -591,31 +597,43 @@ class SimulationRun:
         recorded on the violation) rather than rebasing suffixes onto
         the arrival's own enumeration order.
 
-        The cost is that of filling cached orbit templates (see *Orbit
-        templates* in :mod:`repro.runtime.fingerprint`), not of walking
-        the state: each runtime extends its journal's template by the
-        entries appended since the last call, each in-flight message
-        builds its template once, and the remaining scripts' templates
-        and the per-permutation encoding of the counters and sync gates
-        (which hold no contents) are kept until the next broadcast
+        The cost is mostly that of looking up component digests (see
+        *Orbit templates* in :mod:`repro.runtime.fingerprint`).  Each
+        journal, in-flight message and remaining script is a component:
+        its raw encoding, which the runtimes keep for
+        :meth:`fingerprint`, finds its template in the memo this run
+        shares with every fork of its root, and the template's contents
+        take their tokens from the one table of the state.  A
+        component's digest is filled and hashed only the first time the
+        search meets its raw encoding, permutation and token numbers.
+        The per-permutation encoding of the counters and sync gates
+        (which hold no contents) is kept until the next broadcast
         start.  The oracle registry keeps no template: each proposal
         and decision is written by
         :meth:`~repro.runtime.fingerprint.PidCanonicalizer.encode`,
         under its mapped proposer.  Components are encoded in traversal
         order — journals in mapped-pid order, then the sorted pool, the
         registry (objects by name, proposals before decisions, each in
-        mapped-pid order) and the scripts — into one token table, so the
-        digest is byte-identical to ``stable_digest("canon-run", steps,
-        mapped alive, journals, pool, registry, counters, sync gates,
-        remaining)`` over the canonical images.
+        mapped-pid order) and the scripts — into one token table.  The
+        digest is one hash over the header ``("canon-run", steps,
+        mapped alive, pool size)``, the journals' component digests,
+        the pool's, the registry's and the gates' encodings, and the
+        scripts' component digests.  Component digests are equal
+        exactly when the canonical images are, so two states share a
+        digest exactly when a hash of their whole canonical images
+        would agree.
         """
-        canon = PidCanonicalizer(permutation)
+        canon = PidCanonicalizer(permutation, self._orbit_memo)
         n = self.simulator.n
         # Old pids visited in mapped order, so token numbering (first
         # appearance) is a function of the *relabeled* state alone.
         order = sorted(range(n), key=lambda p: permutation[p])
         journals = [
-            canon.fill(self.runtimes[p].orbit_template()) for p in order
+            canon.digest(
+                self.runtimes[p].encoded_journal,
+                self.runtimes[p].journal_entries(),
+            )
+            for p in order
         ]
         pool = sorted(
             (
@@ -628,7 +646,10 @@ class SimulationRun:
             )
             for item in self.network.deliverable(None)
         )
-        pool_encoding = [canon.fill(item.orbit_template) for _, item in pool]
+        in_flight = [
+            canon.digest(item.encoded, ((item.p2p, item.payload),))
+            for _, item in pool
+        ]
         registry = []
         for name, obj in sorted(self.registry.objects.items()):
             mappings = [
@@ -659,19 +680,26 @@ class SimulationRun:
             gates = encoding(counters) + list_encoding(n, *last_sync)
             self._orbit_gates[tuple(permutation)] = gates
         scripts = self._scripts_for_orbit()
-        remaining = [canon.fill(scripts[p].template) for p in order]
+        remaining = [
+            canon.digest(scripts[p].raw, self.remaining[p]) for p in order
+        ]
         canon.seal()  # one state per canonicalizer: token table is spent
         return encoded_digest(
             (
                 "canon-run",
                 self.steps,
                 sorted(permutation[p] for p in self.alive),
+                len(pool),
             ),
-            list_encoding(n, *journals),
-            list_encoding(len(pool_encoding), *pool_encoding),
-            list_encoding(len(registry), *registry),
-            gates,
-            list_encoding(n, *remaining),
+            b"".join(
+                (
+                    *journals,
+                    *in_flight,
+                    list_encoding(len(registry), *registry),
+                    gates,
+                    *remaining,
+                )
+            ),
         )
 
     def _scripts_for_orbit(self) -> list[_ScriptOrbit]:
@@ -679,7 +707,7 @@ class SimulationRun:
         if self._orbit_scripts is None:
             self._orbit_scripts = [
                 _ScriptOrbit(
-                    OrbitTemplate().extended(self.remaining[p]),
+                    encoding(*self.remaining[p]),
                     encoding(
                         tuple(
                             "gated" if isinstance(entry, Gated) else "plain"

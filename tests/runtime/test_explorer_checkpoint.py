@@ -397,6 +397,57 @@ class TestSymmetricResume:
             os.unlink(path)
 
 
+class TestOrbitKeyLayout:
+    """A symmetric checkpoint names the layout of its cache keys.
+
+    The orbit key used to hash the whole canonical image of a state and
+    now hashes per-component digests, so a symmetric checkpoint written
+    before holds keys the resumed search never computes.  Its
+    configuration digest lacks the layout facet, which the digest of a
+    symmetric search now carries, so the resume is refused; a
+    non-symmetric search has no orbit key and keeps its digest.
+    """
+
+    #: The configuration digests the explorer stamped on checkpoints of
+    #: :class:`TestSymmetricResume`'s configuration before the facet:
+    #: with ``VARIANTS["composed"]`` and ``VARIANTS["dedup-sleep"]``.
+    BEFORE = {
+        "composed": "30e6e83f3c6a9839221cf1fc79336f5e",
+        "dedup-sleep": "90e8fa32593c2845179f15851cf07cc4",
+    }
+
+    def checkpoint(self, path, variant):
+        first = explore_schedules(
+            *TestSymmetricResume.make_config(),
+            cancel=Countdown(20),
+            checkpoint_to=path,
+            checkpoint_every=1,
+            **VARIANTS[variant],
+        )
+        assert first.interrupted
+        return read_checkpoint(path)
+
+    def test_symmetric_checkpoint_before_the_facet_is_refused(
+        self, tmp_path
+    ):
+        path = os.path.join(tmp_path, "rename.ckpt")
+        body = self.checkpoint(path, "composed")
+        assert body["config"] != self.BEFORE["composed"]
+        body["config"] = self.BEFORE["composed"]
+        write_checkpoint(path, body)  # resealed: only the config differs
+        with pytest.raises(CheckpointError, match="configuration"):
+            explore_schedules(
+                *TestSymmetricResume.make_config(),
+                resume_from=path,
+                **VARIANTS["composed"],
+            )
+
+    def test_non_symmetric_digest_is_unchanged(self, tmp_path):
+        path = os.path.join(tmp_path, "dedup.ckpt")
+        body = self.checkpoint(path, "dedup-sleep")
+        assert body["config"] == self.BEFORE["dedup-sleep"]
+
+
 class TestCompleteCheckpoint:
     """A finished sequential run's checkpoint replays for free."""
 

@@ -51,8 +51,12 @@ from repro.runtime.explorer import (
     explore_schedules,
     spec_property,
 )
-from repro.runtime.fingerprint import OrbitTemplate
-from repro.specs import KSteppedBroadcastSpec, TotalOrderBroadcastSpec
+from repro.runtime.fingerprint import OrbitTemplate, encoding
+from repro.specs import (
+    KSteppedBroadcastSpec,
+    SendToAllSpec,
+    TotalOrderBroadcastSpec,
+)
 
 from . import canon_oracle
 from .test_explorer_checkpoint import Countdown, assert_identical
@@ -255,7 +259,7 @@ class TestPidCanonicalizerSingleUse:
         with pytest.raises(RuntimeError, match="single-use"):
             canon.encode(("x", "y"))
         with pytest.raises(RuntimeError, match="single-use"):
-            canon.fill(OrbitTemplate().extended(["z"]))
+            canon.digest(encoding("z"), ["z"])
 
     def test_reuse_would_make_encodings_history_dependent(self):
         """The miscollapse the seal prevents, demonstrated.
@@ -649,10 +653,10 @@ class TestCachedDigestsMatchScratch:
         run = simulator.begin(scripts)
         run.advance(0)  # p0 starts broadcasting its set
         run.advance(0)  # and sends it
-        assert not run.runtimes[0].orbit_template().flat
-        assert run.runtimes[1].orbit_template().flat
+        assert not OrbitTemplate(run.runtimes[0].journal_entries()).flat
+        assert OrbitTemplate(run.runtimes[1].journal_entries()).flat
         (item,) = run.network.deliverable()
-        assert not item.orbit_template.flat
+        assert not OrbitTemplate(((item.p2p, item.payload),)).flat
         for permutation in [(0, 1), (1, 0)]:
             assert run.canonical_state_digest(permutation) == (
                 canon_oracle.canonical_state_digest(run, permutation)
@@ -738,6 +742,191 @@ class TestCachedDigestsMatchScratch:
         assert_identical(resumed, reference)
 
 
+#: The ``orbit-checkpoint`` search of the end-to-end benchmark.
+THREE_SENDERS = (
+    Simulator(3, SendToAllBroadcast),
+    {0: ["a"], 1: ["b"], 2: ["c"]},
+    lambda: spec_property(SendToAllSpec()),
+)
+
+#: Set contents: each sender's set shares an element with the next one
+#: (``SET_SCRIPTS`` of ``benchmarks/bench_explorer.py``).
+SET_SCRIPTS = {
+    0: [frozenset({"a", "b"})],
+    1: [frozenset({"b", "c"})],
+    2: [frozenset({"c", "a"})],
+}
+
+#: Symmetric searches whose keyed states the key layouts must partition
+#: alike: the 3-sender search and the rename rows of
+#: ``benchmarks/run_explorer_bench.py``, then the set-content scripts.
+PARTITION_SEARCHES = {
+    "three-senders": (*THREE_SENDERS, {"sleep_sets": True}),
+    "bench-n3-depth8": (
+        Simulator(3, SendToAllBroadcast),
+        {0: ["a"], 1: ["b"]},
+        lambda: channels_property(assume_complete=False),
+        {},
+    ),
+    "bench-n3-depth8-sleep": (
+        Simulator(3, SendToAllBroadcast),
+        {0: ["a"], 1: ["b"]},
+        lambda: channels_property(assume_complete=False),
+        {"sleep_sets": True},
+    ),
+    "bench-totalorder-n2": (
+        Simulator(2, SendToAllBroadcast),
+        {0: ["x"], 1: ["y"]},
+        lambda: spec_property(
+            TotalOrderBroadcastSpec(), assume_complete=False
+        ),
+        {"sleep_sets": True},
+    ),
+    "set-scripts": (
+        Simulator(3, SendToAllBroadcast),
+        SET_SCRIPTS,
+        lambda: channels_property(assume_complete=False),
+        {"sleep_sets": True},
+    ),
+}
+
+
+def assert_same_partition(pairs):
+    """``pairs`` holds ``(key, other key)`` per item: each key must
+    determine the other, so both split the items alike."""
+    assert len(set(pairs)) == len({a for a, _ in pairs})
+    assert len(set(pairs)) == len({b for _, b in pairs})
+
+
+class TestComponentDigestKeys:
+    """The key over component digests, memoized across the search.
+
+    It hashes other bytes than the whole canonical image of a state.
+    Under every permutation a search tries, its digest must determine
+    the whole-image digest and be determined by it: component digests
+    are equal exactly when component images are.  The state keys, the
+    minimum over the candidates, must then split the keyed states alike
+    too — except where the canonical image is no group action.  A set's
+    members take their tokens in the order of their *raw* encodings,
+    which hold raw pids and raw contents, so two states of one orbit
+    may share only some of their images; which of the two minima lands
+    in the shared part depends on the hash.  Both keys merge only
+    states with a common image, but on set contents they may merge
+    different pairs, so the state partition is not compared there.
+    """
+
+    @pytest.mark.parametrize("search", sorted(PARTITION_SEARCHES))
+    def test_same_partition_as_the_whole_image(self, search, monkeypatch):
+        simulator, scripts, prop, options = PARTITION_SEARCHES[search]
+        keys, digests = [], []
+        cached_digest = SimulationRun.canonical_state_digest
+
+        def paired_digest(self, permutation):
+            digest = cached_digest(self, permutation)
+            whole = canon_oracle.whole_image_digest(self, permutation)
+            digests.append((digest, whole))
+            return digest
+
+        def paired_key(self, groups):
+            # the whole-image key minimizes over the same candidates
+            start = len(digests)
+            key = cached_orbit_key(self, groups)
+            keys.append((key[0], min(whole for _, whole in digests[start:])))
+            return key
+
+        monkeypatch.setattr(
+            SimulationRun, "canonical_state_digest", paired_digest
+        )
+        monkeypatch.setattr(SimulationRun, "orbit_key", paired_key)
+        result = explore_schedules(
+            simulator,
+            scripts,
+            prop(),
+            dedup=True,
+            symmetry="rename",
+            max_schedules=10**6,
+            **options,
+        )
+        assert result.exhausted
+        assert result.states_merged_symmetry > 0
+        assert len(keys) >= result.states_seen
+        assert len(digests) >= len(keys)
+        assert_same_partition(digests)
+        if search != "set-scripts":
+            assert_same_partition(keys)
+
+    @pytest.mark.parametrize(
+        "algorithm, k",
+        [(TrivialKsaBroadcast, 2), (FirstKKsaBroadcast, 1)],
+        ids=["trivial-ksa", "first-k"],
+    )
+    def test_same_partition_with_a_registry(self, algorithm, k, monkeypatch):
+        # the configurations of test_ksa_registry_under_every_permutation,
+        # every pid interchangeable: registries holding set and tuple
+        # contents, encoded into the table the components draw from
+        permutations = list(itertools.permutations(range(3)))
+        keys, digests = [], []
+
+        def paired(self):
+            for permutation in permutations:
+                digests.append(
+                    (
+                        self.canonical_state_digest(permutation),
+                        canon_oracle.whole_image_digest(self, permutation),
+                    )
+                )
+            groups = ((0, 1, 2),)
+            keys.append(
+                (
+                    cached_orbit_key(self, groups)[0],
+                    canon_oracle.orbit_key(
+                        self, groups, canon_oracle.whole_image_digest
+                    )[0],
+                )
+            )
+            return cached_run_digest(self)
+
+        monkeypatch.setattr(SimulationRun, "fingerprint", paired)
+        result = explore_schedules(
+            Simulator(3, algorithm, k=k),
+            {0: [frozenset({"a", "b"})], 1: [("b", "a")]},
+            lambda result: [],
+            dedup=True,
+            sleep_sets=True,
+            max_schedules=30,
+        )
+        assert len(keys) >= result.states_seen > 300
+        assert_same_partition(digests)
+        assert_same_partition(keys)
+
+    def test_the_shared_memo_changes_no_key(self, monkeypatch):
+        # at every keyed node, the key through the memo the search has
+        # filled equals the key of a fork that starts an empty one
+        tally = {"keys": 0}
+
+        def checked(self, groups):
+            key = cached_orbit_key(self, groups)
+            fork = self.fork()
+            fork._orbit_memo = {}
+            assert cached_orbit_key(fork, groups) == key
+            tally["keys"] += 1
+            return key
+
+        monkeypatch.setattr(SimulationRun, "orbit_key", checked)
+        simulator, scripts, prop = THREE_SENDERS
+        result = explore_schedules(
+            simulator,
+            scripts,
+            prop(),
+            dedup=True,
+            sleep_sets=True,
+            symmetry="rename",
+            max_schedules=10**12,
+        )
+        assert result.exhausted
+        assert tally["keys"] >= result.states_seen == 10560
+
+
 class TestPinnedDigests:
     """Golden digests computed by the from-scratch encoder.
 
@@ -801,7 +990,9 @@ class TestPinnedDigests:
     }
 
     #: ``orbit_key`` as ``(digest, permutation, encodings)``, initially
-    #: and after the guide, computed by the whole-state encoder.
+    #: and after the guide, over the whole state's canonical image
+    #: (:func:`canon_oracle.whole_image_digest`): the key's bytes before
+    #: component digests.
     ORBIT_GOLDEN = {
         "s2a": (
             ("c1c4d53a1c0cd978ef2e7c8353c59881", (0, 1, 2), 6),
@@ -813,21 +1004,41 @@ class TestPinnedDigests:
         ),
     }
 
+    #: The same keys over component digests, the layout of
+    #: ``SimulationRun.orbit_key``: other bytes, the same witnesses.
+    COMPONENT_GOLDEN = {
+        "s2a": (
+            ("a54179e2bab57422ecb0f738499d5c1b", (0, 1, 2), 6),
+            ("5626b69ac66d151c42d9da4cc15727f1", (0, 2, 1), 1),
+        ),
+        "urb": (
+            ("be8522f41df69e43a5b6c1c546c90731", (0, 1), 2),
+            ("9455837bed7d498ed813204e5964c02d", (1, 0), 1),
+        ),
+    }
+
     @pytest.mark.parametrize("family", sorted(ORBIT_GOLDEN))
     def test_orbit_keys(self, family):
         n, algorithm, scripts, guide = self.ORBIT_RUNS[family]
-        initial, prefix = self.ORBIT_GOLDEN[family]
         groups = (tuple(range(n)),)
         run = Simulator(n, algorithm).begin(scripts)
         run.choices()
-        assert run.orbit_key(groups) == initial
+        keys = [run.orbit_key(groups)]
+        whole = [
+            canon_oracle.orbit_key(run, groups, canon_oracle.whole_image_digest)
+        ]
         for index in guide:
             run.choices()
             run.advance(index)
         run.choices()
         assert len(run.network) > 0
-        assert run.orbit_key(groups) == prefix
-        assert canon_oracle.orbit_key(run, groups) == prefix
+        keys.append(run.orbit_key(groups))
+        whole.append(
+            canon_oracle.orbit_key(run, groups, canon_oracle.whole_image_digest)
+        )
+        assert tuple(keys) == self.COMPONENT_GOLDEN[family]
+        assert tuple(whole) == self.ORBIT_GOLDEN[family]
+        assert canon_oracle.orbit_key(run, groups) == keys[-1]
 
     def test_checkpoint_from_the_scratch_encoder_resumes(self, tmp_path):
         """A checkpoint written before the digests were cached resumes.
