@@ -202,13 +202,13 @@ def test_independence_classify(benchmark):
     through :func:`~repro.runtime.independence.classify`, the call the
     DFS inner loop makes once per (slept event, taken event) pair."""
     footprints = [
-        Footprint("recv", frozenset({pid}), pending=frozenset({2}))
+        Footprint("recv", frozenset({pid}), pending_deadlines=((2, 9),))
         for pid in range(4)
     ] + [
         Footprint(
             "recv",
             frozenset({pid}),
-            pending=frozenset({2}),
+            pending_deadlines=((2, 9),),
             imminent=frozenset({2}),
         )
         for pid in range(4)

@@ -14,7 +14,7 @@ from repro.broadcasts import (
     TotalOrderBroadcast,
     UniformReliableBroadcast,
 )
-from repro.runtime import Simulator
+from repro.runtime import CrashSchedule, Simulator
 
 ALGORITHMS = {
     "send-to-all": (SendToAllBroadcast, 1),
@@ -55,3 +55,25 @@ def test_scaling_with_processes(benchmark, n):
         return result.steps_taken
 
     benchmark(workload)
+
+
+def test_prelude_with_footprint_read(benchmark):
+    """The per-event cost the sleep-set reduction pays: ``advance``, the
+    ``choices()`` prelude that finishes the footprint under a pending
+    crash, then the ``last_footprint`` read, along one full walk of a
+    crash-catalog config (Send-To-All, n=3, p1 crashing at count 4)."""
+    simulator = Simulator(3, SendToAllBroadcast)
+    crash = CrashSchedule(at_step={1: 4})
+
+    def workload():
+        handle = simulator.begin({0: ["a"], 1: ["b"]}, crash_schedule=crash)
+        footprints = []
+        while handle.choices():
+            handle.advance(0)
+            handle.choices()
+            footprints.append(handle.last_footprint)
+        return footprints
+
+    footprints = benchmark(workload)
+    assert any(f.pending_deadlines for f in footprints)
+    assert any(f.crashed_pids for f in footprints)

@@ -31,11 +31,10 @@ configuration raises :class:`CheckpointError` instead of silently
 merging incompatible partial results.
 
 The explorer-facing codecs here cover the search-state leaves shared
-across engines: recorded event :class:`~repro.runtime.independence.
-Footprint`\\ s, sleep-set/choice keys, and sleep sets themselves.  The
-engine-private structures (subtree summaries, cache entries, DFS
-frames) are encoded by :mod:`repro.runtime.explorer`, which owns their
-types.
+across engines: recorded event footprints and the sleep sets that
+key them by choice.  The engine-private structures (subtree summaries,
+cache entries, DFS frames) are encoded by :mod:`repro.runtime.explorer`,
+which owns their types.
 
 A sharded search checkpoints each shard to a side file next to its own
 checkpoint; :func:`shard_checkpoint_path` names them and
@@ -63,8 +62,6 @@ __all__ = [
     "discard_shard_checkpoints",
     "footprint_from_json",
     "footprint_to_json",
-    "key_from_json",
-    "key_to_json",
     "read_checkpoint",
     "shard_checkpoint_path",
     "sleep_from_json",
@@ -90,12 +87,16 @@ class CheckpointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Leaf codecs: footprints, choice/sleep keys, sleep sets
+# Leaf codecs: footprints and sleep sets
 # ---------------------------------------------------------------------------
 
 
 def footprint_to_json(footprint: Footprint) -> dict:
-    """A lossless JSON dict for one recorded event footprint."""
+    """A lossless JSON dict for one recorded event footprint.
+
+    ``crashed`` and ``pending`` belong to the schema-2 layout; they are
+    written from the record's derived properties.
+    """
     return {
         "kind": footprint.kind,
         "pids": sorted(footprint.pids),
@@ -112,17 +113,18 @@ def footprint_to_json(footprint: Footprint) -> dict:
 
 
 def footprint_from_json(data: Mapping[str, Any]) -> Footprint:
-    """Rebuild a :class:`Footprint` from :func:`footprint_to_json`."""
+    """Rebuild a :class:`Footprint` from :func:`footprint_to_json`.
+
+    ``crashed`` and ``pending`` are ignored: the record derives them.
+    """
     return Footprint(
         kind=str(data["kind"]),
-        pids=frozenset(int(p) for p in data["pids"]),
+        pids={int(p) for p in data["pids"]},
         sent=tuple(
             PointToPointId(int(s), int(r), int(q))
             for s, r, q in data["sent"]
         ),
         oracle=bool(data["oracle"]),
-        crashed=bool(data["crashed"]),
-        pending=frozenset(int(p) for p in data["pending"]),
         pending_deadlines=tuple(
             (int(p), int(step)) for p, step in data.get("deadlines", ())
         ),
@@ -133,25 +135,14 @@ def footprint_from_json(data: Mapping[str, Any]) -> Footprint:
     )
 
 
-def key_to_json(key: tuple) -> list:
-    """A choice/sleep key (a flat tuple of strings and ints) as JSON."""
-    return list(key)
-
-
-def key_from_json(data: list) -> tuple:
-    """Rebuild a choice/sleep key from :func:`key_to_json`.
-
-    JSON keeps the leaf types (strings stay strings, ints stay ints),
-    so the tuple round-trips exactly — which matters: sleep-set
-    membership is an exact-equality test.
-    """
-    return tuple(data)
-
-
 def sleep_to_json(sleep: Mapping[tuple, Footprint]) -> list:
-    """A sleep set (key → slept event's footprint) as a JSON pair list."""
+    """A sleep set (key → slept event's footprint) as a JSON pair list.
+
+    A key is a flat tuple of strings and ints (a ``choice_key``),
+    written as a JSON list.
+    """
     return [
-        [key_to_json(key), footprint_to_json(footprint)]
+        [list(key), footprint_to_json(footprint)]
         for key, footprint in sorted(
             sleep.items(), key=lambda item: repr(item[0])
         )
@@ -159,9 +150,14 @@ def sleep_to_json(sleep: Mapping[tuple, Footprint]) -> list:
 
 
 def sleep_from_json(data: list) -> dict:
-    """Rebuild a sleep set from :func:`sleep_to_json`."""
+    """Rebuild a sleep set from :func:`sleep_to_json`.
+
+    JSON keeps the key's leaf types (strings stay strings, ints stay
+    ints), so the tuple round-trips exactly — which matters: sleep-set
+    membership is an exact-equality test.
+    """
     return {
-        key_from_json(key): footprint_from_json(footprint)
+        tuple(key): footprint_from_json(footprint)
         for key, footprint in data
     }
 

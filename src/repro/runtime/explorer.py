@@ -784,8 +784,8 @@ class _Summary:
     subtree root's frame onto the guide run's frame.  ``height`` is the
     relative depth of the deepest descendant; ``truncated`` marks a
     subtree some branch of which was cut at ``max_depth`` (its shape
-    depends on the remaining depth budget, so reuse is restricted — see
-    :func:`_entry_reusable`).
+    depends on the remaining depth budget; cache keys digest the
+    decision count, so an entry is only ever reused at its own depth).
     """
 
     terminals: int = coded(0, required=True)
@@ -950,28 +950,9 @@ def _renaming_groups(
     return tuple(groups)
 
 
-def _entry_reusable(
-    entry: _Summary, cached_depth: int, depth: int, max_depth: int
-) -> bool:
-    """May this cached summary stand in for expansion at ``depth``?
-
-    Fingerprints include the decision count, so a hit is necessarily at
-    the depth the entry was recorded (converged sequences consumed the
-    same number of decisions) and these guards are defensive: a
-    depth-truncated subtree is only reused at the exact recording depth
-    (elsewhere the ``max_depth`` cut would fall differently), and an
-    untruncated one only where its height still fits under the bound.
-    Together they enforce the same-or-shallower-depth discipline of
-    classic stateful search.
-    """
-    if entry.truncated:
-        return cached_depth == depth
-    return depth + entry.height <= max_depth
-
-
 # -- checkpoint encoding of engine-private search state ---------------------
 #
-# The leaf codecs (footprints, keys, sleep sets) live in
+# The leaf codecs (footprints, sleep sets) live in
 # repro.runtime.checkpoint; the structures below are private to this
 # engine, so their JSON forms are too, all through repro.runtime.codec.
 
@@ -1415,9 +1396,12 @@ def _explore_subtree(
                 else:
                     key = raw
                 entry = cache.get(key)
-                if entry is not None and _entry_reusable(
-                    entry.summary, entry.depth, depth, max_depth
-                ):
+                if entry is not None:
+                    # Both keys digest the decision count, so a hit is
+                    # at the depth the entry was recorded: a truncated
+                    # subtree meets the same ``max_depth`` cut, and an
+                    # untruncated one still fits under it.
+                    assert entry.depth == depth
                     # Subset-reuse: the stored subtree covers this
                     # arrival iff the arrival sleeps at least what the
                     # representative slept (compared in the canonical

@@ -11,10 +11,12 @@ drop schedules.
 
 Rather than reasoning statically about what an event *might* touch, the
 simulator records what each committed event *actually* touched — its
-:class:`Footprint`: the processes whose runtimes stepped (including the
-``atomic_local`` drain the event triggered), the point-to-point
-messages it emitted, whether it consulted a k-SA oracle object, and
-whether a crash was injected alongside it.  Independence is then a pure
+:class:`Footprint`, one record per event that ``advance`` creates and
+the next decision point's prelude completes: the processes whose
+runtimes stepped (including the ``atomic_local`` drain the event
+triggered), the point-to-point messages it emitted, whether it
+consulted a k-SA oracle object, and which crashes were injected
+alongside it or are still scheduled.  Independence is then a pure
 check over two footprints:
 
 * disjoint process sets — neither event read or wrote the other's
@@ -58,8 +60,8 @@ three ways:
   victim*.
 
 The recorded footprint distinguishes the imminent and just-killed
-sets from the full still-alive victim set (``pending``), which is
-what makes the third case provable.  :func:`classify` reports which
+sets from the full still-alive schedule (``pending_deadlines``), which
+is what makes the third case provable.  :func:`classify` reports which
 argument carried the verdict so the explorer can count them.
 
 The conservative direction is always safe: a dependent verdict merely
@@ -72,13 +74,12 @@ fingerprints and enabled sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from ..core.actions import PointToPointId
 
 __all__ = [
     "Footprint",
-    "FootprintDraft",
     "choice_key",
     "classify",
     "independent",
@@ -86,100 +87,70 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Footprint:
     """What one committed scheduling event actually touched.
 
-    Recorded by :meth:`~repro.runtime.simulator.SimulationRun.advance`,
-    captured at the next decision point's prelude (crash injection,
-    ``atomic_local`` drain), so the footprint covers the *whole* state
-    delta between two consecutive decision points, and frozen on first
-    read of :attr:`~repro.runtime.simulator.SimulationRun.last_footprint`.
+    The one record of an event: ``SimulationRun.advance`` creates it,
+    the event's ``atomic_local`` drain and the next decision point's
+    prelude (crash injection, the pending schedule) fill it, so it
+    covers the *whole* state delta between two consecutive decision
+    points.  After that prelude nothing writes to it:
+    ``SimulationRun.last_footprint`` hands it out as it is, and forks
+    share it.
+
+    ``crashed`` and ``pending`` are derived from ``crashed_pids`` and
+    ``pending_deadlines``; ``imminent`` is stored, since it depends on
+    the decision count at which the prelude ran.
     """
 
     #: The choice kind that was committed: ``"local"``/``"recv"``/``"bcast"``.
     kind: str
     #: Processes whose runtime stepped (receiver, broadcaster, plus every
     #: process the post-event local drain advanced).
-    pids: frozenset[int]
+    pids: set[int]
     #: Point-to-point messages emitted into the in-flight pool.
     sent: tuple[PointToPointId, ...] = ()
     #: True when the event (or its drain) proposed on a k-SA object.
     oracle: bool = False
-    #: True when the next prelude injected a crash after this event.
-    #: Kept for observability and verdict attribution; the crash-aware
-    #: check uses ``crashed_pids`` instead.
-    crashed: bool = False
-    #: Still-alive victims of the crash schedule at the time the
-    #: footprint was finalized.  Non-empty means a crash is *pending*;
-    #: :func:`classify` uses it to attribute crash-aware verdicts.
-    pending: frozenset[int] = frozenset()
-    #: The pending schedule itself: sorted ``(victim, deadline)`` pairs
-    #: for every still-alive victim, where ``deadline`` is the global
-    #: decision count at which the injection fires.  Observability and
-    #: the commutation differential tests use this to locate
-    #: pending-crash decision points.
+    #: The pending schedule: sorted ``(victim, deadline)`` pairs for
+    #: every still-alive victim when the prelude ran, where ``deadline``
+    #: is the global decision count at which the injection fires.
+    #: Observability and the commutation differential tests use this to
+    #: locate pending-crash decision points.
     pending_deadlines: tuple[tuple[int, int], ...] = ()
-    #: Victims due to crash at the *next* decision count after this
-    #: footprint was finalized — the only pending entries an adjacent
-    #: swap can observe (the injection would land after the second
-    #: event of the pair, ahead of that prelude's drain).  The hot
-    #: independence check needs exactly this set.
+    #: Victims due to crash at the *next* decision count after the
+    #: prelude — the only pending entries an adjacent swap can observe
+    #: (the injection would land after the second event of the pair,
+    #: ahead of that prelude's drain).  The hot independence check needs
+    #: exactly this set.
     imminent: frozenset[int] = frozenset()
-    #: Victims the finalizing prelude actually killed (``crashed`` is
-    #: True iff this is non-empty).  For a pair probed from the same
-    #: state the injection fires *between* the two events in both
+    #: Victims the prelude actually killed.  For a pair probed from the
+    #: same state the injection fires *between* the two events in both
     #: orders — at the same decision count — so the swap commutes
     #: whenever neither event touched one of these victims.
     crashed_pids: frozenset[int] = frozenset()
+    #: The process the committed choice named (the receiver of a
+    #: reception, the broadcaster of a start): the process the drain
+    #: steps and the anchor the footprint-validation mode checks
+    #: ``pids`` against.  Not part of what the event touched, so not
+    #: compared and not checkpointed.
+    origin: int | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def crashed(self) -> bool:
+        """True when the prelude injected a crash after this event."""
+        return bool(self.crashed_pids)
 
-class FootprintDraft:
-    """Mutable footprint being accumulated for the in-flight event."""
+    @property
+    def pending(self) -> frozenset[int]:
+        """Still-alive victims of the crash schedule (non-empty: a crash
+        is *pending*)."""
+        return frozenset(p for p, _ in self.pending_deadlines)
 
-    __slots__ = ("kind", "origin", "pids", "sent", "oracle", "crashed",
-                 "pending", "pending_deadlines", "imminent",
-                 "crashed_pids")
-
-    def __init__(self, kind: str, pid: int) -> None:
-        self.kind = kind
-        #: The process the committed choice named (the receiver of a
-        #: reception, the broadcaster of a start) — the anchor the
-        #: footprint-validation mode checks ``pids`` against.
-        self.origin = pid
-        self.pids: set[int] = {pid}
-        self.sent: list[PointToPointId] = []
-        self.oracle = False
-        self.crashed = False
-        self.pending: frozenset[int] = frozenset()
-        self.pending_deadlines: tuple[tuple[int, int], ...] = ()
-        self.imminent: frozenset[int] = frozenset()
-        self.crashed_pids: frozenset[int] = frozenset()
-
-    def copy(self) -> "FootprintDraft":
-        clone = FootprintDraft(self.kind, self.origin)
-        clone.pids = set(self.pids)
-        clone.sent = list(self.sent)
-        clone.oracle = self.oracle
-        clone.crashed = self.crashed
-        clone.pending = self.pending
-        clone.pending_deadlines = self.pending_deadlines
-        clone.imminent = self.imminent
-        clone.crashed_pids = self.crashed_pids
-        return clone
-
-    def freeze(self) -> Footprint:
-        return Footprint(
-            self.kind,
-            frozenset(self.pids),
-            tuple(self.sent),
-            self.oracle,
-            self.crashed,
-            self.pending,
-            self.pending_deadlines,
-            self.imminent,
-            self.crashed_pids,
-        )
+    def copy(self) -> "Footprint":
+        """A record the in-flight event of a fork can go on filling."""
+        return replace(self, pids=set(self.pids))
 
 
 def independent(a: Footprint | None, b: Footprint | None) -> bool:
@@ -236,7 +207,12 @@ def classify(
     if not independent(a, b):
         return (False, "conservative")
     assert a is not None and b is not None
-    if a.pending or b.pending or a.crashed or b.crashed:
+    if (
+        a.pending_deadlines
+        or b.pending_deadlines
+        or a.crashed_pids
+        or b.crashed_pids
+    ):
         return (True, "crash_proof")
     return (True, "dynamic")
 

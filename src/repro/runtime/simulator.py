@@ -56,7 +56,7 @@ from .fingerprint import (
     tuple_digest,
     tuple_encoding,
 )
-from .independence import Footprint, FootprintDraft
+from .independence import Footprint
 from .ksa_objects import DecisionPolicy, FirstProposalsPolicy, KsaRegistry
 from .network import Network
 from .policies import SchedulingPolicy, UniformPolicy
@@ -214,12 +214,11 @@ class SimulationRun:
         #: Local steps re-executed to materialize this handle (0 unless
         #: the handle was forked from a runtime with a live generator).
         self.replayed_steps = 0
-        #: The last committed event's footprint as the prelude left it:
-        #: a finished draft until :attr:`last_footprint` freezes it.
-        self._last_footprint: Footprint | FootprintDraft | None = None
-        #: The draft the in-flight event is accumulating, from
+        #: The last committed event's footprint, finished by its prelude.
+        self._last_footprint: Footprint | None = None
+        #: The footprint the in-flight event is filling, from
         #: :meth:`advance` to the end of the next prelude.
-        self._pending_footprint: FootprintDraft | None = None
+        self._pending_footprint: Footprint | None = None
         self._choices: list[Choice] | None = None
         #: Encoding of the fingerprint's tail — factory counters, sync
         #: gates, remaining scripts — which only broadcast starts change.
@@ -255,57 +254,41 @@ class SimulationRun:
         repeated calls (and calls after :meth:`fork`) are idempotent.
         """
         if self._choices is None:
-            draft = self._pending_footprint
+            footprint = self._pending_footprint
             at_step = self.crashes.at_step
             if at_step:
-                for p in sorted(self.alive):
-                    if self.crashes.due(p, self.steps):
+                # One pass: a victim whose deadline has come is
+                # injected now, between the last event and this decision
+                # point; the rest stay pending, and those due at the very
+                # next count are *imminent*.  An adjacent swap can only
+                # observe the killed and the imminent victims (see
+                # repro.runtime.independence).
+                killed = []
+                pending = []
+                for p, step in sorted(at_step.items()):
+                    if p not in self.alive:
+                        continue
+                    if step <= self.steps:
                         self.trace.crash(p)
                         self.alive.discard(p)
-                        if draft is not None:
-                            # The injection lands between the last event
-                            # and this decision point — at a global count
-                            # an adjacent swap preserves — so the
-                            # crash-aware relation only needs the pair to
-                            # have avoided this victim, not a blanket
-                            # refusal.
-                            draft.crashed = True
-                            draft.crashed_pids = draft.crashed_pids | {p}
+                        killed.append(p)
+                    else:
+                        pending.append((p, step))
+                if footprint is not None:
+                    footprint.crashed_pids = frozenset(killed)
+                    footprint.pending_deadlines = tuple(pending)
+                    footprint.imminent = frozenset(
+                        p for p, step in pending if step == self.steps + 1
+                    )
             if self.simulator.atomic_local:
                 self._drain_local()
             self._choices = self._enabled_choices()
-            if draft is not None:
-                if at_step:
-                    # A crash still scheduled at a *global* step count
-                    # is recorded on the footprint (victims and
-                    # deadlines).  The injection index is preserved by
-                    # adjacent swaps, so the only pending victims a swap
-                    # can observe are the *imminent* ones — due at the
-                    # very next decision count, where the injection
-                    # would land after the second event of a swapped
-                    # pair but before that prelude's drain.  Later
-                    # deadlines fire after both events in either order
-                    # and impose no constraint.
-                    draft.pending = frozenset(
-                        p for p in at_step if p in self.alive
-                    )
-                    draft.pending_deadlines = tuple(
-                        sorted(
-                            (p, step)
-                            for p, step in at_step.items()
-                            if p in self.alive
-                        )
-                    )
-                    draft.imminent = frozenset(
-                        p
-                        for p, step in at_step.items()
-                        if p in self.alive and step == self.steps + 1
-                    )
+            if footprint is not None:
                 if self.simulator.validate_footprints:
-                    self._validate_footprint(draft)
-                # Finished: only the next advance() starts a new draft,
-                # so this one is never mutated again and forks share it.
-                self._last_footprint = draft
+                    self._validate_footprint(footprint)
+                # Finished: only the next advance() starts a new record,
+                # so this one is never written again and forks share it.
+                self._last_footprint = footprint
                 self._pending_footprint = None
         return self._choices
 
@@ -313,20 +296,16 @@ class SimulationRun:
     def last_footprint(self) -> Footprint | None:
         """Footprint of the last committed event (what it actually touched).
 
-        Captured by the :meth:`choices` prelude that follows the event,
-        so it covers the whole state delta between two decision points,
-        and frozen into a :class:`Footprint` the first time it is read:
-        only the explorer's sleep-set reduction reads it, so a search
-        without one never pays for the freeze.  ``None`` until the first
-        event's prelude has run; until the next prelude it is the
-        previous event's.
+        The record :meth:`advance` created, as the :meth:`choices`
+        prelude that follows the event finished it, so it covers the
+        whole state delta between two decision points.  Nothing writes
+        to it afterwards, so it is handed out as it is and forks share
+        it.  ``None`` until the first event's prelude has run; until the
+        next prelude it is the previous event's.
         """
-        footprint = self._last_footprint
-        if isinstance(footprint, FootprintDraft):
-            footprint = self._last_footprint = footprint.freeze()
-        return footprint
+        return self._last_footprint
 
-    def _validate_footprint(self, draft: FootprintDraft) -> None:
+    def _validate_footprint(self, footprint: Footprint) -> None:
         """Assert the recorded footprint is contained in the static one.
 
         The containment direction matters: the static summary is an
@@ -339,27 +318,27 @@ class SimulationRun:
             return
         from ..statics.model import attributed_handlers
 
-        handlers = attributed_handlers(summary, draft.kind)
+        handlers = attributed_handlers(summary, footprint.kind)
         if not handlers:
             return
-        stray = set(draft.pids) - {draft.origin}
+        stray = footprint.pids - {footprint.origin}
         if stray:
             raise FootprintViolationError(
-                f"{summary.qualname}: {draft.kind} event at process "
-                f"{draft.origin} touched foreign processes "
+                f"{summary.qualname}: {footprint.kind} event at process "
+                f"{footprint.origin} touched foreign processes "
                 f"{sorted(stray)}, but its closed effect summary proves "
                 f"per-process state isolation"
             )
-        if draft.sent and not any(h.sends for h in handlers):
+        if footprint.sent and not any(h.sends for h in handlers):
             raise FootprintViolationError(
-                f"{summary.qualname}: {draft.kind} event at process "
-                f"{draft.origin} emitted {len(draft.sent)} message(s), "
+                f"{summary.qualname}: {footprint.kind} event at process "
+                f"{footprint.origin} emitted {len(footprint.sent)} message(s), "
                 f"but no attributed handler has a send effect"
             )
-        if draft.oracle and not any(h.proposes for h in handlers):
+        if footprint.oracle and not any(h.proposes for h in handlers):
             raise FootprintViolationError(
-                f"{summary.qualname}: {draft.kind} event at process "
-                f"{draft.origin} consulted a k-SA oracle, but no "
+                f"{summary.qualname}: {footprint.kind} event at process "
+                f"{footprint.origin} consulted a k-SA oracle, but no "
                 f"attributed handler has a propose effect"
             )
 
@@ -380,7 +359,7 @@ class SimulationRun:
             else payload
         )
         assert isinstance(touched, int)
-        self._pending_footprint = FootprintDraft(kind, touched)
+        self._pending_footprint = Footprint(kind, {touched}, origin=touched)
         if kind == "local":
             assert isinstance(payload, int)
             self._take_local_step(payload, self.runtimes[payload])
@@ -786,12 +765,12 @@ class SimulationRun:
         the sanitizer sees a step at a process the event should not
         have touched.
         """
-        draft = self._pending_footprint
-        if draft is not None and not self.simulator.validate_footprints:
-            if draft.origin in self.alive:
-                runtime = self.runtimes[draft.origin]
+        footprint = self._pending_footprint
+        if footprint is not None and not self.simulator.validate_footprints:
+            if footprint.origin in self.alive:
+                runtime = self.runtimes[footprint.origin]
                 while runtime.has_enabled_step():
-                    self._take_local_step(draft.origin, runtime)
+                    self._take_local_step(footprint.origin, runtime)
             return
         progress = True
         while progress:
@@ -838,17 +817,17 @@ class SimulationRun:
 
     def _take_local_step(self, p: int, runtime: ProcessRuntime) -> None:
         outcome = runtime.next_step()
-        draft = self._pending_footprint
-        if draft is not None:
-            draft.pids.add(p)
+        footprint = self._pending_footprint
+        if footprint is not None:
+            footprint.pids.add(p)
         if isinstance(outcome, SendStep):
-            if draft is not None:
-                draft.sent.append(outcome.p2p)
+            if footprint is not None:
+                footprint.sent += (outcome.p2p,)
             self.trace.send(p, outcome.p2p, outcome.payload)
             self.network.send(outcome.p2p, outcome.payload)
         elif isinstance(outcome, ProposeStep):
-            if draft is not None:
-                draft.oracle = True
+            if footprint is not None:
+                footprint.oracle = True
             self.trace.propose(p, outcome.ksa, outcome.value)
             decided = self.registry.propose(outcome.ksa, p, outcome.value)
             self.trace.decide(p, outcome.ksa, decided)

@@ -7,8 +7,9 @@ crashes) and the engine options of
 data — JSON in, JSON out — so they travel over the wire, land in the
 memo store, and above all *canonicalize*: two descriptors that request
 the same exploration (reordered JSON keys, defaults spelled out or
-omitted, lists where tuples were meant, script pids as strings) produce
-the **same** :func:`job_digest`, which is the memo key that lets two
+omitted, lists where tuples were meant, script pids as strings, a
+worker count on a cached search, which never shards) produce the
+**same** :func:`job_digest`, which is the memo key that lets two
 users share one exploration.
 
 The digest is :func:`repro.runtime.fingerprint.stable_digest` over the
@@ -271,6 +272,10 @@ class JobDescriptor:
             _normalize_initial_crashes(self.crash_initially),
         )
         self._validate()
+        if self.dedup:
+            # the engine never shards a cached search (one cache sees
+            # every state), so any worker count runs as one process
+            object.__setattr__(self, "workers", 1)
 
     def _check_types(self) -> None:
         """Reject scalar fields of the wrong type, naming the field."""
@@ -446,6 +451,8 @@ class JobDescriptor:
         because the result records it: a sharded run's answer equals
         the sequential one (only ``workers`` differs), but a memo hit
         must return exactly the result its descriptor would compute.
+        Under ``dedup`` construction has already set it to 1, the count
+        the engine runs and records, so every spelling shares one key.
         """
         return tuple(
             (f.name, getattr(self, f.name))

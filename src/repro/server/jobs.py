@@ -163,7 +163,7 @@ def _run_descriptor(
 
     ``emit`` receives each :class:`ProgressSnapshot` as its ``to_json``
     dict.  Progress is wired whenever the search runs in one process
-    (``workers=1``, or the cache on, which never shards); sharded runs
+    (``workers=1``, which every cached descriptor has); sharded runs
     execute without it.  A run with a checkpoint path resumes from an
     existing file at that path (the digest-keyed warm restart), falling
     back to a cold run — after discarding the file — when it turns out
@@ -171,8 +171,9 @@ def _run_descriptor(
     partial result; the caller inspects ``payload["interrupted"]``.
     """
     simulator, scripts, prop, crash, kwargs = descriptor.build()
-    one_process = kwargs["workers"] == 1 or kwargs["dedup"]
-    progress = (lambda s: emit(s.to_json())) if one_process else None
+    progress = (
+        (lambda s: emit(s.to_json())) if kwargs["workers"] == 1 else None
+    )
     kwargs["cancel"] = cancel
     if checkpoint_to is not None:
         kwargs["checkpoint_to"] = checkpoint_to

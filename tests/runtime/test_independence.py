@@ -307,13 +307,15 @@ class TestClassify:
         free_b = Footprint("recv", frozenset({1}))
         assert classify(free_a, free_b) == (True, "dynamic")
 
-        pend_a = Footprint("recv", frozenset({0}), pending=frozenset({2}))
-        pend_b = Footprint("recv", frozenset({1}), pending=frozenset({2}))
+        pend_a = Footprint("recv", frozenset({0}), pending_deadlines=((2, 9),))
+        pend_b = Footprint("recv", frozenset({1}), pending_deadlines=((2, 9),))
         assert classify(pend_a, pend_b) == (True, "crash_proof")
 
         # touching a victim whose deadline is *distant* is fine: the
         # injection fires after both events in either order
-        distant = Footprint("recv", frozenset({2}), pending=frozenset({2}))
+        distant = Footprint(
+            "recv", frozenset({2}), pending_deadlines=((2, 9),)
+        )
         assert classify(distant, pend_b) == (True, "crash_proof")
 
         # touching a victim due at the very next decision count is not:
@@ -321,7 +323,7 @@ class TestClassify:
         victim = Footprint(
             "recv",
             frozenset({2}),
-            pending=frozenset({2}),
+            pending_deadlines=((2, 9),),
             imminent=frozenset({2}),
         )
         assert classify(victim, pend_b) == (False, "conservative")
@@ -331,8 +333,7 @@ class TestClassify:
         # in both orders — fine as long as neither event touched the
         # victim it killed
         straddle = Footprint(
-            "recv", frozenset({0}), crashed=True,
-            crashed_pids=frozenset({2}),
+            "recv", frozenset({0}), crashed_pids=frozenset({2})
         )
         assert classify(straddle, pend_b) == (True, "crash_proof")
         toucher = Footprint("recv", frozenset({1, 2}))

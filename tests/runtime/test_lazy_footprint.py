@@ -1,14 +1,15 @@
-"""A footprint is captured at the prelude and frozen when first read.
+"""One footprint record per event, finished by the prelude.
 
-``SimulationRun.last_footprint`` keeps the prelude's finished draft and
-freezes it on first read, so a search that never reads footprints (plain
-DFS) never pays for the freeze.  These tests hold the lazy read to the
-eager one: over random walks through every config of the crash catalog,
-at every decision after the prelude, a footprint read at once equals one
-read late — after a sibling fork advanced past it and after
-``result()`` probes — and equals what a probe from the parent decision
-observed.  The sanitizer still validates every draft at the prelude,
-read or not.
+``advance`` creates the record, the next ``choices()`` prelude fills
+it, and ``SimulationRun.last_footprint`` hands it out as it is; nothing
+writes to it afterwards, so forks share it.  Over random walks through
+every config of the crash catalog, at every decision after the prelude,
+a footprint read at once equals one read late — after a sibling fork
+advanced past it and after ``result()`` probes — equals what a probe
+from the parent decision observed, and survives the checkpoint codec
+unchanged, with the derived ``crashed``/``pending`` facts written as
+the stored ones imply.  The sanitizer still validates every record at
+the prelude, read or not.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 
 from repro.broadcasts import SendToAllBroadcast
 from repro.runtime import Simulator
+from repro.runtime.checkpoint import footprint_from_json, footprint_to_json
 from repro.runtime.independence import Footprint, observed_footprint
 from repro.runtime.simulator import FootprintViolationError
 
@@ -41,6 +43,15 @@ def late_read(handle, rng):
     return late.last_footprint
 
 
+def assert_codec_round_trip(footprint):
+    """The checkpoint codec restores the record and writes the derived
+    crash facts from the stored ones."""
+    data = footprint_to_json(footprint)
+    assert footprint_from_json(data) == footprint
+    assert data["crashed"] == bool(footprint.crashed_pids)
+    assert data["pending"] == [p for p, _ in footprint.pending_deadlines]
+
+
 @pytest.mark.parametrize(
     "simulator, crash", [c[1:] for c in CATALOG], ids=[c[0] for c in CATALOG]
 )
@@ -58,9 +69,11 @@ def test_late_read_equals_read_at_once(simulator, crash):
                 assert isinstance(at_once, Footprint)
                 assert late_read(handle, rng) == at_once
                 assert observed_footprint(parent, index) == at_once
-                # read twice: frozen once, then the same object
+                # one record: every read and every fork hands it out
                 assert handle.last_footprint is handle.last_footprint
+                assert handle.fork().last_footprint is handle.last_footprint
                 assert handle.last_footprint == at_once
+                assert_codec_round_trip(at_once)
                 seen["imminent"] += bool(at_once.imminent)
                 seen["crashed"] += at_once.crashed
                 seen["pending"] += bool(at_once.pending)
@@ -80,7 +93,8 @@ def test_late_read_equals_read_at_once(simulator, crash):
 
 
 def test_unread_draft_is_still_validated():
-    """A planted stray pid trips the sanitizer at the prelude."""
+    """A stray pid planted in the pending record trips the sanitizer at
+    the prelude."""
     run = Simulator(
         3, SendToAllBroadcast, atomic_local=True, validate_footprints=True
     ).begin(SCRIPTS)

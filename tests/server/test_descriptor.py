@@ -55,6 +55,14 @@ class TestEquivalentSpellings:
         )
         assert digest_of(BASE) == digest_of(explicit)
 
+    def test_workers_under_dedup(self):
+        # a cached search never shards: every worker count is one process
+        for workers in (2, 4):
+            spelled = dict(BASE, dedup=True, workers=workers)
+            assert JobDescriptor.from_json(spelled).workers == 1
+            assert digest_of(spelled) == digest_of(dict(BASE, dedup=True))
+            assert digest_of(spelled) == digest_of(BASE)
+
     def test_list_vs_tuple_script_values(self):
         as_tuples = dict(BASE, scripts={"0": ("a",), "1": ("b",)})
         assert digest_of(BASE) == digest_of(as_tuples)
@@ -103,7 +111,6 @@ class TestDistinctRequestsDistinctKeys:
             {"dedup": False},
             {"sleep_sets": True},
             {"symmetry": "rename"},
-            {"workers": 2},
             {"max_schedules": 50_000},
             {"max_depth": 100},
             {"stop_at_first_violation": True},
@@ -115,6 +122,11 @@ class TestDistinctRequestsDistinctKeys:
     )
     def test_engine_relevant_field_changes_digest(self, change):
         assert digest_of(BASE) != digest_of(dict(BASE, **change))
+
+    def test_workers_change_digest_without_dedup(self):
+        # a cache-less search shards, and its result records the count
+        uncached = dict(BASE, dedup=False)
+        assert digest_of(uncached) != digest_of(dict(uncached, workers=2))
 
     def test_schema_versions_never_collide(self):
         descriptor = JobDescriptor.from_json(BASE)

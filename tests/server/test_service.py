@@ -104,6 +104,31 @@ class TestAcceptance:
 
         asyncio.run(main())
 
+    def test_worker_count_on_a_cached_search_one_exploration(self):
+        async def main():
+            service, host, port = await started_service(max_workers=2)
+            async with ServiceClient(host, port) as client:
+                cold = await client.submit(
+                    dict(SHOWCASE, dedup=True, workers=4), wait=True
+                )
+                warm = await client.submit(
+                    dict(SHOWCASE, dedup=True), wait=True
+                )
+                assert cold["memo_hit"] is False
+                assert warm["memo_hit"] is True
+                assert warm["result"] == cold["result"]
+                assert cold["result"]["workers"] == 1
+                digests = {
+                    (await client.status(r["job"]))["digest"]
+                    for r in (cold, warm)
+                }
+                assert len(digests) == 1
+                stats = await client.stats()
+                assert stats["explorations_run"] == 1
+            await service.shutdown()
+
+        asyncio.run(main())
+
     def test_watch_streams_independence_stats(self):
         # a sleep-set crash job counts verdicts by source; the watch
         # stream must carry them in both the progress snapshots and
