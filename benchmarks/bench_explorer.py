@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.runtime.explorer as explorer
 from repro.broadcasts import (
     KSteppedKsaBroadcast,
     SendToAllBroadcast,
@@ -17,6 +18,7 @@ from repro.runtime import (
 )
 from repro.runtime.fingerprint import OrbitTemplate, stable_digest
 from repro.runtime.independence import Footprint, classify
+from repro.runtime.simulator import SimulationRun
 from repro.specs import (
     KSteppedBroadcastSpec,
     SendToAllSpec,
@@ -190,8 +192,58 @@ def test_crash_aware_sleep_depth8(benchmark):
     result = benchmark(explore)
     # the crash-aware acceptance numbers: strictly below the blanket
     # relation's 263 terminals, with the proof visibly firing
-    assert result.terminal_schedules == 154
+    assert result.terminal_schedules == 141
     assert result.independence_stats["crash_proof"] > 0
+
+
+def test_dedup_sleep_chain_heavy(benchmark, monkeypatch):
+    """Dedup plus sleep sets on a tree of long single-event chains.
+
+    URB n=2 with two senders: a reception is followed by relays and
+    deliveries that leave many nodes with one enabled event.  The cache
+    keys only branch points (two or more enabled events), so a chain
+    node costs no fingerprint.  Outside the timed rounds, one counted
+    search checks that the fingerprint calls equal the branch points
+    the search enters — each keyed once per arrival, nothing else
+    keyed — and that the violation set is plain DFS's.
+    """
+    simulator = Simulator(2, UniformReliableBroadcast)
+    scripts = {0: ["a"], 1: ["b"]}
+
+    def total_order():
+        # URB does not order deliveries: the violation set is not empty
+        return spec_property(TotalOrderBroadcastSpec(), assume_complete=False)
+
+    def explore():
+        result = explore_schedules(
+            simulator, scripts, total_order(), dedup=True, sleep_sets=True
+        )
+        assert result.exhausted and result.violations
+        return result
+
+    result = benchmark(explore)
+    fingerprint, sync = SimulationRun.fingerprint, explorer._Cursor.sync
+    counts = {"fingerprints": 0, "branch_points": 0}
+
+    def counted_fingerprint(self):
+        counts["fingerprints"] += 1
+        return fingerprint(self)
+
+    def counted_sync(self):
+        # the search syncs each node once, right after its prelude
+        if len(self.handle.choices()) >= 2:
+            counts["branch_points"] += 1
+        sync(self)
+
+    monkeypatch.setattr(SimulationRun, "fingerprint", counted_fingerprint)
+    monkeypatch.setattr(explorer._Cursor, "sync", counted_sync)
+    counted = explore()
+    monkeypatch.undo()
+    assert counted == result
+    assert counts["fingerprints"] == counts["branch_points"]
+    assert counts["branch_points"] < result.schedules_explored
+    plain = explore_schedules(simulator, scripts, total_order())
+    assert result.violations_digest() == plain.violations_digest()
 
 
 def test_independence_classify(benchmark):

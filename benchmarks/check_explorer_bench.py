@@ -6,14 +6,16 @@ replayed events, orbit encodings) must match the committed
 ``BENCH_explorer.json`` exactly — a difference means the explorer's
 behaviour changed and the baseline must be regenerated deliberately.
 In particular a drift in ``states_seen`` under a symmetry variant means
-the canonical-labelling search stopped landing on the orbit floor, and
-a drift in ``orbit_encodings`` means the invariant profiles stopped
-separating pids.  That counter sums, over keyed nodes, the residual
-candidates of each node's canonical-labelling pass; a search runs the
-pass once per distinct raw state and a repeat adds the stored count, so
-it counts candidates per node, not encodings computed.  Wall-clock timings are the one machine-dependent
-quantity: regressions beyond the tolerance only *warn*, they never fail
-CI.
+the canonical-labelling search stopped landing on the orbit floor among
+branch points (the distinct orbits of the states with two or more
+enabled events, the only nodes the dedup cache keys), and a drift in
+``orbit_encodings`` means the invariant profiles stopped separating
+pids.  That counter sums, over keyed nodes, the residual candidates of
+each node's canonical-labelling pass; a search runs the pass once per
+distinct raw state and a repeat adds the stored count, so it counts
+candidates per node, not encodings computed.  Wall-clock timings are
+the one machine-dependent quantity: regressions beyond the tolerance
+only *warn*, they never fail CI.
 
 Usage::
 

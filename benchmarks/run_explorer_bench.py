@@ -61,6 +61,17 @@ relation directly, so ``independence_stats`` counts verdicts by source
 only (``memo_queries``/``memo_hits`` are gone) and the derived
 ``interned_key_hit_rate`` goes with them.  Every other counter and
 digest is unchanged from schema 7.
+
+Schema 9 follows the dedup cache keying branch points only (nodes with
+two or more enabled events): ``states_seen`` counts distinct branch
+points, ``schedules_explored`` also counts the terminal and
+single-event nodes re-expanded on each arrival, ``orbit_encodings``
+sums over keyed nodes only, and under dedup plus sleep sets
+``terminal_schedules`` can fall.  ``state_revisit_reduction`` now
+divides the dedup row's expansions, not its distinct states, by the
+incremental row's, and ``orbit_encodings_per_lookup`` divides by the
+keyed lookups (first expansions plus hits).  Plain and sharded rows and
+every violation digest are unchanged from schema 8.
 """
 
 from __future__ import annotations
@@ -287,14 +298,15 @@ def main() -> None:
 
     report = {
         "benchmark": "explorer",
-        "schema": 8,
+        "schema": 9,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "notes": (
-            "schema 8: independence_stats counts verdicts by source "
-            "only (no verdict memo, no interned_key_hit_rate); rows "
-            "keyed by label; digests and state counts remain on the "
-            "schema-5 canonical encoding"
+            "schema 9: the dedup cache keys branch points only, so "
+            "states_seen counts distinct branch points and "
+            "schedules_explored every expansion; independence_stats "
+            "counts verdicts by source; rows keyed by label; digests "
+            "remain on the schema-5 canonical encoding"
         ),
         "configs": [],
     }
@@ -318,7 +330,7 @@ def main() -> None:
             # transposition cache proved redundant
             entry["state_revisit_reduction"] = round(
                 1
-                - dedup["states_seen"]
+                - dedup["schedules_explored"]
                 / max(1, incremental["schedules_explored"]),
                 4,
             )
@@ -354,11 +366,12 @@ def main() -> None:
                 4,
             )
             # canonical labelling's cost metric: encodings per cache
-            # lookup (expansions + hits); ~1 means the invariant
+            # lookup (first expansions + hits: without sleep sets every
+            # keyed node is one or the other); ~1 means the invariant
             # profiles separate almost every orbit without search,
             # versus |group|! encodings per lookup under enumeration
             lookups = (
-                renamed["schedules_explored"]
+                renamed["states_seen"]
                 + renamed["states_deduped"]
                 + renamed["states_merged_symmetry"]
             )

@@ -30,8 +30,29 @@ re-expanding it.  The cost drops from O(tree edges) to O(unique-state
 graph edges), the dominant saving on symmetric script configurations
 where interchangeable broadcasts make most interleavings converge.
 :attr:`ExplorationResult.states_seen` / ``states_deduped`` report the
-cache's effect.  See *Soundness of deduplication* below.  With the cache
-off the loop never fingerprints a state.
+cache's effect.  See *Which nodes are keyed* and *Soundness of
+deduplication* below.  With the cache off the loop never fingerprints a
+state.
+
+Which nodes are keyed
+---------------------
+
+The cache keys *branch points* only: a node is fingerprinted, looked
+up and remembered when its ``choices()`` lists two or more events.  A
+terminal node's entry would store one terminal evaluation, which is
+cheaper to redo than to key; a single-event node's entry would
+duplicate its only child's, which the arrival reaches one event later
+anyway.  Such a node is expanded on every arrival, still builds its
+subtree summary for its parent, and under ``symmetry="rename"`` costs
+no orbit key either.  This is selective storing (Behrmann, Larsen and
+Pelánek, "To Store or Not to Store", CAV 2003): a skipped lookup only
+ever expands more, so the checked violation set cannot change.  It
+moves the counters: ``states_seen`` counts distinct branch points
+(orbits, under symmetry), ``schedules_explored`` counts every
+expansion, re-expanded unkeyed nodes included, and under dedup plus
+sleep sets ``terminal_schedules`` is lower than when every node was
+keyed — an unkeyed node expands under its own sleep set, where a cache
+hit would have replayed a subtree recorded under a smaller one.
 
 Pre-step reductions
 -------------------
@@ -82,21 +103,23 @@ A state fingerprint pins each process's *input journal*, the ordered
 in-flight pool, the oracle registry, remaining scripts, the alive set
 and the decision count — everything the scheduling loop reads — so two
 converged nodes enable the same events in the same order forever after:
-the subtrees below them are isomorphic, decision for decision.  Their
-*traces* differ only in the prefix, and only up to commutation of
-independent events (the same per-process histories, interleaved
-differently).  Replaying a cached subtree summary is therefore exact
-for properties whose verdict is a function of per-process observations
-(every spec in :mod:`repro.specs`; delivery sequences, decided values
-and returns are all per-process state).  Step-tracked properties stay
-compatible too: :func:`channels_property`'s tracker state at a deduped
-node is determined by per-process send/receive projections, which the
-fingerprint pins — the deduped arrival's prefix was already checked
-step by step on its own branch, and the suffix verdicts recorded in the
-cache coincide with what re-expansion would have computed.  A custom
-property that inspects the *global interleaving* of the terminal trace
-(cross-process real-time order, say) is outside this envelope — leave
-the cache off for those.
+the subtrees below them are isomorphic, decision for decision.  Which
+converged nodes are cut is a matter of cost, not of soundness: keying
+only branch points leaves the unkeyed ones to plain re-expansion, which
+reports what a replay would.  Their *traces* differ only in the prefix,
+and only up to commutation of independent events (the same per-process
+histories, interleaved differently).  Replaying a cached subtree
+summary is therefore exact for properties whose verdict is a function
+of per-process observations (every spec in :mod:`repro.specs`; delivery
+sequences, decided values and returns are all per-process state).
+Step-tracked properties stay compatible too: :func:`channels_property`'s
+tracker state at a deduped node is determined by per-process
+send/receive projections, which the fingerprint pins — the deduped
+arrival's prefix was already checked step by step on its own branch,
+and the suffix verdicts recorded in the cache coincide with what
+re-expansion would have computed.  A custom property that inspects the
+*global interleaving* of the terminal trace (cross-process real-time
+order, say) is outside this envelope — leave the cache off for those.
 
 ``workers > 1`` shards the top of the schedule tree across a
 ``multiprocessing`` pool (fork start method).  A *frontier pass* of the
@@ -162,11 +185,12 @@ Checkpoint and resume
 ``cancel`` token fires) the search serializes its complete restartable
 state — the DFS frontier as a stack of per-level frames (taken branch,
 sleep set, explored-sibling footprints, and under dedup the level's
-partial summary and cache key), the transposition cache, and the
-partial result — into a versioned, integrity-sealed checkpoint file
-written atomically (:mod:`repro.runtime.checkpoint`).  Each cache
-entry's at-rest text is encoded once, at the first checkpoint after the
-entry is stored or taken over; later checkpoints join the kept texts,
+partial summary and, at a branch point, its cache key), the
+transposition cache, and the partial result — into a versioned,
+integrity-sealed checkpoint file written atomically
+(:mod:`repro.runtime.checkpoint`).  Each cache entry's at-rest text is
+encoded once, at the first checkpoint after the entry is stored or
+taken over; later checkpoints join the kept texts,
 so a write costs the cache's new entries plus the bytes.  The partial
 result at rest is an :meth:`ExplorationResult.to_json` payload whose
 violations are paired with their ordinals (each violating terminal's
@@ -320,6 +344,11 @@ class Violation:
 class ExplorationResult:
     """Outcome of one exhaustive (or budget-capped) exploration."""
 
+    #: Node expansions: every node the search entered and did not prune
+    #: as a cache hit, terminals included.  With the dedup cache on, a
+    #: terminal or single-event node, which is never keyed, counts once
+    #: per arrival, and so does a sleep-incompatible arrival at a keyed
+    #: state that re-expands it.
     schedules_explored: int = coded(merge=SUM)
     terminal_schedules: int
     violations: list[Violation] = coded(factory=list, required=True)
@@ -348,12 +377,15 @@ class ExplorationResult:
     events_replayed: int = coded(0, required=True, merge=SUM)
     #: Worker processes that actually ran the search.
     workers: int = 1
-    #: Distinct states (orbits, under symmetry) expanded with the dedup
-    #: cache on; 0 with the cache off.  ``schedules_explored``
-    #: counts every expansion, which can exceed this when a sleep-set
-    #: arrival incompatible with the cached entry re-expands a state
-    #: (the subset-reuse rule; the re-expansion takes over the cache
-    #: slot); pruned arrivals are counted in :attr:`states_deduped` /
+    #: Distinct branch points — states with two or more enabled events,
+    #: the only nodes the cache keys — expanded with the dedup cache on
+    #: (orbits, under symmetry); 0 with the cache off.
+    #: ``schedules_explored`` counts every expansion, which exceeds this
+    #: by every expansion of a terminal or single-event node (never
+    #: keyed, so expanded on each arrival) and by each sleep-set arrival
+    #: incompatible with the cached entry that re-expands a state (the
+    #: subset-reuse rule; the re-expansion takes over the cache slot);
+    #: pruned arrivals are counted in :attr:`states_deduped` /
     #: :attr:`states_merged_symmetry` instead.
     states_seen: int = coded(0, merge=SUM)
     #: Branches pruned because their post-event state was already
@@ -983,10 +1015,14 @@ def _outcome_from_json(data: Mapping) -> tuple[ExplorationResult, list[int]]:
 
 @dataclass
 class _FrameDedup:
-    """A cached node's identity and its live, partial summary."""
+    """A node's live, partial summary, and its identity when keyed.
 
-    key: str
-    raw: str
+    ``key`` and ``raw`` are ``None`` at a single-event node, which the
+    cache never keys: its summary only flows up to its parent.
+    """
+
+    key: str | None
+    raw: str | None
     perm: tuple[int, ...] | None
     summary: _Summary
 
@@ -1052,10 +1088,12 @@ def _explore_subtree(
     ``prefix`` only supplies the path and depth of violations found
     below it.
 
-    With ``dedup=True`` the DFS consults a per-call transposition cache:
-    a node whose state fingerprint was already fully expanded is pruned,
-    and the cached subtree summary is replayed in its place, reproducing
-    the exact terminal counts and violations of a re-expansion.
+    With ``dedup=True`` the DFS consults a per-call transposition cache
+    at every branch point (two or more enabled events): one whose state
+    fingerprint was already fully expanded is pruned, and the cached
+    subtree summary is replayed in its place, reproducing the exact
+    terminal counts and violations of a re-expansion.  Terminal and
+    single-event nodes are never keyed, only expanded.
 
     ``sleep_sets=True`` adds the sleep-set partial-order reduction: a
     branch whose choice is asleep (its footprint independent of every
@@ -1336,13 +1374,15 @@ def _explore_subtree(
     ) -> _Summary | None:
         """Expand one node; the subtree's summary, or None to abort.
 
-        With the cache on, the summary is cached for later arrivals at
-        the same state and re-framed through the witnessing permutation
-        on symmetry merges; with it off, nothing is fingerprinted,
-        looked up or remembered, no summary is built, and a finished
-        subtree returns the empty ``_DONE``.  ``None`` means the search
-        was cut (budget, abort, cancellation): partial summaries are
-        never cached.
+        With the cache on, a branch point's summary is cached for later
+        arrivals at the same state and re-framed through the witnessing
+        permutation on symmetry merges; a terminal or single-event node
+        is not keyed, and its summary only flows up to its parent (its
+        checkpoint frame carries no key).  With the cache off, nothing
+        is fingerprinted, looked up or remembered, no summary is built,
+        and a finished subtree returns the empty ``_DONE``.  ``None``
+        means the search was cut (budget, abort, cancellation): partial
+        summaries are never cached.
 
         A non-empty ``resume`` re-enters a checkpointed node: ``resume[0]``
         is its frame, whose sleep set (dedup's subset-reuse rule may
@@ -1383,7 +1423,10 @@ def _explore_subtree(
             choices = cursor.handle.choices()  # prelude before fingerprinting
             cursor.sync()
             key = raw = perm = None
-            if dedup:
+            if dedup and len(choices) > 1:
+                # Only a branch point is keyed: a terminal or single-event
+                # node is re-expanded on every arrival (module docstring,
+                # *Which nodes are keyed*).
                 raw = cursor.handle.fingerprint()
                 if groups:
                     # the orbit key is a function of the state ``raw``
@@ -1462,14 +1505,14 @@ def _explore_subtree(
                 if problems:
                     own = tuple(path) if groups else ()
                     summary.violations.append((0, own, problems, None))
-                remember(key, raw, perm, depth, sleep, summary)
                 return summary
             if depth >= max_depth:
                 out.exhausted = False
                 if not dedup:
                     return _DONE
                 summary = _Summary(truncated=True)
-                remember(key, raw, perm, depth, sleep, summary)
+                if key is not None:
+                    remember(key, raw, perm, depth, sleep, summary)
                 return summary
             summary = _Summary() if dedup else _DONE
             node = _FrameDedup(key, raw, perm, summary) if dedup else None
@@ -1497,6 +1540,7 @@ def _explore_subtree(
                 key = raw = perm = None
                 summary = _DONE
             else:
+                # An unkeyed node's frame has no key: it is not remembered
                 key, raw, perm = node.key, node.raw, node.perm
                 summary = node.summary
         last = active[-1] if active else None
@@ -1558,7 +1602,7 @@ def _explore_subtree(
                 )
             if sleep_sets and taken is not None:
                 explored[keys[branch]] = taken
-        if dedup:
+        if key is not None:
             remember(key, raw, perm, depth, sleep, summary)
         return summary
 
@@ -1810,10 +1854,14 @@ def explore_schedules(
     :class:`~repro.runtime.simulator.Simulator`); ``max_schedules``
     bounds the number of *terminal* schedules visited, ``max_depth`` the
     decision depth.  ``dedup=True`` turns on the fingerprint
-    transposition cache; ``workers > 1`` shards a cache-less search
-    over a process pool without changing its result (see the module
-    docstring for the merge semantics).  A search with the cache on
-    runs in one process and reports ``workers=1``.
+    transposition cache, which keys branch points only (nodes with two
+    or more enabled events; module docstring, *Which nodes are keyed*):
+    ``states_seen`` counts distinct branch points and
+    ``schedules_explored`` every expansion, terminal and single-event
+    nodes re-expanded on each arrival included.  ``workers > 1`` shards
+    a cache-less search over a process pool without changing its result
+    (see the module docstring for the merge semantics).  A search with
+    the cache on runs in one process and reports ``workers=1``.
 
     Two pre-step reductions compose with the cache.  ``sleep_sets=True``
     prunes a branch before forking when the event it takes is *asleep*:
@@ -1938,6 +1986,12 @@ def explore_schedules(
             # a cache it can never hit.  Absent without groups, so
             # non-symmetric checkpoints keep their digest.
             **({"orbit_key_layout": "component-digests"} if groups else {}),
+            # A cached search keys branch points only, so its counters
+            # and cache differ from a search that keyed every node: a
+            # dedup checkpoint written before that rule is refused.
+            # Absent without dedup, so plain and sharded checkpoints
+            # keep their digest.
+            **({"cache_keys": "branch-points"} if dedup else {}),
             max_schedules=max_schedules,
             max_depth=max_depth,
             stop_at_first_violation=stop_at_first_violation,

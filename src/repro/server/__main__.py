@@ -26,8 +26,8 @@ from .client import ServiceClient
 from .memo import MemoStore
 from .service import VerificationService
 
-#: The depth-8 showcase configuration (2520 terminals, 321 dedup
-#: states) — the canonical cold-run workload of the smoke.
+#: The depth-8 showcase configuration (2520 terminals, 255 dedup
+#: branch points) — the canonical cold-run workload of the smoke.
 _SHOWCASE: dict[str, Any] = {
     "algorithm": "send-to-all",
     "n": 3,

@@ -82,8 +82,10 @@ __all__ = [
 #: changes the work counters (and can change ``exhausted``) of
 #: budget-capped or aborted ``workers > 1`` results; schema 8 drops the
 #: verdict memo, so ``independence_stats`` loses ``memo_queries`` and
-#: ``memo_hits``.
-ENGINE_SCHEMA = 8
+#: ``memo_hits``; schema 9 keys only branch points in the dedup cache,
+#: which changes ``states_seen``, ``schedules_explored`` and, under
+#: dedup plus sleep sets, ``terminal_schedules``.
+ENGINE_SCHEMA = 9
 
 #: Algorithm registry: descriptor name → ``factory(pid, n)`` class.
 ALGORITHMS: Mapping[str, Callable[[int, int], Any]] = {

@@ -398,14 +398,18 @@ class TestSymmetricResume:
 
 
 class TestOrbitKeyLayout:
-    """A symmetric checkpoint names the layout of its cache keys.
+    """A cached checkpoint names the layout of its cache keys.
 
     The orbit key used to hash the whole canonical image of a state and
     now hashes per-component digests, so a symmetric checkpoint written
-    before holds keys the resumed search never computes.  Its
-    configuration digest lacks the layout facet, which the digest of a
-    symmetric search now carries, so the resume is refused; a
-    non-symmetric search has no orbit key and keeps its digest.
+    before holds keys the resumed search never computes.  Likewise the
+    cache used to key every node and now keys branch points only, so a
+    dedup checkpoint written before holds entries and counters the
+    resumed search would not reproduce.  Their configuration digests
+    lack the facets the digest of such a search now carries (the key
+    layout under symmetry, ``cache_keys`` under dedup), so the resume
+    is refused.  Plain and sharded searches have no cache and keep
+    their digests (the fixture tests below resume them).
     """
 
     #: The configuration digests the explorer stamped on checkpoints of
@@ -427,25 +431,26 @@ class TestOrbitKeyLayout:
         assert first.interrupted
         return read_checkpoint(path)
 
-    def test_symmetric_checkpoint_before_the_facet_is_refused(
-        self, tmp_path
-    ):
-        path = os.path.join(tmp_path, "rename.ckpt")
-        body = self.checkpoint(path, "composed")
-        assert body["config"] != self.BEFORE["composed"]
-        body["config"] = self.BEFORE["composed"]
+    def assert_refused_before_the_facet(self, tmp_path, variant):
+        path = os.path.join(tmp_path, f"{variant}.ckpt")
+        body = self.checkpoint(path, variant)
+        assert body["config"] != self.BEFORE[variant]
+        body["config"] = self.BEFORE[variant]
         write_checkpoint(path, body)  # resealed: only the config differs
         with pytest.raises(CheckpointError, match="configuration"):
             explore_schedules(
                 *TestSymmetricResume.make_config(),
                 resume_from=path,
-                **VARIANTS["composed"],
+                **VARIANTS[variant],
             )
 
-    def test_non_symmetric_digest_is_unchanged(self, tmp_path):
-        path = os.path.join(tmp_path, "dedup.ckpt")
-        body = self.checkpoint(path, "dedup-sleep")
-        assert body["config"] == self.BEFORE["dedup-sleep"]
+    def test_symmetric_checkpoint_before_the_facet_is_refused(
+        self, tmp_path
+    ):
+        self.assert_refused_before_the_facet(tmp_path, "composed")
+
+    def test_old_dedup_checkpoint_is_refused(self, tmp_path):
+        self.assert_refused_before_the_facet(tmp_path, "dedup-sleep")
 
 
 class TestCompleteCheckpoint:

@@ -6,8 +6,10 @@ the same exhaustion verdict, and the identical violation list (guides
 and rendered problems) as the search without the cache on every
 configuration, in every stop mode, under budget caps, crash
 schedules, and sharded execution.  What may (and must, on symmetric
-configurations) differ is the work done: ``states_seen`` +
-``states_deduped`` expansions instead of one expansion per prefix.
+configurations) differ is the work done: the cache keys branch points
+only, so each distinct branch point is expanded once (``states_seen``)
+and its later arrivals are pruned (``states_deduped``), instead of one
+expansion per prefix.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from repro.runtime.explorer import (
 )
 from repro.specs import SendToAllSpec, UniformReliableBroadcastSpec
 
+from .test_branch_points import branch_points
 from .test_explorer_engines import s2a_simulator, total_order, urb_simulator
 
 
@@ -95,8 +98,13 @@ class TestDedupEquivalence:
             s2a_simulator(), {0: ["a"], 1: ["b"]}, total_order(),
             dedup=True,
         )
-        # every expansion is either a fresh state or a pruned arrival
-        assert dedup.schedules_explored == dedup.states_seen
+        # every keyed node is either a fresh branch point or a pruned
+        # arrival; terminal and single-event nodes are expanded on every
+        # arrival, so they add expansions but no states
+        assert dedup.states_seen == branch_points(
+            s2a_simulator(), {0: ["a"], 1: ["b"]}, None, 400, ()
+        )[0]
+        assert dedup.schedules_explored > dedup.states_seen
         assert dedup.states_deduped > 0
         assert dedup.states_seen < baseline.schedules_explored
         # the cache-off search reports zeroed counters

@@ -27,6 +27,7 @@ from repro.runtime.ksa_objects import ScriptedPolicy
 from repro.runtime.simulator import SimulationRun
 from repro.specs import SendToAllSpec, TotalOrderBroadcastSpec
 
+from .test_branch_points import branch_points
 from .test_explorer_engines import worker_independent
 
 
@@ -152,9 +153,11 @@ class TestSleepSetsPreserveObservations:
         With the subset-reuse rule the transposition cache is keyed by
         the state alone, so the sleep-set reduction can no longer mint
         extra slots for the same state reached under different sleep
-        sets — ``states_seen`` is a pure state count again.  Arrivals
-        whose sleep set is incompatible with the stored entry re-expand
-        (counted in ``schedules_explored``), they do not re-count.
+        sets — ``states_seen`` is a pure count of the distinct branch
+        points, the only nodes the cache keys (255 of the tree's 321
+        distinct states, by the oracle walk).  Arrivals whose sleep set
+        is incompatible with the stored entry re-expand (counted in
+        ``schedules_explored``), they do not re-count.
         """
         dedup = explore_schedules(
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
@@ -164,7 +167,11 @@ class TestSleepSetsPreserveObservations:
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(),
             dedup=True, max_depth=8, sleep_sets=True,
         )
-        assert slept.states_seen == dedup.states_seen == 321
+        raw_branch_points, _ = branch_points(
+            s2a(), {0: ["a"], 1: ["b"]}, None, 8, ()
+        )
+        assert slept.states_seen == dedup.states_seen == raw_branch_points
+        assert raw_branch_points == 255
         assert slept.schedules_explored >= slept.states_seen
         # the reduction still wins where it should: terminals and events
         assert slept.terminal_schedules < dedup.terminal_schedules
@@ -220,17 +227,21 @@ class TestRenamingSymmetry:
     def test_depth8_acceptance_bounds(self):
         """The headline composition on the symmetric depth-8 config.
 
-        Plain dedup expands 321 distinct states over 2520 terminals.
-        Renaming merges 79 orbit pairs (242 canonical states — the
-        floor: the remaining states are fixed points of the 0<->1
-        swap, so no sound renaming can merge them).  Sleep sets cannot
-        reduce *distinct* states (a slept event's target is reachable
-        via the commuted, explored order by construction), and since
-        the sleep set left the cache key (subset-reuse), composing
-        them with symmetry stays exactly on the 242 orbit floor — the
-        few sleep-incompatible arrivals re-expand an already-counted
-        orbit (visible in ``schedules_explored``) instead of minting
-        new cache slots.  The canonical-labelling pass pays ~1 state
+        The cache keys branch points only: plain dedup expands 255
+        distinct branch-point states over 2520 terminals (the tree
+        holds 321 distinct states; the other 66 are terminal or
+        single-event nodes, re-expanded on every arrival).  Renaming
+        merges 79 orbit pairs among them (176 canonical branch points —
+        the floor: the remaining ones are fixed points of the 0<->1
+        swap, so no sound renaming can merge them).  Both counts are
+        the oracle walk's.  Sleep sets cannot reduce *distinct* states
+        (a slept event's target is reachable via the commuted,
+        explored order by construction), and since the sleep set left
+        the cache key (subset-reuse), composing them with symmetry
+        stays exactly on the 176 orbit floor — the few
+        sleep-incompatible arrivals re-expand an already-counted orbit
+        (visible in ``schedules_explored``) instead of minting new
+        cache slots.  The canonical-labelling pass pays ~1 state
         encoding per cache lookup, where permutation enumeration paid
         |perms| = 2.
         """
@@ -246,22 +257,28 @@ class TestRenamingSymmetry:
             s2a(), {0: ["a"], 1: ["b"]}, channels_property(), dedup=True,
             max_depth=8, sleep_sets=True, symmetry="rename",
         )
-        assert dedup.states_seen == 321
+        groups = explorer._renaming_groups(s2a(), {0: ["a"], 1: ["b"]}, None)
+        raws, orbits = branch_points(
+            s2a(), {0: ["a"], 1: ["b"]}, None, 8, groups
+        )
+        assert (raws, orbits) == (255, 176)
+        assert dedup.states_seen == raws
         assert dedup.terminal_schedules == 2520
-        assert renamed.states_seen == 242
-        assert composed.states_seen == 242  # the proven orbit floor
+        assert renamed.states_seen == orbits
+        assert composed.states_seen == orbits  # the proven orbit floor
         # subset-reuse keeps covered-distinct terminals far below the
         # 2520 raw interleavings (a handful of commutation-redundant
         # terminals ride along through less-slept cached subtrees)
         assert composed.terminal_schedules == 62
-        assert composed.schedules_explored == 272
+        assert composed.schedules_explored == 292
         # the composition beats both the unreduced terminal count and
         # the unreduced expansion count
         assert composed.states_seen < dedup.states_seen
         assert composed.events_executed < dedup.events_executed
-        # canonical labelling: ~1 encoding per lookup, not |perms|
+        # canonical labelling: ~1 encoding per lookup, not |perms|;
+        # without sleep sets each keyed node is a first expansion or a hit
         lookups = (
-            renamed.schedules_explored
+            renamed.states_seen
             + renamed.states_deduped
             + renamed.states_merged_symmetry
         )
@@ -448,7 +465,15 @@ class TestProgressReporting:
             assert sum(snap.expansions_by_depth.values()) == snap.expansions
             assert snap.elapsed >= 0
             assert snap.states_per_second >= 0
-        assert sum(result.expansions_by_depth.values()) == result.states_seen
+        # every expansion is counted per depth, keyed or not; the keyed
+        # first expansions are the oracle's distinct branch points
+        assert (
+            sum(result.expansions_by_depth.values())
+            == result.schedules_explored
+        )
+        assert result.states_seen == branch_points(
+            s2a(), {0: ["a"], 1: ["b"]}, None, 8, ()
+        )[0]
         assert (
             sum(result.dedup_hits_by_depth.values()) == result.states_deduped
         )

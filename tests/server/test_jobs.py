@@ -153,11 +153,12 @@ class TestLifecycleAndMemo:
         asyncio.run(main())
 
     def test_progress_events_reach_subscribers(self):
-        # a cached search never shards, so it streams progress whatever
-        # ``workers`` was requested
-        cached_workers_2 = JobDescriptor.from_json(
-            {**tiny().to_json(), "dedup": True, "workers": 2}
+        # the plain cached search and a sleep-set one explore different
+        # trees, and both stream progress
+        slept = JobDescriptor.from_json(
+            {**tiny().to_json(), "sleep_sets": True}
         )
+        assert job_digest(slept) != job_digest(tiny())
 
         async def main(descriptor):
             mgr = manager()
@@ -179,7 +180,7 @@ class TestLifecycleAndMemo:
             assert snapshot["expansions"] >= 1
             await mgr.drain()
 
-        for descriptor in (tiny(), cached_workers_2):
+        for descriptor in (tiny(), slept):
             asyncio.run(main(descriptor))
 
     def test_late_subscriber_gets_terminal_event(self):
